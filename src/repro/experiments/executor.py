@@ -13,8 +13,8 @@ reduction. Backends plug in how trials execute:
   nothing but the read-only testbed (shipped once per worker), so this is
   an embarrassingly parallel map with deterministic output.
 
-:class:`ResultStore` adds JSON persistence: completed trials are saved under
-(trial_id, fingerprint) and skipped on resume.
+:class:`ResultStore` adds JSON-lines persistence: completed trials are
+appended under (trial_id, fingerprint) and skipped on resume.
 """
 
 from __future__ import annotations
@@ -491,15 +491,24 @@ def make_backend(
 # Persistence
 # ----------------------------------------------------------------------
 class ResultStore:
-    """JSON persistence of trial results, keyed by (trial_id, fingerprint).
+    """JSON-lines persistence of trial results, keyed by (trial_id,
+    fingerprint).
 
     A store is bound to one testbed seed; resuming against a different
-    testbed raises rather than silently mixing incompatible results. Writes
-    are atomic (temp file + rename) so an interrupted sweep never corrupts
-    earlier results.
+    testbed raises rather than silently mixing incompatible results.
+
+    On disk: line 1 is a header ``{"testbed_seed", "experiment"}``, every
+    further line one ``TrialResult.to_json()``; loading is last-line-wins
+    per ``trial_id``, so replayed and duplicated lines are harmless.
+    :meth:`save` appends what :meth:`put` added since the last save and
+    fsyncs — O(1) in the size of the store — and rewrites the whole file
+    atomically (temp file + rename) only when it has to: no file yet, a
+    file in the older single-object format, a changed header, or a
+    previous save that failed. DESIGN.md "Persistence / resume" has the
+    protocol step by step.
 
     ``experiment`` names the sweep the results belong to and is persisted
-    in the file — it is what lets a corrupted run-table be rebuilt from
+    in the header — it is what lets a corrupted run-table be rebuilt from
     the flat stores alone (``RunTable.rebuild_from_stores``), without the
     jobs table that died with it. ``fault_hook`` fires site ``store.save``
     (keyed by path) at the top of every save, before anything touches
@@ -519,13 +528,30 @@ class ResultStore:
         self.experiment = experiment
         self.fault_hook = fault_hook
         self._results: Dict[str, TrialResult] = {}
+        #: Results put since the last successful save.
+        self._unsaved: List[TrialResult] = []
+        #: The header line the file is known to start with; None when the
+        #: next save must rewrite instead of append.
+        self._disk_header: Optional[dict] = None
         if os.path.exists(path):
             self._load()
 
     def _load(self) -> None:
-        with open(self.path) as f:
-            obj = json.load(f)
-        stored_seed = obj.get("testbed_seed")
+        with open(self.path, "rb") as f:
+            *lines, tail = f.read().split(b"\n")
+        # ``tail`` is whatever follows the last newline. Files in the
+        # older format are one JSON object with no newline at all; any
+        # other unterminated tail is an append that never returned, so
+        # nobody was told it is durable: drop it.
+        if tail and not lines:
+            try:
+                if "trials" in json.loads(tail):
+                    lines = [tail]
+            except ValueError:
+                pass
+        # A terminated line that does not parse is a corrupt store.
+        header, *entries = [json.loads(line) for line in lines] or [{}]
+        stored_seed = header.get("testbed_seed")
         if (self.testbed_seed is not None and stored_seed is not None
                 and stored_seed != self.testbed_seed):
             raise ValueError(
@@ -534,11 +560,13 @@ class ResultStore:
             )
         if stored_seed is not None:
             self.testbed_seed = stored_seed
-        if obj.get("experiment") is not None:
-            self.experiment = obj["experiment"]
-        for entry in obj.get("trials", []):
+        if header.get("experiment") is not None:
+            self.experiment = header["experiment"]
+        for entry in header.get("trials", []) + entries:
             res = TrialResult.from_json(entry)
             self._results[res.trial_id] = res
+        if lines and not tail and "trials" not in header:
+            self._disk_header = header
 
     def get(self, spec: TrialSpec) -> Optional[TrialResult]:
         cached = self._results.get(spec.trial_id)
@@ -548,6 +576,7 @@ class ResultStore:
 
     def put(self, result: TrialResult) -> None:
         self._results[result.trial_id] = result
+        self._unsaved.append(result)
 
     def has(self, trial_id: str, fingerprint: str) -> bool:
         """Whether a result with exactly this (trial_id, fingerprint) is
@@ -577,24 +606,55 @@ class ResultStore:
         return len(self._results)
 
     def save(self) -> None:
-        """Atomically persist the store: a mid-save crash (including power
-        loss, which ``os.replace`` alone does not cover) leaves the previous
-        on-disk contents intact — the coordinator's crash-resume path reads
-        this file, so a truncated store would silently re-run or, worse,
+        """Make every result put so far durable. When this returns they
+        are on disk and fsynced; when it raises, the results saved before
+        are still readable — the coordinator's crash-resume path reads
+        this file, so a damaged store would silently re-run or, worse,
         half-resume a sweep."""
         if self.fault_hook is not None:
             self.fault_hook("store.save", self.path)
-        payload = {
-            "testbed_seed": self.testbed_seed,
-            "trials": [r.to_json() for r in self._results.values()],
-        }
-        if self.experiment is not None:
-            payload["experiment"] = self.experiment
+        header = {"testbed_seed": self.testbed_seed,
+                  "experiment": self.experiment}
+        appendable = self._disk_header == header
+        # Until this save returns the file is suspect: a failure below
+        # makes the next save a rewrite, which repairs a torn line.
+        self._disk_header = None
+        if appendable:
+            self._append()
+        else:
+            self._rewrite(header)
+        self._disk_header = header
+        self._unsaved.clear()
+
+    def _append(self) -> None:
+        """One ``write`` of one whole line per unsaved result, on a fd
+        opened by path for this save only: a rewrite-by-rename from
+        another ResultStore on the same path can then never leave this one
+        appending to an unlinked file, and ``O_APPEND`` keeps two
+        appenders' lines apart."""
+        if not self._unsaved:
+            return
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            for result in self._unsaved:
+                line = (json.dumps(result.to_json()) + "\n").encode()
+                if os.write(fd, line) != len(line):
+                    raise OSError(f"short append to {self.path}")
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _rewrite(self, header: dict) -> None:
+        """Replace the file atomically: a mid-rewrite crash (including
+        power loss, hence the fsyncs of file and directory) leaves either
+        the previous contents or the new ones."""
         directory = os.path.dirname(os.path.abspath(self.path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                json.dump(payload, f)
+                f.write(json.dumps(header) + "\n")
+                for result in self._results.values():
+                    f.write(json.dumps(result.to_json()) + "\n")
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, self.path)
@@ -602,6 +662,11 @@ class ResultStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
 # ----------------------------------------------------------------------

@@ -281,18 +281,19 @@ class Coordinator:
     def job_progress(self, job_id: str) -> Optional[dict]:
         with self._cond:
             job = self._jobs.get(job_id)
-        if job is None:
-            job = self.runtable.get_job(job_id)
-        return None if job is None else job.progress()
+        if job is not None:
+            return job.progress()
+        rows = self.runtable.job_progress(job_id)
+        return rows[0] if rows else None
 
     def list_jobs(self, limit: int = 50) -> List[dict]:
         """Newest-first job progress dicts (live state wins over rows)."""
         with self._cond:
-            live = dict(self._jobs)
-        merged = {j.job_id: j for j in self.runtable.list_jobs(limit=limit)}
-        merged.update(live)
-        jobs = sorted(merged.values(), key=lambda j: j.submitted_at, reverse=True)
-        return [j.progress() for j in jobs[:limit]]
+            live = list(self._jobs.values())
+        merged = {p["job_id"]: p for p in self.runtable.job_progress(limit=limit)}
+        merged.update((j.job_id, j.progress()) for j in live)
+        jobs = sorted(merged.values(), key=lambda p: p["submitted_at"], reverse=True)
+        return jobs[:limit]
 
     def wait(
         self,
@@ -848,8 +849,9 @@ class Coordinator:
 
     def _save_store(self, store: ResultStore) -> None:
         """Persist the store, absorbing up to two transient write failures
-        (full disk that clears, injected OSError). The save is atomic, so
-        a failed attempt leaves the previous contents intact."""
+        (full disk that clears, injected OSError). A failed attempt leaves
+        the results saved before it readable, and makes the retry a
+        whole-file rewrite that repairs whatever the failure tore."""
         for attempt in range(3):
             try:
                 store.save()

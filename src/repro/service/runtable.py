@@ -86,7 +86,9 @@ CREATE TABLE IF NOT EXISTS jobs (
     total        INTEGER NOT NULL,
     error        TEXT,
     wire         TEXT NOT NULL,
-    idem_key     TEXT
+    idem_key     TEXT,
+    quarantined  INTEGER NOT NULL DEFAULT 0,
+    attempt      INTEGER NOT NULL DEFAULT 0
 );
 CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state);
 """
@@ -94,6 +96,24 @@ CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state);
 _TRIAL_COLUMNS = (
     "experiment", "trial_id", "fingerprint", "seed", "wall_time", "status",
     "job_id", "worker_id", "attempt", "token", "recorded_at",
+)
+#: What a job row holds besides its trial list: the keys of
+#: ``SweepJob.progress()``. Only the second group changes while a job
+#: runs: ``upsert_job`` rewrites those alone, and readers lay them over the
+#: ``wire`` blob, which is written once and keeps the first insert's values.
+_JOB_FIXED = (
+    "job_id", "name", "priority", "testbed_seed", "total", "submitted_at",
+)
+_JOB_MUTABLE = (
+    "state", "completed", "failed", "quarantined", "attempt", "error",
+    "started_at", "finished_at",
+)
+_JOB_COLUMNS = _JOB_FIXED + _JOB_MUTABLE
+_JOB_UPDATE = "UPDATE jobs SET %s WHERE job_id = ?" % ", ".join(
+    f"{name} = ?" for name in _JOB_MUTABLE
+)
+_JOB_INSERT = "INSERT INTO jobs (%s, wire, idem_key) VALUES (%s)" % (
+    ", ".join(_JOB_COLUMNS), ", ".join("?" * (len(_JOB_COLUMNS) + 2))
 )
 
 
@@ -182,6 +202,24 @@ class RunTable:
         self._conn.execute(
             "CREATE INDEX IF NOT EXISTS idx_jobs_idem ON jobs(idem_key)"
         )
+        if "quarantined" not in cols:
+            # These two lived in the wire blob alone while every upsert
+            # rewrote it: give them columns and fill them from there.
+            for name in ("quarantined", "attempt"):
+                self._conn.execute(
+                    f"ALTER TABLE jobs ADD COLUMN {name} "
+                    f"INTEGER NOT NULL DEFAULT 0"
+                )
+            for row in self._conn.execute(
+                "SELECT job_id, wire FROM jobs"
+            ).fetchall():
+                wire = json.loads(row["wire"])
+                self._conn.execute(
+                    "UPDATE jobs SET quarantined = ?, attempt = ? "
+                    "WHERE job_id = ?",
+                    (wire.get("quarantined", 0), wire.get("attempt", 0),
+                     row["job_id"]),
+                )
         trial_cols = {
             row["name"]
             for row in self._conn.execute("PRAGMA table_info(trials)")
@@ -601,64 +639,78 @@ class RunTable:
     # Jobs table
     # ------------------------------------------------------------------
     def upsert_job(self, job: SweepJob) -> None:
-        row = (
-            job.job_id, job.name, job.priority, job.state,
-            job.testbed_seed, job.submitted_at, job.started_at,
-            job.finished_at, job.completed, job.failed, job.total,
-            job.error, json.dumps(job.to_wire()), job.idempotency_key,
-        )
+        """Persist a job's current state: O(1) in its trial count. The
+        trial list is serialised by the first call for a job and never
+        again; every later call updates the progress columns only."""
+        progress = [getattr(job, name) for name in _JOB_MUTABLE]
 
         def _do(conn: sqlite3.Connection) -> None:
             with conn:
+                if conn.execute(_JOB_UPDATE, progress + [job.job_id]).rowcount:
+                    return
                 conn.execute(
-                    "INSERT OR REPLACE INTO jobs (job_id, name, priority, "
-                    "state, testbed_seed, submitted_at, started_at, "
-                    "finished_at, completed, failed, total, error, wire, "
-                    "idem_key) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    row,
+                    _JOB_INSERT,
+                    [getattr(job, name) for name in _JOB_FIXED]
+                    + progress
+                    + [json.dumps(job.to_wire()), job.idempotency_key],
                 )
 
         self._exec(_do)
 
+    def _select_jobs(
+        self, columns: Sequence[str], where: str, args: Sequence[Any]
+    ) -> List[sqlite3.Row]:
+        sql = f"SELECT {', '.join(columns)} FROM jobs {where}"
+        return self._exec(lambda conn: conn.execute(sql, args).fetchall())
+
+    def _jobs_where(self, where: str, args: Sequence[Any]) -> List[SweepJob]:
+        """Decode job rows: the wire blob with the live columns laid over
+        it, i.e. exactly the SweepJob last handed to ``upsert_job``."""
+        jobs = []
+        for row in self._select_jobs(("wire",) + _JOB_MUTABLE, where, args):
+            wire = json.loads(row["wire"])
+            wire.update((name, row[name]) for name in _JOB_MUTABLE)
+            jobs.append(SweepJob.from_wire(wire))
+        return jobs
+
     def get_job(self, job_id: str) -> Optional[SweepJob]:
-        row = self._exec(
-            lambda conn: conn.execute(
-                "SELECT wire FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-        )
-        if row is None:
-            return None
-        return SweepJob.from_wire(json.loads(row["wire"]))
+        jobs = self._jobs_where("WHERE job_id = ?", (job_id,))
+        return jobs[0] if jobs else None
 
     def job_by_idempotency_key(self, key: str) -> Optional[SweepJob]:
         """The earliest job submitted under ``key`` (None if unseen) — the
         persistent half of submit dedup, so a client retrying a submit
         whose response was lost gets the original job back even across a
         coordinator restart."""
-        row = self._exec(
-            lambda conn: conn.execute(
-                "SELECT wire FROM jobs WHERE idem_key = ? "
-                "ORDER BY submitted_at, job_id LIMIT 1",
-                (key,),
-            ).fetchone()
+        jobs = self._jobs_where(
+            "WHERE idem_key = ? ORDER BY submitted_at, job_id LIMIT 1", (key,)
         )
-        if row is None:
-            return None
-        return SweepJob.from_wire(json.loads(row["wire"]))
+        return jobs[0] if jobs else None
 
     def list_jobs(
         self, limit: int = 50, states: Optional[Sequence[str]] = None
     ) -> List[SweepJob]:
-        sql = "SELECT wire FROM jobs"
-        args: List[Any] = []
+        where, args = "", []
         if states:
-            sql += " WHERE state IN (%s)" % ",".join("?" * len(states))
+            where = "WHERE state IN (%s) " % ",".join("?" * len(states))
             args.extend(states)
-        sql += " ORDER BY submitted_at DESC LIMIT ?"
-        args.append(int(limit))
-        rows = self._exec(lambda conn: conn.execute(sql, args).fetchall())
-        return [SweepJob.from_wire(json.loads(r["wire"])) for r in rows]
+        return self._jobs_where(
+            where + "ORDER BY submitted_at DESC LIMIT ?", args + [int(limit)]
+        )
+
+    def job_progress(
+        self, job_id: Optional[str] = None, limit: int = 50
+    ) -> List[dict]:
+        """``SweepJob.progress()`` dicts straight from the columns, newest
+        first (or the one job asked for) — what status endpoints and
+        long-polls read, without decoding a single trial."""
+        where, args = self._where(job_id=job_id)
+        rows = self._select_jobs(
+            _JOB_COLUMNS,
+            where + " ORDER BY submitted_at DESC LIMIT ?",
+            args + [int(limit)],
+        )
+        return [{name: row[name] for name in _JOB_COLUMNS} for row in rows]
 
     def open_jobs(self) -> List[SweepJob]:
         """Jobs a previous coordinator left queued or running — the

@@ -10,7 +10,10 @@ The load-bearing guarantees:
   makes persistence/resume sound.
 """
 
+import json
+import os
 import pickle
+import shutil
 
 import pytest
 
@@ -28,12 +31,19 @@ from repro.experiments.runners import (
     build_exposed_terminals,
     build_hidden_terminals,
     build_inrange_senders,
+    build_single_link_calibration,
     run_exposed_terminals,
     run_hidden_terminals,
     run_inrange_senders,
 )
 from repro.experiments.scenarios import InterfererTriple
-from repro.experiments.spec import ExperimentSpec, MacSpec, TrialSpec, coerce_mac
+from repro.experiments.spec import (
+    ExperimentSpec,
+    MacSpec,
+    TrialResult,
+    TrialSpec,
+    coerce_mac,
+)
 from repro.net.testbed import Testbed
 from repro.network import build_mac_factory
 
@@ -262,44 +272,66 @@ class RudeBackend:
         raise RuntimeError("simulated worker death before any save")
 
 
+def _synthetic(i, tag="t"):
+    return TrialResult(f"{tag}/{i}", {(0, 1): 1.5 + i}, {"n": i}, f"fp-{tag}{i}")
+
+
+def _no_tmp_litter(directory):
+    return [p for p in directory.iterdir() if p.suffix == ".tmp"] == []
+
+
 class TestCrashSafety:
     def test_save_fault_leaves_previous_contents_intact(
-        self, testbed, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch
     ):
-        """A crash mid-save (fault-injected serializer) must leave the
-        previous on-disk store readable and no temp litter behind."""
+        """A save that dies half-way — mid-append and mid-rewrite — must
+        leave the previously saved results readable and no temp litter
+        behind, and the next save must succeed and repair the file."""
         path = str(tmp_path / "results.json")
-        tiny = ExperimentScale(configs=1, duration=4.0, warmup=1.5)
         store = ResultStore(path, testbed_seed=1)
-        run_inrange_senders(testbed, tiny, store=store)
-        intact = len(store)
-        assert intact > 0
+        for i in range(3):
+            store.put(_synthetic(i))
+            store.save()
+        intact = store.results()
 
-        spec = build_inrange_senders(testbed, tiny)
-        extra = run_trial(testbed, spec.trials[0])
-        store.put(
-            type(extra)(
-                trial_id="extra/0",
-                flow_mbps=extra.flow_mbps,
-                fingerprint="fp-extra",
-            )
-        )
+        # --- mid-append: half a line reaches the file, then the disk fills
+        real_write = os.write
 
-        def exploding_dump(obj, fh, **kwargs):
-            fh.write('{"truncated', )
+        def torn_write(fd, data):
+            real_write(fd, data[: len(data) // 2])
             raise OSError("disk full (injected)")
 
-        monkeypatch.setattr(
-            "repro.experiments.executor.json.dump", exploding_dump
-        )
-        with pytest.raises(OSError):
-            store.save()
-        monkeypatch.undo()
+        store.put(_synthetic(3))
+        with monkeypatch.context() as m:
+            m.setattr("repro.experiments.executor.os.write", torn_write)
+            with pytest.raises(OSError):
+                store.save()
+        assert not open(path, "rb").read().endswith(b"\n")  # torn on disk
+        assert ResultStore(path, testbed_seed=1).results() == intact
+        assert _no_tmp_litter(tmp_path)
+        store.save()  # the retry rewrites: the torn half-line is gone
+        intact = store.results()
+        assert len(intact) == 4
+        assert ResultStore(path, testbed_seed=1).results() == intact
+        assert all(json.loads(line) for line in open(path).read().splitlines())
 
-        reloaded = ResultStore(path, testbed_seed=1)
-        assert len(reloaded) == intact  # previous save, bit-for-bit readable
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
-        assert leftovers == []
+        # --- mid-rewrite (a header change forces one): fsync fails
+        def failing_fsync(fd):
+            raise OSError("I/O error (injected)")
+
+        store.experiment = "renamed"
+        store.put(_synthetic(4))
+        with monkeypatch.context() as m:
+            m.setattr("repro.experiments.executor.os.fsync", failing_fsync)
+            with pytest.raises(OSError):
+                store.save()
+        untouched = ResultStore(path, testbed_seed=1)
+        assert untouched.results() == intact and untouched.experiment is None
+        assert _no_tmp_litter(tmp_path)
+        store.save()
+        repaired = ResultStore(path, testbed_seed=1)
+        assert repaired.results() == store.results() and len(repaired) == 5
+        assert repaired.experiment == "renamed"
 
     def test_uncooperative_backend_failure_still_persists(
         self, testbed, tmp_path
@@ -331,6 +363,117 @@ class TestCrashSafety:
         reloaded = ResultStore(path, testbed_seed=1)
         assert len(reloaded) == 1
         assert reloaded.get(good) is not None
+
+
+class TestAppendProtocol:
+    """``save`` is an append of whole lines: every prefix of the file a
+    crash can leave behind is a valid earlier store."""
+
+    K = 6
+
+    def _saved(self, path, k=K):
+        store = ResultStore(path, testbed_seed=1, experiment="proto")
+        for i in range(k):
+            store.put(_synthetic(i))
+            store.save()
+        return store
+
+    def test_save_appends_in_place(self, tmp_path):
+        """After the first save (a rename) the file is only ever grown:
+        same inode, and each save adds exactly its own line."""
+        path = str(tmp_path / "s.json")
+        store = self._saved(path, k=1)
+        inode, size = os.stat(path).st_ino, os.path.getsize(path)
+        for i in range(1, 4):
+            store.put(_synthetic(i))
+            store.save()
+            line = len(json.dumps(_synthetic(i).to_json())) + 1
+            assert os.stat(path).st_ino == inode
+            assert os.path.getsize(path) == size + line
+            size += line
+        store.save()  # nothing unsaved: nothing written
+        assert os.path.getsize(path) == size
+
+    def test_every_crash_point_reloads_a_valid_prefix(self, tmp_path):
+        full = str(tmp_path / "full.json")
+        results = self._saved(full).results()
+        data = open(full, "rb").read()
+        # ends[j]: file length once line j (0 = header) and its newline are in
+        ends = [i + 1 for i, b in enumerate(data) if b == 0x0A]
+        assert len(ends) == self.K + 1
+        scratch = str(tmp_path / "cut.json")
+        extra = _synthetic(99)
+        for length in range(len(data) + 1):
+            with open(scratch, "wb") as f:
+                f.write(data[:length])
+            store = ResultStore(scratch)  # (i) it loads
+            fits = sum(1 for end in ends[1:] if end <= length)
+            assert store.results() == results[:fits], length  # (ii)
+            assert store.testbed_seed == (1 if length >= ends[0] else None)
+            store.put(extra)
+            store.save()
+            reread = open(scratch, "rb").read()  # (iii) no garbage left
+            assert reread.endswith(b"\n")
+            assert all(json.loads(line) for line in reread.splitlines())
+            assert ResultStore(scratch).results() == results[:fits] + [extra]
+
+    def test_corrupt_complete_line_raises(self, tmp_path):
+        path = str(tmp_path / "s.json")
+        self._saved(path, k=2)
+        with open(path, "ab") as f:
+            f.write(b"{not json\n")
+        with pytest.raises(ValueError):
+            ResultStore(path)
+
+    def test_two_writers_on_one_path_keep_the_union(self, tmp_path):
+        """A reaped-but-still-finishing worker and the new lease holder
+        can both hold a store on one file: alternating saves lose nothing,
+        and a shared trial resolves last-line-wins."""
+        path = str(tmp_path / "s.json")
+        a = self._saved(path, k=1)
+        b = ResultStore(path, testbed_seed=1, experiment="proto")
+        for i in range(1, 5):
+            a.put(_synthetic(i, "a"))
+            a.save()
+            b.put(_synthetic(i, "b"))
+            b.save()
+        a.put(_synthetic(0))  # same trial_id as the first line
+        a.save()
+        merged = ResultStore(path)
+        assert len(merged) == 1 + 4 + 4
+        assert {r.trial_id for r in merged.results()} == (
+            {"t/0"} | {f"{w}/{i}" for w in "ab" for i in range(1, 5)}
+        )
+
+
+class TestLegacyStoreFormat:
+    """A store written before the JSON-lines format (one JSON object,
+    committed as ``tests/data/store_pr10_format.json`` holding one of the
+    two calibration trials) still resumes, and is upgraded by its first
+    save."""
+
+    FIXTURE = os.path.join(os.path.dirname(__file__), "data",
+                           "store_pr10_format.json")
+
+    def test_loads_serves_cache_hits_and_upgrades(self, testbed, tmp_path):
+        path = str(tmp_path / "results.json")
+        shutil.copy(self.FIXTURE, path)
+        spec = build_single_link_calibration(testbed, ExperimentScale.smoke())
+        store = ResultStore(path)
+        assert (store.testbed_seed, store.experiment) == (1, "calibration")
+        assert [r.trial_id for r in store.results()] == ["calibration/cmap"]
+
+        backend = CountingBackend()
+        resumed = run_experiment(spec, testbed, backend=backend, store=store)
+        assert backend.executed == 1  # calibration/cmap came from the file
+        assert resumed == run_experiment(spec, testbed)
+
+        header, *lines = open(path).read().splitlines()
+        assert json.loads(header) == {"testbed_seed": 1,
+                                      "experiment": "calibration"}
+        assert [json.loads(line)["trial_id"] for line in lines] == [
+            "calibration/cmap", "calibration/dcf"]
+        assert ResultStore(path).results() == store.results()
 
 
 class TestMacRegistry:

@@ -6,6 +6,8 @@ milliseconds; the bit-identical and crash-resume acceptance tests execute
 real trials against a shared Testbed.
 """
 
+import os
+import shutil
 import types
 
 import pytest
@@ -22,6 +24,8 @@ from repro.service.jobs import (
     DONE_PARTIAL,
     QUEUED,
     RUNNING,
+    SweepJob,
+    job_from_experiment,
     new_job,
 )
 from repro.service.queue import InMemoryJobQueue
@@ -339,6 +343,66 @@ class TestLeaseHeartbeat:
         co.runtable.close()
 
 
+class TestJobRowTracksLiveJob:
+    """``upsert_job`` writes progress columns, not the trial list; the
+    row must still decode to exactly the live job at every step."""
+
+    def test_row_equals_live_job_after_every_trial_and_a_kill(
+        self, tmp_path, monkeypatch
+    ):
+        data_dir = str(tmp_path / "svc")
+        co = Coordinator(
+            data_dir,
+            testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
+        )
+        wires = []
+        real_to_wire = SweepJob.to_wire
+        monkeypatch.setattr(
+            SweepJob, "to_wire",
+            lambda self: wires.append(self.job_id) or real_to_wire(self),
+        )
+        seen, current = [], [co]
+
+        def hook(trial):
+            # Before each trial runs, the row is the live job: RUNNING,
+            # with every earlier trial counted.
+            live = current[0]._jobs[job_id]
+            assert current[0].runtable.get_job(job_id) == live
+            assert current[0].job_progress(job_id) == live.progress()
+            seen.append(live.completed)
+            if len(seen) == 4:
+                raise KeyboardInterrupt  # kill -9 before the fourth trial
+
+        monkeypatch.setattr("repro.service.coordinator.run_trial",
+                            FakeRunTrial(hook=hook))
+        job_id = co.submit(new_job("sweep", _trials(6)))
+        with pytest.raises(KeyboardInterrupt):
+            co.run_once()
+        assert seen == [0, 1, 2, 3]
+        assert wires == [job_id]  # serialised by submit, never again
+        live = co._jobs[job_id]
+        co.runtable.close()
+
+        reopened = Coordinator(
+            data_dir,
+            testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
+        )
+        row = reopened.runtable.get_job(job_id)
+        assert row == live and (row.state, row.completed) == (RUNNING, 3)
+        # not live in this process: the progress read comes from columns
+        assert reopened.job_progress(job_id) == live.progress()
+        assert reopened.list_jobs() == [live.progress()]
+        assert reopened.resume_open_jobs() == [job_id]
+        current[0] = reopened
+        done = reopened.run_once()
+        assert (done.state, done.completed) == (DONE, 6)
+        assert seen[4:] == [3, 4, 5]  # three from the store, three run
+        assert reopened.runtable.get_job(job_id) == done
+        assert reopened.job_progress(job_id) == done.progress()
+        assert wires == [job_id]
+        reopened.runtable.close()
+
+
 class TestAgainstRealTrials:
     def test_bit_identical_to_serial_backend(self, tmp_path, testbed,
                                              calibration, serial_reference):
@@ -406,6 +470,39 @@ class TestAgainstRealTrials:
         got = {r.trial_id: r for r in co2.runtable.results(calibration.name)}
         assert got == serial_reference
         co2.runtable.close()
+
+    def test_resumes_from_a_pr10_format_store(
+        self, tmp_path, testbed, calibration, serial_reference, monkeypatch
+    ):
+        """A data dir written before the JSON-lines store resumes: the
+        trial the old single-object file holds is served from it, only
+        the other one runs, and the file is upgraded in passing."""
+        co = Coordinator(str(tmp_path / "svc"),
+                         testbed_factory=lambda seed: testbed)
+        job = job_from_experiment(calibration, testbed_seed=testbed.seed)
+        shutil.copy(
+            os.path.join(os.path.dirname(__file__), "data",
+                         "store_pr10_format.json"),
+            co._store_path(job),
+        )
+        from repro.experiments.executor import run_trial as real_run_trial
+
+        calls = []
+
+        def counting_run_trial(tb, trial):
+            calls.append(trial.trial_id)
+            return real_run_trial(tb, trial)
+
+        monkeypatch.setattr("repro.service.coordinator.run_trial",
+                            counting_run_trial)
+        co.submit(job)
+        done = co.run_once()
+        assert done.state == DONE and calls == ["calibration/dcf"]
+        got = {r.trial_id: r for r in co.runtable.results(calibration.name)}
+        assert got == serial_reference
+        with open(co._store_path(job)) as f:
+            assert len(f.read().splitlines()) == 1 + len(calibration.trials)
+        co.runtable.close()
 
     def test_pooled_trials_match_serial(self, tmp_path, testbed,
                                         calibration, serial_reference):

@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import stats
 from repro.experiments.executor import ResultStore
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
-from repro.service.jobs import DONE, QUEUED, RUNNING, new_job
+from repro.service.jobs import DONE, QUEUED, RUNNING, SweepJob, new_job
 from repro.service.runtable import RunTable
 
 
@@ -158,6 +158,51 @@ class TestJobs:
         assert [j.name for j in opened] == ["queued", "running"]
         assert all(j.state in (QUEUED, RUNNING) for j in opened)
 
+    def test_every_reader_returns_the_job_last_upserted(
+        self, table, monkeypatch
+    ):
+        """The trial list is serialised by the first upsert only; after
+        each later one every reader still returns the live job, field for
+        field — and the progress read decodes no trial at all."""
+        calls = []
+        real_to_wire = SweepJob.to_wire
+        monkeypatch.setattr(
+            SweepJob, "to_wire",
+            lambda self: calls.append(self.job_id) or real_to_wire(self),
+        )
+        job = new_job("sweep", [_trial(f"t/{i}") for i in range(6)],
+                      priority=1, testbed_seed=3, now=10.0)
+        job.idempotency_key = "k"
+        table.upsert_job(job)
+        steps = [
+            dict(state=RUNNING, started_at=11.0, attempt=1),
+            dict(completed=1),
+            dict(completed=2, quarantined=1, error="ValueError: bad trial"),
+            dict(state=QUEUED),
+            dict(state=RUNNING, started_at=12.0, attempt=2, completed=0,
+                 quarantined=0),
+            dict(completed=5, quarantined=1),
+            dict(state=DONE, finished_at=13.0, failed=0),
+        ]
+        for step in steps:
+            for name, value in step.items():
+                setattr(job, name, value)
+            table.upsert_job(job)
+            assert table.get_job(job.job_id) == job
+            assert table.list_jobs() == [job]
+            assert table.job_by_idempotency_key("k") == job
+            assert table.open_jobs() == ([job] if job.state != DONE else [])
+            assert table.job_progress(job.job_id) == [job.progress()]
+            assert table.job_progress() == [job.progress()]
+        assert calls == [job.job_id]
+        assert table.job_progress("missing") == []
+
+        monkeypatch.setattr(
+            TrialSpec, "from_wire",
+            lambda obj: pytest.fail("a progress read decoded a trial"),
+        )
+        assert table.job_progress(job.job_id) == [job.progress()]
+
     def test_list_jobs_filters_by_state(self, table):
         for name, state in (("a", DONE), ("b", QUEUED)):
             job = new_job(name, [_trial()])
@@ -266,6 +311,52 @@ class TestIdempotencyKeys:
             assert rt.job_by_idempotency_key("k").job_id == keyed.job_id
         finally:
             rt.close()
+
+    def test_pr10_schema_file_gains_the_job_progress_columns(self, tmp_path):
+        """Up to PR 10 ``quarantined`` and ``attempt`` lived in the wire
+        blob only, which was rewritten on every upsert. Opening such a
+        file adds the columns and fills them from the blob, so readers
+        return the job exactly as it was last persisted."""
+        path = str(tmp_path / "pr10.sqlite")
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE jobs (job_id TEXT PRIMARY KEY, name TEXT NOT NULL,"
+            " priority INTEGER NOT NULL, state TEXT NOT NULL,"
+            " testbed_seed INTEGER, submitted_at REAL, started_at REAL,"
+            " finished_at REAL, completed INTEGER NOT NULL DEFAULT 0,"
+            " failed INTEGER NOT NULL DEFAULT 0, total INTEGER NOT NULL,"
+            " error TEXT, wire TEXT NOT NULL, idem_key TEXT);"
+        )
+        old = new_job("legacy", [_trial(f"t/{i}") for i in range(9)],
+                      priority=2, testbed_seed=4, now=5.0)
+        old.state, old.started_at, old.error = RUNNING, 6.0, "OSError: flake"
+        old.completed, old.quarantined, old.attempt = 4, 2, 3
+        conn.execute(
+            "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (old.job_id, old.name, old.priority, old.state, old.testbed_seed,
+             old.submitted_at, old.started_at, old.finished_at, old.completed,
+             old.failed, old.total, old.error, json.dumps(old.to_wire()),
+             None),
+        )
+        conn.commit()
+        conn.close()
+
+        rt = RunTable(path)
+        try:
+            assert rt.rebuilt_from is None
+            assert rt.get_job(old.job_id) == old
+            assert rt.open_jobs() == [old]
+            assert rt.job_progress(old.job_id) == [old.progress()]
+            old.completed, old.attempt = 5, 4
+            rt.upsert_job(old)
+            assert rt.get_job(old.job_id) == old
+        finally:
+            rt.close()
+        reopened = RunTable(path)  # migrating twice is a no-op
+        try:
+            assert reopened.get_job(old.job_id) == old
+        finally:
+            reopened.close()
 
 
 class TestCrashConsistency:
