@@ -135,6 +135,7 @@ def cmd_work(args) -> int:
         fault_plan = load_plan(args.fault_plan, state_dir=args.fault_state)
         print(f"[fault plan: {describe(fault_plan)}]", flush=True)
     worker_id = args.worker_id or default_worker_id()
+    # Worker.run closes the client's connections when the daemon exits.
     worker = Worker(
         ServiceClient(args.url),
         worker_id=worker_id,
@@ -303,38 +304,43 @@ def _tail(client, job_id: str) -> int:
 def cmd_submit(args) -> int:
     from repro.service.http_api import ServiceClient
 
-    client = ServiceClient(args.url)
-    if args.spec_json:
-        with open(args.spec_json) as f:
-            wire = json.load(f)
-        reply = client.submit_experiment(wire, testbed_seed=args.seed,
-                                         priority=args.priority)
-    else:
-        params = dict(_parse_param(p) for p in args.param)
-        reply = client.submit_builder(
-            args.builder, scale=args.scale, seed=args.seed,
-            priority=args.priority, params=params,
-        )
-    if args.porcelain:
-        print(reply["job_id"])
-    else:
-        print(f"[submitted {reply['name']} as job {reply['job_id']} "
-              f"({reply['trials']} trials)]")
-    if args.tail:
-        return _tail(client, reply["job_id"])
+    with ServiceClient(args.url) as client:
+        if args.spec_json:
+            with open(args.spec_json) as f:
+                wire = json.load(f)
+            reply = client.submit_experiment(wire, testbed_seed=args.seed,
+                                             priority=args.priority)
+        else:
+            params = dict(_parse_param(p) for p in args.param)
+            reply = client.submit_builder(
+                args.builder, scale=args.scale, seed=args.seed,
+                priority=args.priority, params=params,
+            )
+        if args.porcelain:
+            print(reply["job_id"])
+        else:
+            print(f"[submitted {reply['name']} as job {reply['job_id']} "
+                  f"({reply['trials']} trials)]")
+        if args.tail:
+            return _tail(client, reply["job_id"])
     return 0
 
 
 def cmd_tail(args) -> int:
     from repro.service.http_api import ServiceClient
 
-    return _tail(ServiceClient(args.url), args.job_id)
+    with ServiceClient(args.url) as client:
+        return _tail(client, args.job_id)
 
 
 def cmd_runs(args) -> int:
     from repro.service.http_api import ServiceClient
 
-    client = ServiceClient(args.url)
+    with ServiceClient(args.url) as client:
+        return _runs(client, args)
+
+
+def _runs(client, args) -> int:
     if args.prune:
         if args.max_age is None and args.keep is None:
             raise SystemExit("--prune needs --max-age and/or --keep")

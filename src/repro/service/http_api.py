@@ -41,13 +41,15 @@ carries a full wire-format ExperimentSpec (see ``TrialSpec.to_wire``) —
 the round trip is fingerprint-identical, so results are bit-identical to
 running the same spec in-process and land in the same resume caches.
 
-Client: :class:`ServiceClient` wraps the endpoints with ``urllib`` —
-the CLI's ``submit``/``tail``/``runs`` targets and the CI smoke check
-drive the service exclusively through it.
+Client: :class:`ServiceClient` wraps the endpoints over ``http.client``,
+one kept-alive connection per calling thread — the CLI's
+``submit``/``tail``/``runs``/``work`` targets and the CI smoke check drive
+the service exclusively through it.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import socketserver
@@ -55,10 +57,19 @@ import threading
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 import uuid
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import StaleTokenError
 from repro.experiments.runners import SWEEP_BUILDERS, ExperimentScale
@@ -114,6 +125,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: StreamRequestHandler applies this to the connection socket: a hung
     #: or half-dead client raises timeout instead of pinning the thread.
     timeout = SOCKET_TIMEOUT_S
+    #: ``_send`` writes headers and body as two ``send``s. On a kept-alive
+    #: connection Nagle would hold the body until the client ACKs the
+    #: headers, and the client's delayed ACK makes that ~40 ms per reply.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
@@ -128,6 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _dispatch(self, method: str) -> None:
+        self._body_read = False
         url = urllib.parse.urlsplit(self.path)
         parts = [p for p in url.path.split("/") if p]
         query = {k: v[-1] for k, v in urllib.parse.parse_qs(url.query).items()}
@@ -323,16 +339,15 @@ class _Handler(BaseHTTPRequestHandler):
             # this handler thread for a malicious or broken client.
             raise ApiError(400, "bad Content-Length header")
         if length > MAX_BODY_BYTES:
-            # The body stays unread, so the connection cannot be reused
-            # for a next request — close it after the 413 goes out.
-            self.close_connection = True
             raise ApiError(
                 413,
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit",
             )
+        raw = self.rfile.read(length)
+        self._body_read = True
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(raw or b"{}")
         except (ValueError, json.JSONDecodeError) as exc:
             raise ApiError(400, f"bad JSON body: {exc}")
         if not isinstance(body, dict):
@@ -392,10 +407,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _send(self, status: int, payload: dict) -> None:
+        if not self._body_read and self.headers.get("Content-Length", "0") != "0":
+            # Answering before ``_read_body`` (unknown route, 405, 413)
+            # leaves the request body in the socket, where the next
+            # request on a kept-alive connection would be parsed out of it
+            # — close instead.
+            self.close_connection = True
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -431,11 +454,30 @@ def serve_in_thread(server: socketserver.BaseServer) -> threading.Thread:
 # ======================================================================
 # Client
 # ======================================================================
-class ServiceClient:
-    """Thin urllib client for the endpoints above.
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
-    ``base_url`` like ``http://127.0.0.1:8642``. Raises :class:`ApiError`
-    with the server's message on any non-2xx response.
+
+class ServiceClient:
+    """Thin ``http.client`` client for the endpoints above.
+
+    ``base_url`` like ``http://127.0.0.1:8642`` (``https://`` is accepted
+    too). Raises :class:`ApiError` with the server's message on any
+    non-2xx response. ``http_proxy`` / ``https_proxy`` are *not* honoured:
+    the client always connects to ``base_url`` directly.
+
+    Each calling thread keeps one HTTP/1.1 connection open across requests
+    (no TCP handshake and no new server thread per verb); :meth:`close` —
+    or leaving the ``with`` block — closes them all, and a thread that is
+    done with the client closes its own with :meth:`disconnect`. When the
+    server has closed a kept connection in the meantime (idle timeout,
+    restart) the request is resent once on a fresh one, outside the retry
+    budget below. That can only happen to an idempotent request: a
+    non-idempotent one (``lease_job``, ``cancel``) always opens a fresh
+    connection, because resending it could act twice.
 
     Transport failures (connection refused/reset, timeouts, truncated
     responses) retry up to ``retries`` times with jittered exponential
@@ -461,12 +503,44 @@ class ServiceClient:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in _CONNECTION_CLASSES or not url.hostname:
+            raise ValueError(f"base_url {base_url!r} is not an http(s) URL")
+        self._connection_class = _CONNECTION_CLASSES[url.scheme]
+        self._host, self._port, self._prefix = url.hostname, url.port, url.path
         self.timeout = timeout
         self.retries = retries
         self.backoff_s = backoff_s
         self.fault_hook = fault_hook
         self._sleep = sleep
         self._rng = random.Random(retry_seed)
+        self._local = threading.local()
+        #: Every live thread's connection, for close(). Weak, so a thread
+        #: that ended takes its (disconnected) connection with it.
+        self._connections: "weakref.WeakSet" = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
+
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close every thread's connection. The client stays usable: the
+        next request, from any thread, reconnects."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def disconnect(self) -> None:
+        """Close the calling thread's connection (a thread about to exit
+        calls this; its connection is not reachable afterwards)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
@@ -664,12 +738,6 @@ class ServiceClient:
         data = None if body is None else json.dumps(body).encode("utf-8")
         attempts = self.retries + 1 if idempotent else 1
         for attempt in range(attempts):
-            req = urllib.request.Request(
-                self.base_url + path,
-                data=data,
-                method=method,
-                headers={"Content-Type": "application/json"},
-            )
             try:
                 rule = None
                 if self.fault_hook is not None:
@@ -678,10 +746,22 @@ class ServiceClient:
                     raise urllib.error.URLError(
                         "injected: request dropped before send"
                     )
-                with urllib.request.urlopen(
-                    req, timeout=timeout or self.timeout
-                ) as resp:
-                    payload = json.loads(resp.read().decode("utf-8"))
+                status, reason, raw = self._round_trip(
+                    method, path, data, timeout or self.timeout, idempotent
+                )
+                if not 200 <= status < 300:
+                    # The server answered: not a transport failure, no retry.
+                    code = None
+                    try:
+                        payload = json.loads(raw.decode("utf-8"))
+                        message = payload.get("error", "")
+                        code = payload.get("code")
+                    except Exception:
+                        message = reason
+                    raise ApiError(
+                        status, message or f"HTTP {status}", code=code
+                    )
+                payload = json.loads(raw.decode("utf-8"))
                 if rule is not None and rule.action == "truncate":
                     # The server handled the request; the response is lost
                     # on the wire — the retry must deduplicate server-side.
@@ -689,21 +769,10 @@ class ServiceClient:
                         "injected: response truncated"
                     )
                 return payload
-            except urllib.error.HTTPError as exc:
-                # The server answered: not a transport failure, no retry.
-                code = None
-                try:
-                    payload = json.loads(exc.read().decode("utf-8"))
-                    message = payload.get("error", "")
-                    code = payload.get("code")
-                except Exception:
-                    message = exc.reason
-                raise ApiError(
-                    exc.code, message or f"HTTP {exc.code}", code=code
-                )
             except (OSError, json.JSONDecodeError):
-                # URLError, ConnectionError, socket timeouts, truncated
-                # JSON — the request may or may not have been processed.
+                # Refused/reset connections, socket timeouts, a reply cut
+                # short, truncated JSON — the request may or may not have
+                # been processed.
                 if attempt == attempts - 1:
                     raise
                 self._sleep(
@@ -711,3 +780,72 @@ class ServiceClient:
                     * (0.5 + 0.5 * self._rng.random())
                 )
         raise AssertionError("unreachable")  # pragma: no cover
+
+    # ------------------------------------------------------------------
+    # Transport: one kept-alive connection per calling thread
+    # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(self._host, self._port)
+            self._local.conn = conn
+            with self._connections_lock:
+                self._connections.add(conn)
+        return conn
+
+    def _round_trip(
+        self,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        timeout: float,
+        idempotent: bool,
+    ) -> Tuple[int, str, bytes]:
+        """One request and its whole reply: (status, reason, body)."""
+        conn = self._connection()
+        if not idempotent:
+            # Resending could act twice (a second lease), so never gamble
+            # on a kept socket the server may have closed.
+            conn.close()
+        reused = conn.sock is not None
+        try:
+            return self._exchange(conn, method, path, data, timeout)
+        except ConnectionError:
+            if not reused:
+                raise
+        # The server closed the kept connection (idle timeout, restart):
+        # say it again on a fresh one. Not a retry of the budget — nothing
+        # was wrong with the network — and only idempotent requests reuse.
+        return self._exchange(conn, method, path, data, timeout)
+
+    def _exchange(
+        self,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        data: Optional[bytes],
+        timeout: float,
+    ) -> Tuple[int, str, bytes]:
+        # Per-request timeout (long-polls outlast the default): used by
+        # connect() on a fresh socket, set directly on a kept one.
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request(
+                method, self._prefix + path, body=data, headers=_JSON_HEADERS
+            )
+            resp = conn.getresponse()
+            return resp.status, resp.reason, resp.read()
+        except BaseException as exc:
+            # Half-sent request or half-read reply: the socket cannot
+            # carry another request. The next one reconnects.
+            conn.close()
+            if isinstance(exc, http.client.HTTPException) and not isinstance(
+                exc, OSError
+            ):
+                # IncompleteRead, BadStatusLine: a reply cut short or
+                # garbled is a transport failure like a reset, and callers
+                # tell those by OSError.
+                raise OSError(f"malformed reply: {exc!r}") from exc
+            raise

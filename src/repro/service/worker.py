@@ -3,12 +3,32 @@
 One :class:`Worker` is the client half of the lease protocol the
 coordinator serves (``/workers/*`` in ``http_api.py``)::
 
-    register ──> lease ──> run trial ──> upload ──┐
-                   ^         |    ^───────────────┘ (per pending trial)
-                   |         └──> quarantine (permanent failure)
-                   └── ack (all trials walked) / requeue (draining)
+    trial thread      register ──> lease ──> run trial ──> hand over ──┐
+                                     ^          ^──────────────│───────┘
+                                     │           (per pending  │ outbox,
+                                     │            trial)       v depth 1
+    uploader thread                  │                upload, or quarantine
+                                     │                (permanent failure)
+                                     │
+    trial thread                     └── ack (all trials walked) / requeue
+                                         (draining) / abandon (lease lost)
+                                         <── join uploader
 
-    heartbeat ────────────────────────── (background, every lease_s/3)
+    heartbeat thread  ───────────────── (background, every lease_s/3)
+
+The loop is a one-deep pipeline: the trial thread hands each finished
+trial to the job's single uploader thread and starts the next one, so the
+upload of trial *n* (a round trip, the server's fsync and sqlite commits)
+overlaps the compute of *n+1* instead of idling the worker. In flight at
+any moment: at most one trial being computed and one verb being sent —
+the hand-over waits until the previous verb has been answered. Verbs go
+out in trial order over the uploader's one kept-alive connection. A
+killed worker therefore loses at most two trials' work (the one being
+computed, the one not yet answered); both are re-executed bit-identically
+by the next lease holder. The trial loop still changes course only at
+trial boundaries, and the job's outcome is decided only after the
+uploader has been joined: ``ack`` is sent after every upload was answered
+``recorded``, ``requeue`` after every finished trial was uploaded.
 
 Safety rests on three server-side properties, so the worker itself can be
 dumb and stateless:
@@ -16,12 +36,14 @@ dumb and stateless:
 * every lease carries a **fencing token**; the worker attaches it to every
   verb, and the first 409 reply (``lease_lost`` / ``stale_token``) means
   the lease was reaped during a partition — the worker *abandons* the job
-  on the spot, uploading nothing further (the new holder owns it);
+  on the spot: the uploader sends nothing further, not even a result
+  already handed over (the new holder owns the job);
 * uploads are **idempotent**: the coordinator dedups by (trial_id,
   fingerprint) under the token, so the worker retries transport failures
   freely — a truncated response or a duplicated send lands one row;
 * the terminal state is computed by the server from verified uploads at
-  ``ack`` — a worker cannot claim progress it did not upload.
+  ``ack`` — a worker cannot claim progress it did not upload, and
+  because ``ack`` follows the join, never progress still in flight.
 
 The transport wrapper :meth:`Worker._call` fires the fault sites
 ``worker.request`` / ``worker.upload`` / ``worker.heartbeat`` (actions
@@ -37,11 +59,12 @@ bit-identical to ``SerialBackend`` by construction.
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import error_class, is_transient
 from repro.experiments.executor import run_trial
@@ -50,6 +73,15 @@ from repro.net.testbed import Testbed
 from repro.service.faults import FaultPlan
 from repro.service.http_api import ApiError, ServiceClient
 from repro.service.jobs import SweepJob
+
+#: Trial results handed to the uploader thread and not yet answered. A
+#: constant, not a knob: an upload (~1 ms) is an order of magnitude shorter
+#: than the shortest trial the service runs (~7 ms), so a deeper window buys
+#: nothing and only widens the work a kill loses.
+UPLOAD_DEPTH = 1
+
+#: What the trial thread hands over: (trial id, stats counter, the call).
+_Verb = Tuple[str, str, Callable[[], Any]]
 
 #: Outcomes of Worker.run_one (also its return values).
 IDLE = None            # nothing leased
@@ -160,23 +192,26 @@ class Worker:
         ``max_jobs`` bounds how many jobs this worker takes (tests, CI);
         ``idle_exit_s`` exits after that long without work (lets a CI
         fleet drain and leave). Returns the number of jobs taken."""
-        self.register()
-        taken = 0
-        idle_since = time.monotonic()
-        while not self.stop_event.is_set():
-            if max_jobs is not None and taken >= max_jobs:
-                break
-            outcome = self.run_one(timeout=self.poll_s)
-            if outcome is IDLE:
-                if (
-                    idle_exit_s is not None
-                    and time.monotonic() - idle_since >= idle_exit_s
-                ):
-                    break
-                continue
-            taken += 1
+        try:
+            self.register()
+            taken = 0
             idle_since = time.monotonic()
-        return taken
+            while not self.stop_event.is_set():
+                if max_jobs is not None and taken >= max_jobs:
+                    break
+                outcome = self.run_one(timeout=self.poll_s)
+                if outcome is IDLE:
+                    if (
+                        idle_exit_s is not None
+                        and time.monotonic() - idle_since >= idle_exit_s
+                    ):
+                        break
+                    continue
+                taken += 1
+                idle_since = time.monotonic()
+            return taken
+        finally:
+            self.client.close()
 
     def stop(self) -> None:
         """Ask the daemon loop to exit after the current job (the current
@@ -219,29 +254,76 @@ class Worker:
             name=f"hb-{job.job_id}",
             daemon=True,
         )
+        outbox: "queue.Queue" = queue.Queue(maxsize=UPLOAD_DEPTH)
+        errors: List[BaseException] = []
+        uploader = threading.Thread(
+            target=self._upload_loop,
+            args=(outbox, lost, errors),
+            name=f"up-{job.job_id}",
+            daemon=True,
+        )
         hb.start()
+        uploader.start()
+        draining = False
         try:
             for trial in pending:
                 # Trial boundary: the only places a worker changes course.
-                if lost.is_set():
-                    return ABANDONED
+                if lost.is_set() or errors:
+                    break
                 if self.stop_event.is_set():
-                    return self._requeue(job.job_id, token)
+                    draining = True
+                    break
                 result, wall, exc = self._run_trial(testbed, trial)
                 self.stats["trials"] += 1
                 if result is not None:
-                    if not self._upload(job.job_id, token, result, wall, lost):
-                        return ABANDONED
+                    verb = self._upload_verb(job.job_id, token, result, wall)
                 else:
-                    if not self._quarantine(job.job_id, token, trial, exc,
-                                            lost):
-                        return ABANDONED
-            if lost.is_set():
-                return ABANDONED
-            return self._ack(job.job_id, token)
+                    verb = self._quarantine_verb(job.job_id, token, trial, exc)
+                # Depth 1: wait until the previous trial's verb has been
+                # answered, so a kill loses this trial and the one being
+                # computed, never more.
+                outbox.join()
+                outbox.put(verb)
         finally:
+            outbox.put(None)
+            uploader.join()
             stop_hb.set()
             hb.join(timeout=5.0)
+        # Every verb handed over has now been answered (or dropped because
+        # the lease was lost): only here is the job's outcome decided.
+        if errors:
+            raise errors[0]
+        if lost.is_set():
+            return ABANDONED
+        if draining:
+            return self._requeue(job.job_id, token)
+        return self._ack(job.job_id, token)
+
+    def _upload_loop(
+        self,
+        outbox: "queue.Queue",
+        lost: threading.Event,
+        errors: List[BaseException],
+    ) -> None:
+        """The uploader thread: send each handed-over verb, in order, while
+        the trial thread computes the next trial. After the first 409 (or
+        an error) it sends nothing more but keeps emptying the outbox, so
+        the trial thread never blocks on a full queue; ``None`` ends it."""
+        try:
+            while True:
+                verb = outbox.get()
+                try:
+                    if verb is None:
+                        return
+                    if not lost.is_set() and not errors:
+                        self._deliver(verb, lost)
+                except BaseException as exc:
+                    # Re-raised on the trial thread once this one is joined.
+                    errors.append(exc)
+                finally:
+                    outbox.task_done()
+        finally:
+            self.client.disconnect()
 
     def _heartbeat_loop(
         self,
@@ -256,20 +338,23 @@ class Worker:
         a few missed beats, and a partition long enough to matter ends in
         the reap + 409 this loop exists to detect."""
         interval = max(0.1, self.lease_s / 3.0)
-        while not stop.wait(interval):
-            try:
-                self._call(
-                    "worker.heartbeat", job_id,
-                    lambda: self.client.heartbeat(
-                        job_id, self.worker_id, token
-                    ),
-                )
-            except ApiError as exc:
-                if exc.status == 409:
-                    lost.set()
-                    return
-            except OSError:
-                continue
+        try:
+            while not stop.wait(interval):
+                try:
+                    self._call(
+                        "worker.heartbeat", job_id,
+                        lambda: self.client.heartbeat(
+                            job_id, self.worker_id, token
+                        ),
+                    )
+                except ApiError as exc:
+                    if exc.status == 409:
+                        lost.set()
+                        return
+                except OSError:
+                    continue
+        finally:
+            self.client.disconnect()
 
     # ------------------------------------------------------------------
     # Trial execution + the fenced verbs
@@ -296,72 +381,55 @@ class Worker:
             kwargs["timeout_s"] = self.trial_timeout_s
         return kwargs
 
-    def _upload(
+    def _upload_verb(
         self,
         job_id: str,
         token: int,
         result: TrialResult,
         wall: Optional[float],
-        lost: threading.Event,
-    ) -> bool:
-        """Idempotent upload with transport retries. False = back away
-        (409, or the server is unreachable past the retry budget — the
-        lease will be reaped, and re-uploading later would be fenced)."""
+    ) -> _Verb:
         wire = result.to_json()
-        for attempt in range(self.upload_retries + 1):
-            try:
-                self._call(
-                    "worker.upload", result.trial_id,
-                    lambda: self.client.upload_result(
-                        job_id, self.worker_id, token, wire, wall=wall
-                    ),
-                )
-                self.stats["uploaded"] += 1
-                return True
-            except ApiError as exc:
-                if exc.status == 409:
-                    lost.set()
-                    return False
-                raise
-            except OSError:
-                if attempt == self.upload_retries:
-                    lost.set()
-                    return False
-                self._sleep(min(2.0, 0.2 * (2 ** attempt)))
-        return False  # pragma: no cover - loop always returns
+        return result.trial_id, "uploaded", lambda: self.client.upload_result(
+            job_id, self.worker_id, token, wire, wall=wall
+        )
 
-    def _quarantine(
+    def _quarantine_verb(
         self,
         job_id: str,
         token: int,
         trial: TrialSpec,
         exc: Optional[BaseException],
-        lost: threading.Event,
-    ) -> bool:
+    ) -> _Verb:
         exc = exc if exc is not None else RuntimeError("unknown error")
+        return trial.trial_id, "quarantined", lambda: (
+            self.client.quarantine_trial(
+                job_id, self.worker_id, token,
+                trial.trial_id, trial.fingerprint(),
+                str(exc), error_class(exc),
+            )
+        )
+
+    def _deliver(self, verb: _Verb, lost: threading.Event) -> None:
+        """One fenced, idempotent per-trial verb (upload or quarantine)
+        with transport retries. Sets ``lost`` to back away: on a 409, or
+        when the server is unreachable past the retry budget — the lease
+        will be reaped, and re-sending later would be fenced."""
+        trial_id, stat, send = verb
         for attempt in range(self.upload_retries + 1):
             try:
-                self._call(
-                    "worker.upload", trial.trial_id,
-                    lambda: self.client.quarantine_trial(
-                        job_id, self.worker_id, token,
-                        trial.trial_id, trial.fingerprint(),
-                        str(exc), error_class(exc),
-                    ),
-                )
-                self.stats["quarantined"] += 1
-                return True
-            except ApiError as api_exc:
-                if api_exc.status == 409:
-                    lost.set()
-                    return False
-                raise
+                self._call("worker.upload", trial_id, send)
+                self.stats[stat] += 1
+                return
+            except ApiError as exc:
+                if exc.status != 409:
+                    raise
+                lost.set()
+                return
             except OSError:
                 if attempt == self.upload_retries:
                     lost.set()
-                    return False
+                    return
                 self._sleep(min(2.0, 0.2 * (2 ** attempt)))
-        return False  # pragma: no cover - loop always returns
 
     def _ack(self, job_id: str, token: int) -> str:
         try:

@@ -100,6 +100,8 @@ class _Serve:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait(timeout=10)
+        self._reader.join(timeout=10)
+        self.proc.stdout.close()
 
 
 class TestGracefulShutdown:
@@ -109,17 +111,18 @@ class TestGracefulShutdown:
                               reduce=lambda results: results)
         first = _Serve(data_dir)
         try:
-            client = ServiceClient(first.url(), timeout=10.0)
-            reply = client.submit_experiment(experiment_to_wire(spec),
-                                             testbed_seed=1)
-            job_id = reply["job_id"]
-            # let it get properly mid-job before pulling the plug
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if client.job(job_id)["completed"] >= 2:
-                    break
-                time.sleep(0.05)
-            assert first.terminate_and_wait() == 0, first.output()
+            with ServiceClient(first.url(), timeout=10.0) as client:
+                reply = client.submit_experiment(experiment_to_wire(spec),
+                                                 testbed_seed=1)
+                job_id = reply["job_id"]
+                # let it get properly mid-job before pulling the plug
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    if client.job(job_id)["completed"] >= 2:
+                        break
+                    time.sleep(0.05)
+                # The drain must not wait for our kept-alive connection.
+                assert first.terminate_and_wait() == 0, first.output()
         finally:
             first.kill()
         out = first.output()
@@ -130,10 +133,10 @@ class TestGracefulShutdown:
         # finishes it (cache hits for everything already completed)
         second = _Serve(data_dir)
         try:
-            client = ServiceClient(second.url(), timeout=10.0)
-            final = None
-            for progress in client.tail(job_id, wait=5.0):
-                final = progress
+            with ServiceClient(second.url(), timeout=10.0) as client:
+                final = None
+                for progress in client.tail(job_id, wait=5.0):
+                    final = progress
             assert final is not None and final["state"] == "done"
             assert final["completed"] == 40 and final["failed"] == 0
             assert second.terminate_and_wait() == 0, second.output()
@@ -144,8 +147,10 @@ class TestGracefulShutdown:
     def test_sigterm_with_idle_server_exits_clean(self, tmp_path):
         serve = _Serve(str(tmp_path / "idle"))
         try:
-            ServiceClient(serve.url(), timeout=10.0).health()
-            assert serve.terminate_and_wait() == 0, serve.output()
+            with ServiceClient(serve.url(), timeout=10.0) as client:
+                client.health()
+                # An open kept-alive connection does not hold up the exit.
+                assert serve.terminate_and_wait() == 0, serve.output()
         finally:
             serve.kill()
         assert "[stopped: state persisted" in serve.output()

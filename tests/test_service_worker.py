@@ -10,6 +10,7 @@ oversized and hung clients instead of pinning threads.
 
 import http.client
 import socket
+import sys
 import threading
 import time
 
@@ -75,9 +76,14 @@ class _Service:
         host, port = self.server.server_address[:2]
         self.url = f"http://{host}:{port}"
         self.client = ServiceClient(self.url, timeout=10.0)
+        #: Every client made against this service, closed with it.
+        self.clients = [self.client]
 
     def close(self):
+        for client in self.clients:
+            client.close()
         self.server.shutdown()
+        self.server.server_close()
         self.co.stop(timeout=5.0)
         self.co.runtable.close()
 
@@ -93,12 +99,9 @@ def scripted(monkeypatch):
 def _worker(service, worker_id, plan=None, **kw):
     kw.setdefault("testbed_factory", lambda seed: None)
     kw.setdefault("sleep", lambda s: None)
-    return Worker(
-        ServiceClient(service.url, timeout=10.0),
-        worker_id=worker_id,
-        fault_plan=plan,
-        **kw,
-    )
+    client = ServiceClient(service.url, timeout=10.0)
+    service.clients.append(client)
+    return Worker(client, worker_id=worker_id, fault_plan=plan, **kw)
 
 
 def _submit(service, n=4, name="sweep", priority=0):
@@ -257,9 +260,9 @@ class TestTransportFaults:
             outcomes = []
 
             def upload():
-                client = ServiceClient(service.url, timeout=10.0)
-                outcomes.append(client.upload_result(
-                    job.job_id, "wA", token, wire)["recorded"])
+                with ServiceClient(service.url, timeout=10.0) as client:
+                    outcomes.append(client.upload_result(
+                        job.job_id, "wA", token, wire)["recorded"])
 
             threads = [threading.Thread(target=upload) for _ in range(2)]
             for t in threads:
@@ -324,6 +327,282 @@ class TestTransportFaults:
             ids = [r["trial_id"] for r in rows]
             assert len(ids) == len(set(ids)) == 5
         finally:
+            service.close()
+
+
+def _log_verbs(worker):
+    """Record, in send order, every per-trial and job-closing verb the
+    worker's client is asked to send: [(verb, trial_id or None), ...]."""
+    log = []
+    client = worker.client
+
+    def wrap(name, trial_of):
+        real = getattr(client, name)
+
+        def logged(*args, **kwargs):
+            log.append((name, trial_of(args)))
+            return real(*args, **kwargs)
+
+        setattr(client, name, logged)
+
+    wrap("upload_result", lambda args: args[3]["trial_id"])
+    wrap("quarantine_trial", lambda args: args[3])
+    wrap("ack_job", lambda args: None)
+    wrap("requeue_job", lambda args: None)
+    return log
+
+
+def _run_one_bounded(worker, timeout=30.0):
+    """``run_one`` on a thread with a deadline, so a pipeline deadlock is
+    a failed assertion instead of a hung suite. Returns (outcome, error)."""
+    box = []
+
+    def target():
+        try:
+            box.append((worker.run_one(), None))
+        except BaseException as exc:
+            box.append((None, exc))
+        finally:
+            worker.client.disconnect()  # this thread's kept connection
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "worker.run_one deadlocked"
+    return box[0]
+
+
+class TestPipelinedUploads:
+    """The one-deep upload pipeline keeps the synchronous loop's protocol:
+    trial order, nothing after the first 409, outcome decided only after
+    every hand-over was answered."""
+
+    #: A slow link on every upload, so uploads really are still in flight
+    #: while the next trial computes (the scripted trials are instant).
+    SLOW_LINK = FaultRule(site="worker.upload", action="delay",
+                          hang_s=0.03, times=0)
+
+    def test_409_on_upload_n_sends_nothing_after_it(self, tmp_path,
+                                                     scripted):
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=6)
+            w = _worker(service, "wA", plan=FaultPlan([self.SLOW_LINK]))
+            w.register()
+            real_upload = w.client.upload_result
+
+            def upload(job_id, worker_id, token, wire, **kw):
+                if wire["trial_id"] == "sweep/2":
+                    # The lease is reaped just as upload 2 goes out.
+                    service.co.queue.force_expire(job_id)
+                return real_upload(job_id, worker_id, token, wire, **kw)
+
+            w.client.upload_result = upload
+            log = _log_verbs(w)
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == ABANDONED
+            assert log == [("upload_result", f"sweep/{i}") for i in range(3)]
+            assert w.stats["uploaded"] == 2
+            # Trial 3 ran while upload 2 was in flight; trial 4 never did.
+            assert scripted.calls == [f"sweep/{i}" for i in range(4)]
+            rows = service.co.runtable.recent_runs(limit=100)
+            assert sorted(r["trial_id"] for r in rows) == [
+                "sweep/0", "sweep/1"]
+            assert service.client.job(job.job_id)["state"] != "done"
+        finally:
+            service.close()
+
+    def test_stop_mid_job_uploads_every_finished_trial_before_requeue(
+        self, tmp_path, monkeypatch
+    ):
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=5)
+            w = _worker(service, "wA", plan=FaultPlan([self.SLOW_LINK]))
+            fake = _ScriptedRunTrial()
+
+            def run_trial(testbed, trial, **kwargs):
+                if trial.trial_id == "sweep/2":
+                    w.stop()  # drain requested while trial 2 computes
+                return fake(testbed, trial, **kwargs)
+
+            monkeypatch.setattr("repro.service.worker.run_trial", run_trial)
+            w.register()
+            log = _log_verbs(w)
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == REQUEUED
+            assert log == [("upload_result", f"sweep/{i}")
+                           for i in range(3)] + [("requeue_job", None)]
+            leased = service.client.lease_job("wB")
+            assert leased["job"]["job_id"] == job.job_id
+            assert [t["trial_id"] for t in leased["pending"]] == [
+                "sweep/3", "sweep/4"]
+        finally:
+            service.close()
+
+    def test_uploads_arrive_in_trial_order_and_ack_comes_last(
+        self, tmp_path, scripted
+    ):
+        plan = FaultPlan([
+            # Uneven link: every third upload is slow, one reply is lost
+            # (retried), one send is duplicated.
+            FaultRule(site="worker.upload", action="delay", hang_s=0.05,
+                      key="sweep/0"),
+            FaultRule(site="worker.upload", action="delay", hang_s=0.05,
+                      key="sweep/3"),
+            FaultRule(site="worker.upload", action="truncate",
+                      key="sweep/4"),
+            FaultRule(site="worker.upload", action="duplicate",
+                      key="sweep/5"),
+        ])
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=8)
+            w = _worker(service, "wA", plan=plan)
+            w.register()
+            log = _log_verbs(w)
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == ACKED
+            sent = [trial for verb, trial in log if verb == "upload_result"]
+            assert sent == sorted(sent)  # resends sit next to the original
+            assert sent.count("sweep/4") == 2 and sent.count("sweep/5") == 2
+            assert log[-1] == ("ack_job", None)
+            assert [v for v, _ in log].count("ack_job") == 1
+            rows = service.co.runtable.recent_runs(limit=100)
+            by_time = sorted(rows, key=lambda r: r["recorded_at"])
+            assert [r["trial_id"] for r in by_time] == [
+                f"sweep/{i}" for i in range(8)]
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "done"
+            assert progress["completed"] == 8
+        finally:
+            service.close()
+
+    def test_unreachable_server_abandons_without_deadlock(self, tmp_path,
+                                                          scripted):
+        """Every upload dies before the bytes leave, past the retry
+        budget: the uploader gives up and keeps emptying the outbox, so
+        the trial thread's next hand-over cannot block on it."""
+        plan = FaultPlan([
+            FaultRule(site="worker.upload", action="drop", times=0),
+        ])
+        service = _Service(tmp_path)
+        try:
+            _submit(service, n=6)
+            w = _worker(service, "wA", plan=plan)
+            w.register()
+            log = _log_verbs(w)
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == ABANDONED
+            assert log == []  # dropped before send; and no ack
+            assert w.stats["uploaded"] == 0
+            # Trial 1 ran while trial 0's upload was failing; no more.
+            assert scripted.calls == ["sweep/0", "sweep/1"]
+            assert service.co.runtable.trial_count() == 0
+        finally:
+            service.close()
+
+    def test_non_409_api_error_is_raised_on_the_trial_thread(
+        self, tmp_path, scripted
+    ):
+        """A server bug (500) on an upload is not a back-away signal: it
+        surfaces from ``run_one`` as the synchronous upload raised it,
+        after which nothing further was sent."""
+        service = _Service(tmp_path)
+        try:
+            _submit(service, n=6)
+            w = _worker(service, "wA", plan=FaultPlan([self.SLOW_LINK]))
+            w.register()
+            real_upload = w.client.upload_result
+
+            def upload(job_id, worker_id, token, wire, **kw):
+                if wire["trial_id"] == "sweep/1":
+                    raise ApiError(500, "RuntimeError: boom")
+                return real_upload(job_id, worker_id, token, wire, **kw)
+
+            w.client.upload_result = upload
+            log = _log_verbs(w)
+            outcome, error = _run_one_bounded(w)
+            assert outcome is None
+            assert isinstance(error, ApiError) and error.status == 500
+            assert log == [("upload_result", "sweep/0"),
+                           ("upload_result", "sweep/1")]
+            assert scripted.calls == ["sweep/0", "sweep/1", "sweep/2"]
+        finally:
+            service.close()
+
+    def test_quarantine_rides_the_same_pipeline(self, tmp_path,
+                                                monkeypatch):
+        fake = _ScriptedRunTrial()
+
+        def run_trial(testbed, trial, **kwargs):
+            if trial.trial_id == "sweep/1":
+                raise ValueError("deterministic trial bug")
+            return fake(testbed, trial, **kwargs)
+
+        monkeypatch.setattr("repro.service.worker.run_trial", run_trial)
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=3)
+            w = _worker(service, "wA", plan=FaultPlan([self.SLOW_LINK]))
+            w.register()
+            log = _log_verbs(w)
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == ACKED
+            assert log == [
+                ("upload_result", "sweep/0"),
+                ("quarantine_trial", "sweep/1"),
+                ("upload_result", "sweep/2"),
+                ("ack_job", None),
+            ]
+            assert w.stats["uploaded"] == 2 and w.stats["quarantined"] == 1
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "done_partial"
+            assert progress["quarantined"] == 1
+        finally:
+            service.close()
+
+    def test_concurrent_workers_under_a_short_switch_interval(
+        self, tmp_path, scripted
+    ):
+        """Stress: more workers than cores, the interpreter switching
+        threads every 10 us, every upload duplicated — a lost update in
+        the hand-over would show as a missing or doubled row."""
+        service = _Service(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [_submit(service, n=12, name=f"job{i}") for i in range(4)]
+            plan = [FaultRule(site="worker.upload", action="duplicate",
+                              times=0)]
+            workers = [_worker(service, f"w{i}", plan=FaultPlan(list(plan)))
+                       for i in range(4)]
+            outcomes = []
+
+            def drive(worker):
+                try:
+                    worker.register()
+                    outcomes.append(worker.run_one())
+                finally:
+                    worker.client.disconnect()
+
+            threads = [threading.Thread(target=drive, args=(w,), daemon=True)
+                       for w in workers]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert outcomes == [ACKED] * 4
+            rows = service.co.runtable.recent_runs(limit=1000)
+            keys = [(r["experiment"], r["trial_id"]) for r in rows]
+            assert len(keys) == len(set(keys)) == 48
+            for job in jobs:
+                progress = service.client.job(job.job_id)
+                assert progress["state"] == "done"
+                assert progress["completed"] == 12
+        finally:
+            sys.setswitchinterval(interval)
             service.close()
 
 
