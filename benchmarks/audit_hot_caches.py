@@ -1,0 +1,313 @@
+"""Census of the fast paths that stay on the per-frame receive path.
+
+DESIGN.md "Performance" rule 5: a cache lands with its measured hit rate on
+the ruler workloads and is deleted when it reads under 5 % on all of them.
+This script is where those hit rates come from. It runs the ruler's three
+simulator workloads (one repetition each) plus one 0.6 s N=400 uniform
+trial and reports, per workload:
+
+* **saturation bounds** — of the positive-length intervals
+  ``Reception.success_probability`` scored, how many the chunk kernel's
+  ratio-domain bounds resolved to exactly 1.0 / 0.0 and how many reached
+  the fused chunk closure; receptions scored from a single interval; mean
+  intervals per reception.
+* **exclusion fold** — of the interference updates a frame *start* pushed
+  into an in-progress reception, how many the radio's incremental
+  ``_excl_*`` fold served and how many fell through to
+  ``Radio.interference_mw(uid)`` (a miss: a full insertion-order re-sum).
+  ``RadioStats.sync_missed_busy_rx`` is printed beside it: every
+  full-delivery start at a synced radio bumps it, so it must equal the
+  full-delivery share of the updates.
+* **inline fan-out** — frame-start batches
+  ``Simulator.deliver_fanout_inline`` delivered in place against those it
+  sent round the heap.
+
+Everything is observed from outside, through wrappers installed on the
+classes for the length of one workload; nothing under ``src/`` counts
+anything for it. The wrappers cost time, so this script reports counts
+only — timings are the ruler's job.
+
+Usage::
+
+    python benchmarks/audit_hot_caches.py [--json] [--workloads a,b] [--seed N]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from contextlib import ExitStack
+from unittest import mock
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO, "src"))
+sys.path.insert(0, os.path.join(REPO, "benchmarks", "ruler"))
+
+from repro.experiments.executor import run_trial
+from repro.experiments.runners import ExperimentScale, build_scale_sweep
+from repro.phy.modulation import ErrorModel, NistErrorModel
+from repro.phy.radio import Radio
+from repro.phy.reception import Reception
+from repro.sim.engine import Simulator
+
+import workloads
+
+N400 = "uniform_n400"
+N400_SCALE = ExperimentScale(duration=0.6, warmup=0.2, trials_per_n=1)
+#: The rule-5 floor a kept mechanism must clear on at least one workload.
+FLOOR = 0.05
+
+#: Name of a frame-start callback (the generic method and its specialised
+#: closure share it) -> the counter its interference update lands in.
+START_EDGES = {
+    "on_frame_start": "fold_queries_frame",
+    "on_interference_start": "fold_queries_energy",
+}
+
+
+def build(workload: str, seed: int):
+    """(testbed, trials) of one census workload."""
+    if workload == N400:
+        _topo, testbed, spec = build_scale_sweep(
+            N400_SCALE, workloads.WORLD_SEED, ns=(400,), topologies=("uniform",)
+        )[0]
+        cmap = [t for t in spec.trials if t.trial_id.endswith("/cmap")]
+        return testbed, cmap[:1]
+    testbed, trials, _timings = workloads.build_sim(workload, seed)
+    return testbed, trials
+
+
+def census(testbed, trials) -> dict:
+    """Run ``trials`` under the wrappers; return the raw counts."""
+    c = dict.fromkeys(
+        (
+            "receptions",
+            "single_interval",
+            "intervals",
+            "bound_resolved",
+            "chunk_evals",
+            *START_EDGES.values(),
+            "fold_misses",
+            "batches_inline",
+            "batches_heap",
+        ),
+        0,
+    )
+    radios = []
+    kernels = {}  # (id(model), id(rate)) -> the ChunkKernel the scorer holds
+    evals = []  # chunk results of the reception being scored, in order
+
+    def counting_chunk_kernel(original):
+        def chunk_kernel(model, rate):
+            kernel = kernels[id(model), id(rate)] = original(model, rate)
+            chunk = kernel.chunk
+
+            def counted(sinr_db, bits):
+                p = chunk(sinr_db, bits)
+                evals.append(p)
+                return p
+
+            kernel.chunk = counted
+            return kernel
+
+        return chunk_kernel
+
+    def counting_score(original):
+        def success_probability(reception, error_model, noise_mw):
+            del evals[:]
+            prob = original(reception, error_model, noise_mw)
+            duration = reception.end - reception.start
+            if duration <= 0.0:
+                return prob
+            # Replay the scorer's walk over the recorded history, feeding it
+            # the chunk results the real call just produced. The replay must
+            # use every one of them and land on the same product, so a
+            # scorer that changes shape fails here instead of mis-counting.
+            frame = reception.frame
+            kernel = kernels[id(error_model), id(frame.rate)]
+            bits_per_second = 8.0 * frame.size_bytes / duration
+            edges = reception._times + [reception.end]
+            visited = resolved = wanted = 0
+            walk = 1.0
+            for idx, level_mw in enumerate(reception._interference):
+                seg = edges[idx + 1] - edges[idx]
+                if seg <= 0.0:
+                    continue
+                visited += 1
+                ratio = reception._signal_mw / (level_mw + noise_mw)
+                bits = bits_per_second * seg
+                if ratio >= kernel.ratio_one and bits <= kernel.bits_safe:
+                    resolved += 1
+                elif ratio <= kernel.ratio_zero and bits > 0.0:
+                    resolved += 1
+                    walk = 0.0
+                else:
+                    if wanted < len(evals):
+                        walk *= evals[wanted]
+                    wanted += 1
+                if walk == 0.0:
+                    break
+            if wanted != len(evals) or walk != prob:
+                raise AssertionError(
+                    "audit walk diverged from success_probability: wanted "
+                    f"{wanted} chunk results, the scorer made {len(evals)}; "
+                    f"product {walk!r} vs {prob!r}"
+                )
+            c["receptions"] += 1
+            c["single_interval"] += len(reception._times) == 1
+            c["intervals"] += visited
+            c["bound_resolved"] += resolved
+            c["chunk_evals"] += wanted
+            return prob
+
+        return success_probability
+
+    def counting_change(original):
+        def interference_changed(reception, now, interference_mw):
+            counter = START_EDGES.get(sys._getframe(1).f_code.co_name)
+            if counter is not None:
+                c[counter] += 1
+            original(reception, now, interference_mw)
+
+        return interference_changed
+
+    def counting_resum(original):
+        def interference_mw(radio, excluding_uid=None):
+            if (
+                excluding_uid is not None
+                and sys._getframe(1).f_code.co_name in START_EDGES
+            ):
+                c["fold_misses"] += 1
+            return original(radio, excluding_uid)
+
+        return interference_mw
+
+    def counting_fanout(original):
+        def deliver_fanout_inline(sim, start_fns, tx):
+            inline = original(sim, start_fns, tx)
+            c["batches_inline" if inline else "batches_heap"] += 1
+            return inline
+
+        return deliver_fanout_inline
+
+    def collecting_init(original):
+        def __init__(radio, *args, **kwargs):
+            original(radio, *args, **kwargs)
+            radios.append(radio)
+
+        return __init__
+
+    with ExitStack() as stack:
+        for cls, name, wrapper in (
+            (ErrorModel, "chunk_kernel", counting_chunk_kernel),
+            (NistErrorModel, "chunk_kernel", counting_chunk_kernel),
+            (Reception, "success_probability", counting_score),
+            (Reception, "interference_changed", counting_change),
+            (Radio, "interference_mw", counting_resum),
+            (Radio, "__init__", collecting_init),
+            (Simulator, "deliver_fanout_inline", counting_fanout),
+        ):
+            wrapped = wrapper(cls.__dict__[name])
+            stack.enter_context(mock.patch.object(cls, name, wrapped))
+        for trial in trials:
+            run_trial(testbed, trial)
+    c["sync_missed_busy_rx"] = sum(r.stats.sync_missed_busy_rx for r in radios)
+    return c
+
+
+def _share(part: int, whole: int) -> float:
+    return part / whole if whole else 0.0
+
+
+def summarise(c: dict) -> dict:
+    """The raw counts plus the rates the report prints."""
+    fold_queries = c["fold_queries_frame"] + c["fold_queries_energy"]
+    batches = c["batches_inline"] + c["batches_heap"]
+    scored = c["bound_resolved"] + c["chunk_evals"]
+    return {
+        "counts": c,
+        "intervals_per_reception": _share(c["intervals"], c["receptions"]),
+        "single_interval_share": _share(c["single_interval"], c["receptions"]),
+        "bound_resolved_share": _share(c["bound_resolved"], scored),
+        "exclusion_fold_hit_share": _share(
+            fold_queries - c["fold_misses"], fold_queries
+        ),
+        "inline_batch_share": _share(c["batches_inline"], batches),
+    }
+
+
+#: report column -> the summary key rule 5 judges it by.
+MECHANISMS = {
+    "saturation bounds": "bound_resolved_share",
+    "single-interval path": "single_interval_share",
+    "exclusion fold": "exclusion_fold_hit_share",
+    "inline fan-out": "inline_batch_share",
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--json", action="store_true", help="print one JSON object")
+    parser.add_argument(
+        "--workloads",
+        default=",".join(workloads.SIM_WORKLOADS + (N400,)),
+        help="comma-separated subset (default: all four)",
+    )
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    report = {}
+    for name in args.workloads.split(","):
+        testbed, trials = build(name, args.seed)
+        report[name] = summarise(census(testbed, trials))
+        report[name]["trials"] = len(trials)
+
+    ruler = [name for name in report if name != N400]
+    verdicts = {
+        label: max((report[name][key] for name in ruler), default=0.0)
+        for label, key in MECHANISMS.items()
+    }
+    if args.json:
+        payload = {
+            "seed": args.seed,
+            "workloads": report,
+            "best_on_a_ruler_workload": verdicts,
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        for name, row in report.items():
+            c = row["counts"]
+            print(f"== {name} (seed {args.seed}, {row['trials']} trials)")
+            print(
+                f"  scorer:  {c['receptions']} receptions, "
+                f"{row['intervals_per_reception']:.2f} intervals each, "
+                f"{row['single_interval_share']:.1%} single-interval; "
+                f"{c['bound_resolved']} intervals bound-resolved vs "
+                f"{c['chunk_evals']} chunk evaluations "
+                f"({row['bound_resolved_share']:.1%} resolved)"
+            )
+            print(
+                f"  fold:    {c['fold_queries_frame']} frame + "
+                f"{c['fold_queries_energy']} energy-only start updates at a "
+                f"synced radio (sync_missed_busy_rx {c['sync_missed_busy_rx']}), "
+                f"{c['fold_misses']} re-sums "
+                f"({row['exclusion_fold_hit_share']:.1%} served by the fold)"
+            )
+            print(
+                f"  fan-out: {c['batches_inline']} start batches inline, "
+                f"{c['batches_heap']} round the heap "
+                f"({row['inline_batch_share']:.1%} inline)"
+            )
+        for label, best in verdicts.items():
+            print(f"best on a ruler workload: {label} {best:.1%}")
+    # Rule 5: a kept mechanism reads >= 5 % on at least one ruler workload.
+    losers = [label for label, best in verdicts.items() if ruler and best < FLOOR]
+    for label in losers:
+        print(f"under {FLOOR:.0%} on every ruler workload: {label}", file=sys.stderr)
+    return 1 if losers else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,14 +19,17 @@ some in-flight frame's RSS is at or above ``cs_threshold_dbm`` or the radio
 itself is transmitting. Busy/idle edges are reported to the MAC for DCF
 backoff freezing.
 
-Aggregate interference is an *incremental insertion-order fold*: the cached
-value is exactly the left-to-right sum over the arrival dict, so appending
+Aggregate interference is the left-to-right sum over the arrival dict. The
+one query a busy radio repeats — everything but the currently-synced
+frame's uid — is kept as an *incremental insertion-order fold*: appending
 an arrival may extend it as ``cached + rss_mw`` (identical terms, identical
 order — the fold a fresh re-sum would produce). A removal invalidates the
 fold and the next query re-runs the full insertion-order loop; nothing is
 ever subtracted, so float rounding — and the golden-float experiment
-outputs — cannot drift. A second fold tracks the one exclusion the hot path
-ever asks for (the currently-synced frame's uid).
+outputs — cannot drift. The *total* (no exclusion) is not cached: only an
+idle radio's sync attempt asks for it, and that either syncs (later
+queries use the exclusion form) or is followed by a removal, so a total
+fold measured 0–4 % hits (DESIGN.md "Performance").
 
 The medium's fan-out tables bind *specialized* per-receiver callbacks via
 the ``bind_*_entry`` factories below: threshold comparisons against this
@@ -150,8 +153,6 @@ class Radio:
         "_sync",
         "_arrivals",
         "_sensed",
-        "_agg_total",
-        "_agg_valid",
         "_excl_uid",
         "_excl_total",
         "_excl_valid",
@@ -196,13 +197,10 @@ class Radio:
         self._arrivals: Dict[int, float] = {}
         #: uids of arrivals at/above the carrier-sense threshold.
         self._sensed: set = set()
-        #: Incremental insertion-order folds over the arrival set. The
-        #: total fold is the left-to-right sum of ``_arrivals.values()``;
-        #: the exclusion fold tracks the same sum minus the single uid the
-        #: hot path excludes (the synced frame). Appends extend a valid
+        #: Incremental insertion-order fold over the arrival set: the
+        #: left-to-right sum of ``_arrivals.values()`` minus the single uid
+        #: the hot path excludes (the synced frame). Appends extend a valid
         #: fold; removals invalidate it (the next query re-sums).
-        self._agg_total = 0.0
-        self._agg_valid = False
         self._excl_uid: Optional[int] = None
         self._excl_total = 0.0
         self._excl_valid = False
@@ -273,24 +271,19 @@ class Radio:
     def interference_mw(self, excluding_uid: Optional[int] = None) -> float:
         """Aggregate received power from in-flight frames, in milliwatts.
 
-        Served from the incremental insertion-order folds when they are
-        valid; a miss re-sums the arrival set in insertion order — the
-        identical loop the uncached implementation ran — so the returned
-        value is always bit-identical to a fresh computation. Excluding a
-        uid that is not an in-flight arrival sums the same terms in the
-        same order as the total, so it is served from the total fold.
+        The total (``excluding_uid is None``) is the insertion-order sum
+        of the arrival set. An exclusion is served from the incremental
+        fold when it is valid for that uid; a miss re-sums in insertion
+        order — the identical loop the uncached implementation ran — so
+        the returned value is always bit-identical to a fresh computation.
         """
         arrivals = self._arrivals
         if not arrivals:
             return 0.0
-        if excluding_uid is None or excluding_uid not in arrivals:
-            if self._agg_valid:
-                return self._agg_total
+        if excluding_uid is None:
             total = 0.0
             for rss_mw in arrivals.values():
                 total += rss_mw
-            self._agg_total = total
-            self._agg_valid = True
             return total
         if self._excl_valid and excluding_uid == self._excl_uid:
             return self._excl_total
@@ -304,22 +297,19 @@ class Radio:
         return total
 
     def _append_arrival(self, uid: int, rss_mw: float) -> None:
-        """Insert an arrival and extend any valid fold (rule-2-safe).
+        """Insert an arrival and extend a valid fold (rule-2-safe).
 
         The new uid lands *last* in the dict's insertion order, so
         ``fold + rss_mw`` is exactly the left-to-right re-sum of the
         post-insertion arrival set: identical terms, identical order.
         """
         self._arrivals[uid] = rss_mw
-        if self._agg_valid:
-            self._agg_total += rss_mw
         if self._excl_valid and uid != self._excl_uid:
             self._excl_total += rss_mw
 
     def _remove_arrival(self, uid: int) -> None:
-        """Drop an arrival; folds die (a removal forces a full re-sum)."""
+        """Drop an arrival; the fold dies (a removal forces a full re-sum)."""
         if self._arrivals.pop(uid, None) is not None:
-            self._agg_valid = False
             self._excl_valid = False
 
     # ------------------------------------------------------------------
@@ -341,12 +331,11 @@ class Radio:
 
         In-flight arrivals keep the RSS they were launched with (the frame
         left the antenna under the old geometry), so the re-summed
-        interference is value-identical; invalidating the folds simply
+        interference is value-identical; invalidating the fold simply
         guarantees nothing keyed to the old geometry outlives the move.
         Pair fade samplers are keyed by node identity, not position (like
         shadowing), and survive.
         """
-        self._agg_valid = False
         self._excl_valid = False
 
     # ------------------------------------------------------------------
@@ -459,9 +448,7 @@ class Radio:
             ):
                 return
             sync.interference_changed(
-                self.sim.now,
-                self.interference_mw(sync.transmission.uid),
-                uid,
+                self.sim.now, self.interference_mw(sync.transmission.uid)
             )
             self.stats.sync_missed_busy_rx += 1
         elif rss_dbm < config.sensitivity_dbm:
@@ -535,9 +522,7 @@ class Radio:
         sync = self._sync
         if sync is not None and state is not RadioState.TX:
             sync.interference_changed(
-                self.sim.now,
-                self.interference_mw(sync.transmission.uid),
-                uid,
+                self.sim.now, self.interference_mw(sync.transmission.uid)
             )
         if not was_busy and sensed and self.mac is not None:
             self.mac.on_channel_busy()
@@ -554,8 +539,7 @@ class Radio:
             # so the end edge only updates the aggregate seen by whatever
             # reception is in progress.
             sync.interference_changed(
-                self.sim.now,
-                self.interference_mw(sync.transmission.uid),
+                self.sim.now, self.interference_mw(sync.transmission.uid)
             )
         if (
             was_busy
@@ -577,8 +561,7 @@ class Radio:
                 self._finalize_reception(rss_dbm)
             else:
                 sync.interference_changed(
-                    self.sim.now,
-                    self.interference_mw(sync.transmission.uid),
+                    self.sim.now, self.interference_mw(sync.transmission.uid)
                 )
 
         if (
@@ -643,27 +626,15 @@ class Radio:
             state = self._state
             sync = self._sync
             was_busy = state is TX or bool(sensed)
-            # Inlined interference_mw fast path: a valid fold IS the
-            # insertion-order sum the call would return.
+            # Inlined interference_mw(): the insertion-order total, for
+            # the two branches that score the new frame's preamble.
             prior = None
-            if state is not TX:
-                if sync is not None:
-                    if mim_ok:
-                        prior = (
-                            self._agg_total
-                            if self._agg_valid
-                            else self.interference_mw()
-                        )
-                elif syncable:
-                    prior = (
-                        self._agg_total
-                        if self._agg_valid
-                        else self.interference_mw()
-                    )
+            if state is not TX and (syncable if sync is None else mim_ok):
+                prior = 0.0
+                for mw in arrivals.values():
+                    prior += mw
             uid = tx.uid
             arrivals[uid] = rss_mw
-            if self._agg_valid:
-                self._agg_total += rss_mw
             if self._excl_valid and uid != self._excl_uid:
                 self._excl_total += rss_mw
             if senses:
@@ -688,7 +659,6 @@ class Radio:
                     self._excl_total
                     if self._excl_valid and self._excl_uid == suid
                     else self.interference_mw(suid),
-                    uid,
                 )
                 stats.sync_missed_busy_rx += 1
             elif not syncable:
@@ -740,24 +710,16 @@ class Radio:
             was_busy = state is TX or bool(sensed)
             syncable = rss_dbm >= sens_db
             prior = None
-            if state is not TX:
-                if sync is not None:
-                    if mim_capture and syncable:
-                        prior = (
-                            self._agg_total
-                            if self._agg_valid
-                            else self.interference_mw()
-                        )
-                elif syncable:
-                    prior = (
-                        self._agg_total
-                        if self._agg_valid
-                        else self.interference_mw()
-                    )
+            if (
+                state is not TX
+                and syncable
+                and (sync is None or mim_capture)
+            ):
+                prior = 0.0
+                for mw in arrivals.values():
+                    prior += mw
             uid = tx.uid
             arrivals[uid] = rss_mw
-            if self._agg_valid:
-                self._agg_total += rss_mw
             if self._excl_valid and uid != self._excl_uid:
                 self._excl_total += rss_mw
             if rss_dbm >= cs_db:
@@ -781,7 +743,6 @@ class Radio:
                     self._excl_total
                     if self._excl_valid and self._excl_uid == suid
                     else self.interference_mw(suid),
-                    uid,
                 )
                 stats.sync_missed_busy_rx += 1
             elif not syncable:
@@ -817,8 +778,6 @@ class Radio:
             state = self._state
             was_busy = state is TX or bool(sensed)
             arrivals[uid] = rss_mw
-            if self._agg_valid:
-                self._agg_total += rss_mw
             if self._excl_valid and uid != self._excl_uid:
                 self._excl_total += rss_mw
             if senses:
@@ -832,7 +791,6 @@ class Radio:
                     self._excl_total
                     if self._excl_valid and self._excl_uid == suid
                     else self.interference_mw(suid),
-                    uid,
                 )
             if not was_busy and sensed and self.mac is not None:
                 self.mac.on_channel_busy()
@@ -850,9 +808,8 @@ class Radio:
 
         def on_frame_end(tx: "Transmission") -> None:
             uid = tx.uid
-            # Inlined _remove_arrival: a removal kills both folds.
+            # Inlined _remove_arrival: a removal kills the fold.
             if arrivals.pop(uid, None) is not None:
-                self._agg_valid = False
                 self._excl_valid = False
             was_busy = self._state is TX or bool(sensed)
             sensed.discard(uid)
@@ -862,7 +819,7 @@ class Radio:
                     self._finalize_reception(rss_dbm)
                 else:
                     # Inlined interference_mw(suid): the removal above
-                    # invalidated the folds, so this is always the full
+                    # invalidated the fold, so this is always the full
                     # insertion-order re-sum (and it re-arms the slot).
                     suid = sync.transmission.uid
                     total = 0.0
@@ -892,7 +849,6 @@ class Radio:
         def on_interference_end(tx: "Transmission") -> None:
             uid = tx.uid
             if arrivals.pop(uid, None) is not None:
-                self._agg_valid = False
                 self._excl_valid = False
             was_busy = self._state is TX or bool(sensed)
             sensed.discard(uid)

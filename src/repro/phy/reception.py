@@ -12,21 +12,17 @@ the enabling observation of the conflict map (paper Fig. 5).
 Change-points are stored *columnar* — two parallel flat lists
 (``_times``, ``_interference``) instead of a list of tuples — so the
 scoring loop indexes floats directly with no per-interval tuple
-allocation or unpacking, and a running peak makes :meth:`min_sinr_db`
-O(1) instead of a history re-scan.
+allocation or unpacking.
 
-Scoring memoises per-chunk results on the error model, keyed by the exact
-``(signal/(interference+noise) ratio, rate, bits)`` triple, so repeated
-identical-interference intervals skip the ``linear_to_db``/``chunk_success``
-transcendentals. The memo maps equal inputs to the value the direct
-computation produces, so scores are bit-identical with or without it.
-
-On top of the memo, the error model's chunk *kernel*
-(:mod:`repro.kernels.chunkgrid`) precomputes the exact ratio-domain bounds
-of the saturated regions, so chunks whose SINR sits far above or below the
-PER waterfall resolve to exactly 1.0 / 0.0 with no ``log10`` and no memo
-traffic at all — the value the exact evaluation would produce, by the grid
-exactness rule.
+The error model's chunk *kernel* (:mod:`repro.kernels.chunkgrid`)
+precomputes the exact ratio-domain bounds of the saturated regions, so
+intervals whose SINR sits far above or below the PER waterfall resolve to
+exactly 1.0 / 0.0 with no ``log10`` — the value the exact evaluation would
+produce, by the grid exactness rule. That resolves 21–64 % of intervals on
+the ruler workloads; every other interval evaluates the rate's fused chunk
+closure directly. Interval results are not memoised: fading makes each
+``(ratio, bits)`` pair unique, and a memo keyed on it measured 0.00–0.10 %
+hits (``benchmarks/BENCH_pr18_receive_caches.json``).
 """
 
 from __future__ import annotations
@@ -40,10 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.phy.medium import Transmission
     from repro.phy.modulation import ErrorModel
 
-#: Per-error-model chunk memo entries before the memo is reset. Fading makes
-#: keys near-unique, so the bound mostly caps memory on static channels.
-_CHUNK_MEMO_MAX = 4096
-
 
 class Reception:
     """State of one in-progress frame reception at one radio."""
@@ -56,9 +48,6 @@ class Reception:
         "_signal_mw",
         "_times",
         "_interference",
-        "_peak_mw",
-        "interfered",
-        "interferer_uids",
     )
 
     def __init__(
@@ -83,41 +72,20 @@ class Reception:
         #: Parallel change-point columns; index 0 is the reception start.
         self._times: List[float] = [start]
         self._interference: List[float] = [initial_interference_mw]
-        #: Running maximum of the interference column (min_sinr_db is O(1)).
-        self._peak_mw = initial_interference_mw
-        #: True once any interference overlapped this reception.
-        self.interfered = initial_interference_mw > 0.0
-        #: uids of transmissions that overlapped this reception.
-        self.interferer_uids: set = set()
 
     @property
     def frame(self):
         return self.transmission.frame
 
-    def interference_changed(
-        self, now: float, interference_mw: float, interferer_uid: Optional[int] = None
-    ) -> None:
+    def interference_changed(self, now: float, interference_mw: float) -> None:
         """Record that aggregate interference became ``interference_mw``."""
-        if interference_mw > 0.0:
-            self.interfered = True
-        if interferer_uid is not None:
-            self.interferer_uids.add(interferer_uid)
         times = self._times
-        interference = self._interference
         if now == times[-1]:
             # Coalesce same-instant changes (e.g. two frames ending together).
-            old = interference[-1]
-            interference[-1] = interference_mw
-            if interference_mw >= self._peak_mw:
-                self._peak_mw = interference_mw
-            elif old == self._peak_mw:
-                # The overwritten value was (or tied) the peak: re-derive.
-                self._peak_mw = max(interference)
+            self._interference[-1] = interference_mw
         else:
             times.append(now)
-            interference.append(interference_mw)
-            if interference_mw > self._peak_mw:
-                self._peak_mw = interference_mw
+            self._interference.append(interference_mw)
 
     def success_probability(self, error_model: "ErrorModel", noise_mw: float) -> float:
         """Delivery probability over the recorded interference history."""
@@ -128,10 +96,9 @@ class Reception:
             return 1.0
         bits_per_second = total_bits / duration
         rate = frame.rate
-        # Per-(model, rate) scorer cache: the rate's chunk kernel (exact
+        # Per-(model, rate) scorer entry: the rate's chunk kernel (exact
         # closure + saturated-region ratio bounds, see
-        # repro.kernels.chunkgrid) plus the interval memo. All pure value
-        # caches, so scores are bit-identical with or without them.
+        # repro.kernels.chunkgrid) flattened into one tuple.
         by_rate = error_model.__dict__.get("_chunk_cache")
         if by_rate is None:
             by_rate = error_model._chunk_cache = {}
@@ -142,23 +109,22 @@ class Reception:
             kernel = error_model.chunk_kernel(rate)
             entry = by_rate[id(rate)] = (
                 kernel.chunk,
-                {},
-                rate,
                 kernel.ratio_zero,
                 kernel.ratio_one,
                 kernel.bits_safe,
+                rate,
             )
-        chunk, memo = entry[0], entry[1]
-        ratio_zero, ratio_one, bits_safe = entry[3], entry[4], entry[5]
+        chunk, ratio_zero, ratio_one, bits_safe, _ = entry
         signal_mw = self._signal_mw
         interference = self._interference
         n = len(interference)
         if n == 1:
-            # Overwhelmingly common: constant interference over the whole
-            # frame — one chunk, no memo machinery. A saturated ratio
-            # resolves without the dB conversion at all (the kernel's
-            # region bounds are exact in the ratio domain); otherwise the
-            # inlined conversion matches linear_to_db (incl. the <=0 floor).
+            # Constant interference over the whole frame (29–70 % of
+            # receptions on the ruler workloads): one chunk, no loop. A
+            # saturated ratio resolves without the dB conversion at all (the
+            # kernel's region bounds are exact in the ratio domain);
+            # otherwise the inlined conversion matches linear_to_db (incl.
+            # the <=0 floor).
             ratio = signal_mw / (interference[0] + noise_mw)
             bits = bits_per_second * duration
             if ratio >= ratio_one:
@@ -170,7 +136,6 @@ class Reception:
             return chunk(sinr, bits)
         times = self._times
         end = self.end
-        memo_get = memo.get
         prob = 1.0
         for idx in range(n):
             t = times[idx]
@@ -187,15 +152,8 @@ class Reception:
             elif ratio <= ratio_zero and bits > 0.0:
                 prob = 0.0  # p == 0.0 exactly; finite prob * 0.0 == 0.0
                 break
-            key = (ratio, bits)
-            p = memo_get(key)
-            if p is None:
-                sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
-                p = chunk(sinr, bits)
-                if len(memo) >= _CHUNK_MEMO_MAX:
-                    memo.clear()
-                memo[key] = p
-            prob *= p
+            sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
+            prob *= chunk(sinr, bits)
             if prob == 0.0:
                 break
         return prob
@@ -204,7 +162,9 @@ class Reception:
         """Worst-case SINR seen during the reception (for stats/tests).
 
         Minimum SINR corresponds to the *maximum* interference level any
-        recorded interval saw — the running peak of the interference
-        column, so no history re-scan.
+        recorded interval saw. Nothing on the simulation path reads it, so
+        the peak is taken on demand instead of tracked per change.
         """
-        return linear_to_db(self._signal_mw / (self._peak_mw + noise_mw))
+        return linear_to_db(
+            self._signal_mw / (max(self._interference) + noise_mw)
+        )

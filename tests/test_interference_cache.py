@@ -104,24 +104,34 @@ class TestCacheBitIdentity:
 
 
 class TestIncrementalFold:
-    """White-box: appends must *extend* a valid fold (never re-sum), and
-    removals must invalidate it — the rule-2 contract the incremental
-    implementation lives by."""
+    """White-box: appends must *extend* a valid exclusion fold (never
+    re-sum), and removals must invalidate it — the rule-2 contract the
+    incremental implementation lives by. The total has no fold: it is the
+    plain insertion-order loop on every query."""
 
     def test_append_extends_valid_fold(self):
+        """Every start path — the generic methods and the specialised
+        closures, which inline the maintenance — extends a valid fold."""
         radio = make_radio()
         a = make_tx(1, -60.0)
-        radio.on_frame_start(a, -60.0)
-        total_1 = radio.interference_mw()  # validates the fold
-        assert radio._agg_valid
-        b = make_tx(2, -70.0)
-        radio.on_frame_start(b, -70.0)
-        # The fold stayed valid across the append (no invalidation)...
-        assert radio._agg_valid
-        # ...and its value is the extended left-to-right fold, which is
-        # bit-identical to the fresh insertion-order re-sum.
-        assert radio._agg_total == total_1 + radio._arrivals[b.uid]
-        assert radio.interference_mw() == fresh_insertion_order_sum(radio)
+        radio.on_frame_start(a, -60.0)  # syncs: a.uid is the hot exclusion
+        starts = [
+            lambda tx: radio.on_frame_start(tx, -70.0),
+            lambda tx: radio.on_interference_start(tx, -70.0),
+            radio.bind_start_entry(9, -70.0, 1e-7),
+            radio.bind_interference_start_entry(-70.0, 1e-7),
+        ]
+        radio.on_frame_start(make_tx(2, -70.0), -70.0)  # arms the slot
+        for src, start in enumerate(starts, start=3):
+            assert radio._excl_valid and radio._excl_uid == a.uid
+            before = radio._excl_total
+            tx = make_tx(src, -70.0)
+            start(tx)
+            # Extended in place (no invalidation), and the extension is
+            # bit-identical to the fresh insertion-order re-sum.
+            assert radio._excl_valid and radio._excl_uid == a.uid
+            assert radio._excl_total == before + radio._arrivals[tx.uid]
+            assert radio._excl_total == fresh_insertion_order_sum(radio, a.uid)
 
     def test_append_extends_exclusion_fold(self):
         radio = make_radio()
@@ -138,18 +148,17 @@ class TestIncrementalFold:
             radio, a.uid
         )
 
-    def test_removal_invalidates_both_folds(self):
+    def test_removal_invalidates_fold(self):
         # Sub-sensitivity arrivals: no sync forms, so the end path cannot
-        # itself re-validate a fold by querying it.
+        # itself re-validate the fold by querying it.
         radio = make_radio()
         a, b, c = make_tx(1, -91.0), make_tx(2, -92.0), make_tx(3, -92.5)
         for t, rss in ((a, -91.0), (b, -92.0), (c, -92.5)):
             radio.on_frame_start(t, rss)
-        radio.interference_mw()
         radio.interference_mw(a.uid)
-        assert radio._agg_valid and radio._excl_valid
+        assert radio._excl_valid
         radio.on_frame_end(b, -92.0)
-        assert not radio._agg_valid and not radio._excl_valid
+        assert not radio._excl_valid
         # The post-removal re-sum runs the full insertion-order loop.
         assert radio.interference_mw() == fresh_insertion_order_sum(radio)
         assert radio.interference_mw(a.uid) == fresh_insertion_order_sum(
@@ -158,16 +167,19 @@ class TestIncrementalFold:
 
     def test_position_change_invalidates_folds(self):
         radio = make_radio()
-        a = make_tx(1, -60.0)
+        a, b = make_tx(1, -60.0), make_tx(2, -70.0)
         radio.on_frame_start(a, -60.0)
-        radio.interference_mw()
-        assert radio._agg_valid
+        radio.on_frame_start(b, -70.0)
+        radio.interference_mw(a.uid)
+        assert radio._excl_valid
         radio.on_position_changed()
-        assert not radio._agg_valid and not radio._excl_valid
+        assert not radio._excl_valid
         # Arrivals keep their launch RSS, so the re-sum is value-identical.
-        assert radio.interference_mw() == fresh_insertion_order_sum(radio)
+        assert radio.interference_mw(a.uid) == fresh_insertion_order_sum(
+            radio, a.uid
+        )
 
-    def test_exclusion_of_absent_uid_served_from_total_fold(self):
+    def test_exclusion_of_absent_uid_equals_total(self):
         radio = make_radio()
         a, b = make_tx(1, -60.0), make_tx(2, -70.0)
         radio.on_frame_start(a, -60.0)
