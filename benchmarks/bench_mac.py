@@ -1,16 +1,16 @@
-"""MAC hot-path benchmark: saturated pairs plus timer-registry churn (PR 9).
+"""MAC hot-path benchmark: saturated pairs plus timer-registry churn.
 
 Three workloads sized for CI smoke runs, each reported as events/s:
 
 * ``mac_dcf_pairs`` — two saturated DCF flows on the standard testbed: the
-  contention loop (DIFS/slot/ACK timers through the named registry and the
-  wheel-backed engine) dominates.
+  contention loop (DIFS/slot/ACK timers through the named registry)
+  dominates.
 * ``mac_cmap_pairs`` — two saturated CMAP flows: the Fig. 6 sender loop,
   defer decisions against the conflict map, and the batched map sweep.
 * ``mac_timer_churn`` — a pure engine/registry microbenchmark: thousands of
-  named timers arming, rescheduling, and cancelling through the timer
-  wheel with no radio underneath, so regressions in the timer API itself
-  are not masked by PHY cost.
+  named timers arming, rescheduling, and cancelling with no radio
+  underneath, so regressions in the timer API itself are not masked by
+  PHY cost.
 
 Emits a ``BENCH_mac_*.json`` trajectory point compatible with
 ``check_bench_regression.py``; the committed baseline lives at
@@ -50,19 +50,9 @@ def _run_pairs(testbed: Testbed, factory, duration: float) -> None:
     assert delivered > 0, "benchmark network moved no traffic"
 
 
-def bench_timer_churn(
-    repeat: int,
-    timers: int = 64,
-    ticks: int = 60000,
-    wheel: bool | None = None,
-):
-    """Pure timer churn: named periodic timers + a cancel/re-arm storm.
-
-    ``wheel`` overrides ``REPRO_TIMER_WHEEL`` for the measurement (None =
-    inherit the environment); the engine reads the variable per-Simulator,
-    so one process can interleave both layouts back to back."""
+def bench_timer_churn(repeat: int, timers: int = 64, ticks: int = 60000):
+    """Pure timer churn: named periodic timers + a cancel/re-arm storm."""
     from repro.mac.base import TimerRegistry
-    from repro.sim.engine import WHEEL_ENV_VAR
 
     def build_and_run() -> Simulator:
         sim = Simulator()
@@ -87,25 +77,15 @@ def bench_timer_churn(
         sim.run(until=ticks * period / timers)
         return sim
 
-    prev = os.environ.get(WHEEL_ENV_VAR)
-    if wheel is not None:
-        os.environ[WHEEL_ENV_VAR] = "1" if wheel else "0"
-    try:
-        best = None
-        for _ in range(max(1, repeat)):
-            t0 = time.perf_counter()
-            sim = build_and_run()
-            wall = time.perf_counter() - t0
-            bench = _churn_bench(sim, wall)
-            if best is None or bench.wall_seconds < best.wall_seconds:
-                best = bench
-        return best
-    finally:
-        if wheel is not None:
-            if prev is None:
-                os.environ.pop(WHEEL_ENV_VAR, None)
-            else:
-                os.environ[WHEEL_ENV_VAR] = prev
+    best = None
+    for _ in range(max(1, repeat)):
+        t0 = time.perf_counter()
+        sim = build_and_run()
+        wall = time.perf_counter() - t0
+        bench = _churn_bench(sim, wall)
+        if best is None or bench.wall_seconds < best.wall_seconds:
+            best = bench
+    return best
 
 
 def _churn_bench(sim: Simulator, wall: float) -> "perf.FigureBench":
@@ -120,28 +100,6 @@ def _churn_bench(sim: Simulator, wall: float) -> "perf.FigureBench":
         core_events_per_sec=sim.events_processed / wall if wall > 0 else 0.0,
         trials_per_sec=1.0 / wall if wall > 0 else 0.0,
     )
-
-
-def bench_wheel_ab(
-    timers: int, ticks: int = 60000, rounds: int = 3
-) -> dict:
-    """Interleaved wheel-on/wheel-off churn A/B at ``timers`` timers.
-
-    Runs the two layouts strictly alternated (round-for-round, same
-    process) so co-tenant throughput drift hits both sides equally; keeps
-    the best observation per side — the PR 9 methodology, applied to the
-    N>=400 scale its bench flag deferred."""
-    best = {"on": None, "off": None}
-    for _ in range(max(1, rounds)):
-        for mode, wheel in (("off", False), ("on", True)):
-            bench = bench_timer_churn(1, timers=timers, ticks=ticks,
-                                      wheel=wheel)
-            if (
-                best[mode] is None
-                or bench.events_per_sec > best[mode].events_per_sec
-            ):
-                best[mode] = bench
-    return best
 
 
 def main(argv=None) -> int:
@@ -159,27 +117,7 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument("--write-baseline", action="store_true")
-    parser.add_argument("--wheel-ab", type=int, default=None, metavar="N",
-                        help="run ONLY the interleaved wheel-on/off churn "
-                             "A/B at N timers (the N>=400 measurement "
-                             "BENCH_pr9_mac.json deferred) and exit")
-    parser.add_argument("--wheel-rounds", type=int, default=3,
-                        help="interleaved rounds per side for --wheel-ab")
-    parser.add_argument("--churn-ticks", type=int, default=60000,
-                        help="tick budget for the churn workloads")
     args = parser.parse_args(argv)
-
-    if args.wheel_ab is not None:
-        best = bench_wheel_ab(args.wheel_ab, ticks=args.churn_ticks,
-                              rounds=args.wheel_rounds)
-        for mode in ("off", "on"):
-            b = best[mode]
-            print(f"wheel={mode:<3} N={args.wheel_ab:<5} "
-                  f"{b.wall_seconds:6.3f}s wall  {b.events:>9} events  "
-                  f"{b.events_per_sec:>9.0f} ev/s")
-        ratio = best["off"].events_per_sec / best["on"].events_per_sec
-        print(f"wheel-off/wheel-on: {ratio:.3f}x")
-        return 0
 
     testbed = Testbed(seed=args.seed)
     testbed.links  # force the O(N^2) census into setup, not the timing

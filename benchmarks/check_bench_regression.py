@@ -58,21 +58,6 @@ def main(argv=None) -> int:
     bench = load(matches[-1])
     baseline = load(args.baseline)
 
-    # Perf numbers are only comparable within one kernel backend (the
-    # ``scalar`` reference backend is deliberately slower than the
-    # default); refuse to gate across backends. Baselines recorded before
-    # the field existed compare as "python" (the default backend).
-    bench_backend = bench.get("kernel_backend", "python")
-    base_backend = baseline.get("kernel_backend", "python")
-    if bench_backend != base_backend:
-        print(
-            f"ERROR: bench ran with kernel backend {bench_backend!r} but "
-            f"the baseline was recorded with {base_backend!r}; cross-backend "
-            f"events/s comparisons are meaningless. Re-run the bench with "
-            f"the baseline's backend or re-record the baseline."
-        )
-        return 2
-
     base_figures = baseline.get("figures", {})
     cur_figures = bench.get("figures", {})
     if not base_figures:

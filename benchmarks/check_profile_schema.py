@@ -33,7 +33,6 @@ _TOP_LEVEL_KEYS = (
     "created_utc",
     "scale",
     "seed",
-    "kernel_backend",
     "figures",
 )
 _LAYER_KEYS = ("self_seconds", "called_seconds", "seconds", "fraction", "top")

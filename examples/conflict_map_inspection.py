@@ -64,7 +64,7 @@ def main():
         )
 
     for t in (0.5, 1.0, 2.0, 4.0, 8.0, 12.0):
-        net.sim.schedule(t, snapshot)
+        net.sim.call_later(t, snapshot)
 
     print("\nconvergence:")
     result = net.run(duration=14.0, warmup=7.0)

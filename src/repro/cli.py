@@ -320,17 +320,7 @@ def main(argv=None) -> int:
     parser.add_argument("--write-baseline", action="store_true",
                         help="with 'bench': (over)write the baseline file "
                              "instead of a timestamped BENCH file")
-    parser.add_argument("--kernel-backend", default=None,
-                        metavar="NAME",
-                        help="kernel backend for this run (python | scalar "
-                             "| native); same as REPRO_KERNEL_BACKEND, and "
-                             "recorded into BENCH/PROFILE payloads")
     args = parser.parse_args(argv)
-
-    if args.kernel_backend is not None:
-        from repro.kernels.backend import set_backend
-
-        set_backend(args.kernel_backend)
 
     if args.target == "bench":
         return run_bench(args, figures)

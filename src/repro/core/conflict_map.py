@@ -59,7 +59,7 @@ class OngoingList:
         Expired *other* entries are left for :meth:`active` (delete-before-
         read, so decisions never see them) or the MAC's periodic
         :meth:`sweep` — trailers used to drive an O(n) opportunistic sweep
-        here, on every overheard trailer; batching it behind the wheel
+        here, on every overheard trailer; batching it behind the periodic
         timer removes that per-event scan. In a dynamic world the sweep
         timer is now the memory-bound heartbeat (a node that moved out of
         range of everyone it was tracking still sweeps).

@@ -179,11 +179,11 @@ def run_trial(
     for t, op, node in spec.churn:
         if op == "join":
             flows = tuple(f for f in spec.flows if f[0] == node)
-            net.sim.schedule(
-                t, _join_node, net, node, factory, flows, spec.payload_bytes
+            net.sim.schedule_call(
+                t, _join_node, (net, node, factory, flows, spec.payload_bytes)
             )
         else:
-            net.sim.schedule(t, _leave_node, net, node)
+            net.sim.schedule_call(t, _leave_node, (net, node))
     if spec.mobility is not None:
         from repro.net.mobility import MobilityController
 

@@ -1,22 +1,15 @@
-"""Vectorized/batched numerical kernels behind a pluggable backend.
+"""Vectorized/batched numerical kernels.
 
 This package is the simulator's numerical kernel layer (DESIGN.md
-"Kernels"): block-buffered RNG streams (:mod:`repro.kernels.rngbuf`),
+"Kernels"): block-buffered RNG streams (:mod:`repro.kernels.rngbuf`) and
 precomputed chunk-success kernels for the erfc waterfall
-(:mod:`repro.kernels.chunkgrid`), and an optional compiled engine loop
-(:mod:`repro.kernels.native`), all selected through the backend registry
-(:mod:`repro.kernels.backend`, ``REPRO_KERNEL_BACKEND``).
+(:mod:`repro.kernels.chunkgrid`), reached through the two build-time reads
+in :mod:`repro.kernels.backend`.
 """
 
 from repro.kernels.backend import (  # noqa: F401
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    KernelBackend,
-    active_run_loop,
-    available_backends,
-    get_backend,
-    set_backend,
+    chunk_grids_enabled,
+    reference_kernels,
     wrap_uniform_stream,
 )
 from repro.kernels.chunkgrid import ChunkKernel, nist_chunk_kernel, null_chunk_kernel  # noqa: F401

@@ -1,148 +1,57 @@
-"""Kernel backend registry: the seam between the simulator and its
-numerical kernels.
+"""The seam between the simulator and its two numerical kernels.
 
-A *backend* decides how the three kernelised paths run:
+The simulator makes two reads here, both at object-build time:
 
-* ``buffer_rng`` — whether single-kind RNG streams are wrapped in
+* :func:`wrap_uniform_stream` — single-kind RNG streams are served from
   :class:`repro.kernels.rngbuf.BufferedUniformStream` (block refills,
   bit-identical; see the buffer refill determinism rule in that module).
-* ``chunk_grids`` — whether the erfc waterfall error model precomputes
+* :func:`chunk_grids_enabled` — the erfc waterfall error model precomputes
   saturated-region chunk kernels (:mod:`repro.kernels.chunkgrid`,
   bit-identical by the grid exactness rule).
-* ``native_run_loop`` — whether :meth:`repro.sim.engine.Simulator.run`
-  drains the heap through the compiled C loop
-  (:mod:`repro.kernels.native`). Identical event ordering and counter
-  semantics; opt-in because it needs a C toolchain at first use.
 
-Backends:
-
-=========  ==========  ===========  ================
-name       buffer_rng  chunk_grids  native_run_loop
-=========  ==========  ===========  ================
-python     yes         yes          no   (default)
-scalar     no          no           no   (reference)
-native     yes         yes          yes  (opt-in)
-=========  ==========  ===========  ================
-
-``python`` and ``scalar`` are byte-identical by construction — CI diffs a
-full fig12 smoke run under both (the kernel-parity smoke step). ``native``
-is selected only via the ``REPRO_KERNEL_BACKEND`` environment variable (or
-:func:`set_backend`) and pins its own goldens; on this platform it is
-byte-identical too (same libm, same ordering), which
-``tests/test_kernels.py`` asserts when a toolchain is available.
-
-The active backend is resolved once per process from
-``REPRO_KERNEL_BACKEND`` (so process-pool workers, which inherit the
-environment, agree with the parent). :func:`set_backend` overrides it
-in-process for tests and the CLI; objects built under the previous backend
-(error-model chunk caches, wrapped streams) keep their old behaviour, so
-switch backends *before* building networks.
+Both are always on. :func:`reference_kernels` turns both off for the
+duration of a ``with`` block so tests can build the scalar reference
+(per-draw RNG, region-free chunk kernel) in-process and diff it against the
+kernelised path. Objects bind their streams and chunk kernels at
+construction, so build the reference network *inside* the block.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 
 from repro.kernels.rngbuf import BufferedUniformStream
 
-#: Environment variable selecting the backend for a whole process tree.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-DEFAULT_BACKEND = "python"
-
-
-@dataclass(frozen=True)
-class KernelBackend:
-    """Feature flags of one kernel backend (see module docstring)."""
-
-    name: str
-    buffer_rng: bool
-    chunk_grids: bool
-    native_run_loop: bool = False
-
-
-BACKENDS: Dict[str, KernelBackend] = {
-    "python": KernelBackend("python", buffer_rng=True, chunk_grids=True),
-    "scalar": KernelBackend("scalar", buffer_rng=False, chunk_grids=False),
-    "native": KernelBackend(
-        "native", buffer_rng=True, chunk_grids=True, native_run_loop=True
-    ),
-}
-
-_active: Optional[KernelBackend] = None
-_run_loop = None
-_run_loop_resolved = False
-
-
-def available_backends() -> Tuple[str, ...]:
-    return tuple(BACKENDS)
-
-
-def get_backend() -> KernelBackend:
-    """The active backend, resolved once from ``REPRO_KERNEL_BACKEND``."""
-    global _active
-    if _active is None:
-        name = os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND
-        if name not in BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {name!r} in ${ENV_VAR}; "
-                f"choose one of {', '.join(sorted(BACKENDS))}"
-            )
-        _active = BACKENDS[name]
-    return _active
-
-
-def set_backend(name: str) -> KernelBackend:
-    """Select a backend in-process (tests, CLI flags).
-
-    Only affects objects built afterwards: error models cache chunk
-    kernels and radios/MACs bind their streams at construction, so build
-    networks *after* switching.
-    """
-    global _active, _run_loop, _run_loop_resolved
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; "
-            f"choose one of {', '.join(sorted(BACKENDS))}"
-        )
-    _active = BACKENDS[name]
-    _run_loop = None
-    _run_loop_resolved = False
-    return _active
+_reference = False
 
 
 def wrap_uniform_stream(rng: np.random.Generator):
     """Buffer a single-kind (``random``/``uniform``-only) stream.
 
-    Returns ``rng`` unchanged when the active backend keeps scalar draws
-    (or when it is already buffered), so call sites need no branching.
-    The caller asserts the single-kind contract by calling this at all —
-    see the buffer refill determinism rule.
+    Returns ``rng`` unchanged when it is already buffered (or inside
+    :func:`reference_kernels`), so call sites need no branching. The caller
+    asserts the single-kind contract by calling this at all — see the
+    buffer refill determinism rule.
     """
-    if get_backend().buffer_rng and not isinstance(rng, BufferedUniformStream):
-        return BufferedUniformStream(rng)
-    return rng
+    if _reference or isinstance(rng, BufferedUniformStream):
+        return rng
+    return BufferedUniformStream(rng)
 
 
-def active_run_loop():
-    """The compiled ``(sim, until) -> None`` run loop, or None.
+def chunk_grids_enabled() -> bool:
+    """Whether error models build grid-backed chunk kernels."""
+    return not _reference
 
-    ``None`` means :meth:`Simulator.run` uses its interpreted loop. The
-    resolution (including the one-time C build for the ``native`` backend)
-    is cached; a missing toolchain raises with instructions rather than
-    silently falling back, so benchmarks can't mis-report their backend.
-    """
-    global _run_loop, _run_loop_resolved
-    if not _run_loop_resolved:
-        loop = None
-        if get_backend().native_run_loop:
-            from repro.kernels.native import load_run_loop
 
-            loop = load_run_loop()
-        _run_loop = loop
-        _run_loop_resolved = True
-    return _run_loop
+@contextmanager
+def reference_kernels() -> Iterator[None]:
+    """Build objects with per-draw RNG and region-free chunk kernels."""
+    global _reference
+    previous, _reference = _reference, True
+    try:
+        yield
+    finally:
+        _reference = previous

@@ -65,9 +65,10 @@ class ChunkKernel:
     * ``ratio >= ratio_one`` and ``0 <= bits <= bits_safe``  -> 1.0
     * ``ratio <= ratio_zero`` and ``bits > 0``               -> 0.0
 
-    Kernels built without grid support (non-NIST models, or the ``scalar``
-    backend) disable both regions by value (``-inf`` / ``+inf`` / 0.0), so
-    the caller's comparisons simply never fire — no branching on None.
+    Kernels built without grid support (non-NIST models, or inside
+    ``reference_kernels()``) disable both regions by value (``-inf`` /
+    ``+inf`` / 0.0), so the caller's comparisons simply never fire — no
+    branching on None.
     """
 
     __slots__ = (

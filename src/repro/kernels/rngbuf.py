@@ -17,7 +17,7 @@ serving both ziggurat ``standard_normal`` fade draws and ``random()``
 delivery flips) cannot be block-buffered bit-identically, because the block
 draw advances the underlying bit-generator past state the other
 distribution would have consumed — ziggurat draws consume a variable number
-of raw outputs. Such streams stay scalar in the default backend. The two
+of raw outputs. Such streams stay scalar. The two
 streams that qualify today:
 
 * CMAP-family MAC streams — every draw is ``random()`` or

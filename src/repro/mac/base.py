@@ -9,7 +9,7 @@ handed to a sink callback; duplicate suppression happens in the sink, since
 
 Timers: MACs do not juggle raw engine events. :class:`TimerRegistry`
 (``self.timers``) names every timer (``"difs"``, ``("win", dst)``, ...),
-arms it through the engine's wheel-backed :meth:`Simulator.call_later`,
+arms it through the engine's :meth:`Simulator.call_later`,
 reuses the underlying :class:`~repro.sim.engine.TimerHandle` across
 re-arms, and is drained wholesale by the final :meth:`MacBase.stop` —
 subclasses hook ``_on_start``/``_on_stop`` instead of overriding the
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Hashable, Optional, TYPE_CHECKING
 
 import numpy as np
-
-from repro.sim.engine import Priority
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.frames import Frame
@@ -73,9 +71,9 @@ class TimerRegistry:
     Each name (any hashable — hot per-destination timers use tuples like
     ``("win", dst)``) maps to one :class:`TimerHandle` that is reused
     across re-arms: arming a name that already holds a handle with the
-    same callback reschedules it in place (no allocation on the wheel
-    fast path), and a cancelled name keeps its handle for revival on the
-    next arm. ``cancel_all`` is the lifecycle drain :meth:`MacBase.stop`
+    same callback reschedules it in place (no allocation, no dict
+    store), and a cancelled name keeps its handle for revival on the next
+    arm. ``cancel_all`` is the lifecycle drain :meth:`MacBase.stop`
     relies on, which is what lets the per-MAC stop overrides collapse.
     """
 
@@ -91,11 +89,11 @@ class TimerRegistry:
         delay: float,
         fn: Callable[..., None],
         *args: Any,
-        priority: int = Priority.NORMAL,
     ) -> None:
         """Arm (or re-arm) the named timer ``delay`` seconds from now.
 
         An already-armed name is superseded: its previous arm never fires.
+        Registry timers always run at NORMAL priority.
         """
         handle = self._timers.get(name)
         if handle is not None:
@@ -105,42 +103,37 @@ class TimerRegistry:
             # through to cancel + fresh arm, which consumes the same one
             # seq as reschedule — the choice is invisible to event order.
             if handle.fn is fn and handle.args == args:
-                self._timers[name] = handle.reschedule(delay)
+                handle.reschedule(delay)
                 return
             handle.cancel()
-        self._timers[name] = self._sim.call_later(
-            delay, fn, *args, priority=priority
-        )
+        self._timers[name] = self._sim.call_later(delay, fn, *args)
 
     def cancel(self, name: Hashable) -> None:
         """Cancel the named timer (no-op when not armed).
 
         The handle is kept for reuse by the next :meth:`arm` of the name.
-        Fired handles are left untouched (cancelling them is already a
-        no-op) so they stay revivable in place.
         """
         handle = self._timers.get(name)
-        # `handle._sim is not None` is TimerHandle.pending inlined; the
-        # property call costs more than the whole rest of this method on
-        # the ACK-cancel hot path.
-        if handle is not None and handle._sim is not None:
+        # `handle.seq >= 0` is TimerHandle.pending inlined; the property
+        # call costs more than the whole rest of this method on the
+        # ACK-cancel hot path.
+        if handle is not None and handle.seq >= 0:
             handle.cancel()
 
     def cancel_all(self) -> None:
         """Cancel every armed timer (the stop-lifecycle drain)."""
         for handle in self._timers.values():
-            if handle._sim is not None:
-                handle.cancel()
+            handle.cancel()
 
     def is_armed(self, name: Hashable) -> bool:
         """True while the named timer is armed and not yet fired."""
         handle = self._timers.get(name)
-        return handle is not None and handle._sim is not None
+        return handle is not None and handle.seq >= 0
 
     def fire_time(self, name: Hashable) -> Optional[float]:
         """Absolute fire time of the named timer, or None when not armed."""
         handle = self._timers.get(name)
-        if handle is not None and handle._sim is not None:
+        if handle is not None and handle.seq >= 0:
             return handle.time
         return None
 

@@ -15,8 +15,7 @@ freeze them, as the hardware is not listening before talking).
 
 Hot-path notes: timing/switch params are folded into slotted instance
 fields at build time (``data_rate`` deliberately excepted — the autorate
-MAC mutates it live), timers go through the named registry over the
-engine's wheel, and the per-timer callbacks are bound once at build so
+MAC mutates it live), timers go through the named registry, and the per-timer callbacks are bound once at build so
 re-arming a timer allocates nothing.
 """
 

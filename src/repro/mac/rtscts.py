@@ -199,7 +199,7 @@ class RtsCtsMac(DcfMac):
             duration=max(0.0, rts.duration - self._sifs - cts_air),
             rts_uid=rts.uid,
         )
-        # Fire-and-forget (never cancelled): the event-free fast path, with
+        # Fire-and-forget (never cancelled): the handle-free fast path, with
         # _transmit_control's _started check covering churn-out races.
         self.sim.schedule_call(self._sifs, self._transmit_control, (cts,))
 

@@ -270,7 +270,7 @@ class MobilityController:
 
     def _schedule_step(self, node_id: int, steps: Tuple[Step, ...], idx: int) -> None:
         delay, pos = steps[idx]
-        self.sim.schedule(delay, self._apply_step, node_id, pos, steps, idx)
+        self.sim.schedule_call(delay, self._apply_step, (node_id, pos, steps, idx))
 
     def _apply_step(
         self, node_id: int, pos: Position, steps: Tuple[Step, ...], idx: int

@@ -102,19 +102,6 @@ class PerfRecorder:
 _active: Optional[PerfRecorder] = None
 
 
-def active_kernel_backend() -> str:
-    """Name of the active kernel backend, recorded into perf payloads.
-
-    Perf numbers are only comparable within one backend (the ``scalar``
-    reference backend is deliberately slower), so every BENCH/PROFILE
-    payload carries the name and the regression gate refuses cross-backend
-    comparisons.
-    """
-    from repro.kernels.backend import get_backend
-
-    return get_backend().name
-
-
 def active_recorder() -> Optional[PerfRecorder]:
     """The currently installed recorder, or None (the common case)."""
     return _active
@@ -206,7 +193,6 @@ def bench_payload(
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "scale": scale,
         "seed": seed,
-        "kernel_backend": active_kernel_backend(),
         "figures": {b.figure: asdict(b) for b in figures},
     }
     if baseline is not None:
@@ -391,7 +377,6 @@ def profile_payload(profiles: List[dict], scale: str, seed: int) -> dict:
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "scale": scale,
         "seed": seed,
-        "kernel_backend": active_kernel_backend(),
         "figures": {p["figure"]: p for p in profiles},
     }
 

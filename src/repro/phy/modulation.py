@@ -201,18 +201,18 @@ class NistErrorModel(ErrorModel):
     def chunk_kernel(self, rate: Rate):
         """Grid-backed kernel: saturated SINR regions resolved at build.
 
-        With the active backend's ``chunk_grids`` flag set, the kernel
-        carries exact 0.0/1.0 region bounds (see
+        The kernel carries exact 0.0/1.0 region bounds (see
         :mod:`repro.kernels.chunkgrid` for the proof) so the scorer skips
         ``log10``/``erfc``/``exp`` for saturated chunks; off-region queries
-        run the same fused closure as before, bit for bit. The ``scalar``
-        backend returns the region-free kernel (reference behaviour).
+        run the same fused closure as before, bit for bit. Inside
+        :func:`repro.kernels.backend.reference_kernels` the region-free
+        kernel is returned instead (the tests' reference behaviour).
         """
-        from repro.kernels.backend import get_backend
+        from repro.kernels.backend import chunk_grids_enabled
         from repro.kernels.chunkgrid import nist_chunk_kernel, null_chunk_kernel
 
         chunk = self.chunk_fn(rate)
-        if not get_backend().chunk_grids:
+        if not chunk_grids_enabled():
             return null_chunk_kernel(chunk)
         return nist_chunk_kernel(
             self.steepness_per_db, rate.sinr50_1400_db, _X50_1400B, chunk

@@ -86,7 +86,7 @@ def measure_link_prr(
 
     airtime = medium.airtime(Frame(src=src, dst=dst, size_bytes=probe_bytes))
     for i in range(frames):
-        sim.schedule_at(
+        sim.call_at(
             i * (airtime + 1e-5),
             lambda: tx_radio.transmit(
                 Frame(src=src, dst=dst, size_bytes=probe_bytes)

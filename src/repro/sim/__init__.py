@@ -1,5 +1,5 @@
 """Discrete-event simulation engine (simpy is not available offline)."""
 
-from repro.sim.engine import Event, Simulator, Priority, TimerHandle
+from repro.sim.engine import Simulator, Priority, TimerHandle
 
-__all__ = ["Event", "Simulator", "Priority", "TimerHandle"]
+__all__ = ["Simulator", "Priority", "TimerHandle"]

@@ -1,89 +1,52 @@
-"""A small, fast discrete-event engine.
+"""A small, fast discrete-event engine: one binary heap, one run loop.
 
 The engine is callback-based: consumers schedule ``fn(*args)`` at an absolute
-or relative simulated time and may cancel the returned :class:`Event`. Ties
-are broken by an explicit priority, then by scheduling order, which gives the
-deterministic "end-of-frame before start-of-frame" semantics the radio model
-relies on for back-to-back virtual-packet frames.
+or relative simulated time. Ties are broken by an explicit priority, then by
+scheduling order, which gives the deterministic "end-of-frame before
+start-of-frame" semantics the radio model relies on for back-to-back
+virtual-packet frames.
+
+There are three ways onto the heap and one way off it:
+
+* :meth:`Simulator.call_later` / :meth:`Simulator.call_at` return a
+  :class:`TimerHandle` that can be cancelled and re-armed in place;
+* :meth:`Simulator.schedule_call` allocates no handle, for callbacks that
+  are never cancelled (ACK turnarounds, generators, the trial watchdog);
+* :meth:`Simulator.schedule_fanout` pushes one frame's start/end pair (the
+  medium's per-frame fan-out batches, whose receiver entries are
+  build-time-specialized ``fn(tx)`` closures — see
+  :meth:`repro.phy.medium.Medium.transmit`).
+
+Seq-liveness rule (what makes cancel and re-arm O(1) on a plain heap): every
+arm consumes the next sequence number and pushes one
+``(time, priority, seq, handle, fn, args)`` entry, and an entry is live iff
+``entry[2] == handle.seq``. ``cancel()`` moves the handle's seq to a negative
+sentinel and ``reschedule()`` moves it to the next seq, so both simply orphan
+the old entry; the run loop drops an orphan when it pops it. Nothing is ever
+searched for or removed from the middle of the heap, and a stale entry lives
+at most until its own fire time, so the heap holds no more than the arms of
+the last longest-delay window. Handle-less entries carry ``None`` in the
+handle slot and are always live.
 
 Hot-path notes (every CMAP figure is millions of events, so this file is
 deliberately tuned):
 
-* The heap stores ``(time, priority, seq, event, fn, args)`` tuples so
-  ``heapq`` compares at C speed without calling back into Python; ``seq``
-  is unique, so comparison never reaches the trailing elements.
-* :meth:`Simulator.schedule_call` and :meth:`Simulator.schedule_fanout`
-  skip the :class:`Event` allocation for callbacks that are never cancelled
-  (the medium's per-frame fan-out batches, whose receiver entries are
-  build-time-specialized ``fn(tx)`` closures — see
-  :meth:`repro.phy.medium.Medium.transmit`), while :meth:`schedule` still
-  returns a cancellable handle.
-* ``schedule`` builds and pushes its entry directly instead of delegating to
-  ``schedule_at``, and ``run`` inlines the pop loop instead of calling
-  ``step`` per event.
-* A live-event counter makes :meth:`pending_count` O(1): pushes increment
-  it, and exactly one of ``Event.cancel`` or event execution decrements it.
-* :meth:`Simulator.call_later` / :meth:`call_at` park cancellable timers in
-  a bucketed timer wheel beside the heap and return a re-armable
-  :class:`TimerHandle`. Cancelled wheel entries are dropped in O(1) and
-  never touch the main heap — the win for the MAC's cancel-heavy ack and
-  window timers. See the merge-order rule below.
-
-None of this changes scheduling order: the heap key is the same
-``(time, priority, seq)`` triple as before, assigned in the same order.
-
-Timer-wheel merge-order rule (the determinism contract): every wheel entry
-keeps the ``(time, priority, seq)`` key it was assigned at arm time, and a
-bucket is migrated into the main heap strictly before the run loop pops any
-entry ordered after the bucket's start. The heap then interleaves migrated
-and directly-scheduled entries by the same total order, so execution order
-is byte-identical to a wheel-less engine — ``REPRO_TIMER_WHEEL=0`` forces
-the wheel-less layout and the lockstep tests diff the two. The wheel is
-also disabled under the ``native`` kernel backend, whose compiled run loop
-drains the heap only.
+* ``heapq`` compares the entry tuples at C speed without calling back into
+  Python; ``seq`` is unique, so comparison never reaches the trailing
+  elements.
+* The arm methods build and push their entries directly instead of sharing a
+  helper, and ``run`` inlines the pop loop instead of calling ``step`` per
+  event.
+* A live-event counter makes :meth:`Simulator.pending_count` O(1): arms
+  increment it, and exactly one of ``cancel`` or execution decrements it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from enum import IntEnum
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.kernels import backend as _kernels_backend
-
-#: Environment switch for the timer wheel (default on). ``0`` forces every
-#: ``call_later``/``call_at`` straight onto the heap — the legacy layout —
-#: which the lockstep twin-engine tests use as the reference ordering.
-#: The default was re-examined at N>=400-timer scale (the measurement
-#: BENCH_pr9_mac.json deferred; recorded in BENCH_pr10_wheel.json): the
-#: layouts split by workload shape, not by N — fire-dominated churn runs
-#: ~1.05-1.2x faster all-heap, while cancel-dominated churn (the regime
-#: the wheel exists for) runs ~1.4x faster wheel-on — so the flip
-#: condition "N>=400 measurements agree" failed and the default stays on.
-WHEEL_ENV_VAR = "REPRO_TIMER_WHEEL"
-
-#: Wheel bucket granularity. A power of two so ``time * _INV_GRAN`` is an
-#: exact exponent shift: the floor never rounds across a bucket boundary,
-#: hence every entry's time is >= its bucket's start and the flush rule in
-#: the module docstring is airtight. 1/16384 s ~= 61 microseconds — a few
-#: slot-times wide, so back-to-back MAC timers land in O(1) buckets.
-_GRAN = 1.0 / 16384.0
-_INV_GRAN = 16384.0
-
-#: Hybrid insert threshold: a timer whose delay is shorter than two bucket
-#: spans goes straight to the main heap. Sub-bucket timers (DCF slot/DIFS,
-#: SIFS turnarounds) would land in an already-due bucket and be migrated on
-#: the very next pop — paying dict + bucket-heap traffic for nothing —
-#: while the wheel's wins (cancels that never touch the heap, in-place
-#: reschedule) need the bucket to stay parked for a while. Two spans
-#: guarantees the bucket start is strictly in the future. The split is
-#: invisible to event order: entries carry arm-time (time, prio, seq) keys
-#: in either container.
-_WHEEL_MIN_DELAY = 2.0 * _GRAN
-
-_INF = float("inf")
+from typing import Any, Callable, List, Optional, Tuple
 
 _GUARD_MSG = (
     "same-instant event scheduled below FRAME_START priority "
@@ -106,79 +69,24 @@ class Priority(IntEnum):
     LATE = 3
 
 
-class Event:
-    """A scheduled callback; cancellable until it fires."""
-
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple,
-        sim: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        #: Back-reference for O(1) live-event accounting; cleared when the
-        #: event fires or is cancelled so neither path double-counts.
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._live -= 1
-            self._sim = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.9f}, prio={self.priority}, {state}, fn={self.fn!r})"
+#: ``TimerHandle.seq`` values of a handle with no live heap entry. Real
+#: sequence numbers are >= 0, so no entry ever matches either.
+_CANCELLED = -1
+_FIRED = -2
 
 
 class TimerHandle:
     """A cancellable, re-armable timer returned by ``call_later``/``call_at``.
 
-    Heap-entry-compatible with :class:`Event` (``cancelled``/``_sim``
-    carry the same semantics, and both run loops — interpreted and
-    compiled — treat the two identically), plus:
-
-    * ``cancel()`` is O(1) and, while the entry still sits in the wheel,
-      the entry never reaches the main heap at all.
-    * :meth:`reschedule` re-arms the timer without allocating a new handle
-      in the common cases (fired, or still parked in the wheel). A stale
-      wheel entry is invalidated by its ``seq``: the handle's ``seq``
-      moves on re-arm, and bucket migration drops entries whose recorded
-      seq no longer matches.
-
-    Reuse contract: ``reschedule`` returns the live handle, which is
-    *usually* ``self`` but is a fresh handle when the pending entry has
-    already migrated to the main heap (or was cancelled after migrating,
-    or the wheel is disabled) — a heap entry cannot be retargeted in
-    place without risking a stale-entry double fire. Callers must always
-    rebind: ``h = h.reschedule(d)``.
+    ``seq`` names the one heap entry that may still fire this handle (the
+    seq-liveness rule in the module docstring); it is negative once the
+    timer has fired or been cancelled. Both :meth:`cancel` and
+    :meth:`reschedule` are O(1) and neither allocates a handle:
+    ``reschedule`` always re-arms in place and returns ``self``, whether
+    the handle is pending, cancelled or already fired.
     """
 
-    __slots__ = (
-        "time",
-        "priority",
-        "seq",
-        "fn",
-        "args",
-        "cancelled",
-        "_sim",
-        "_simref",
-        "_flushed",
-    )
+    __slots__ = ("time", "priority", "seq", "fn", "args", "_sim")
 
     def __init__(
         self,
@@ -194,98 +102,56 @@ class TimerHandle:
         self.seq = seq
         self.fn = fn
         self.args = args
-        self.cancelled = False
-        #: Same contract as Event._sim: non-None exactly while pending;
-        #: cleared by fire or cancel so _live is decremented exactly once.
         self._sim = sim
-        #: Permanent back-reference so a fired handle can re-arm itself.
-        self._simref = sim
-        #: True once the entry has been pushed onto the main heap (at arm
-        #: time when the wheel is disabled, else at bucket migration).
-        self._flushed = False
 
     def cancel(self) -> None:
-        """Prevent the timer from firing (no-op if it already fired)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._live -= 1
-            self._sim = None
+        """Prevent the timer from firing (no-op unless it is pending)."""
+        if self.seq >= 0:
+            self.seq = _CANCELLED
+            self._sim._live -= 1
 
     @property
     def pending(self) -> bool:
         """True while armed and not yet fired or cancelled."""
-        return self._sim is not None
+        return self.seq >= 0
+
+    @property
+    def cancelled(self) -> bool:
+        """True from ``cancel()`` of a pending timer until the next re-arm."""
+        return self.seq == _CANCELLED
 
     def reschedule(self, delay: float) -> "TimerHandle":
-        """Re-arm ``delay`` seconds from now; returns the live handle.
+        """Re-arm ``delay`` seconds from now, in place; returns ``self``.
 
-        A fired handle and a handle still parked in the wheel are revived
-        or retargeted in place — no allocation; its stale wheel entry dies
-        by seq mismatch. Once the pending entry sits in the main heap
-        (including every arm while the wheel is disabled, and a cancel
-        that raced the migration) the handle cannot be reused safely, so a
-        fresh one is armed and returned. Always rebind the result.
+        A pending arm is superseded (its heap entry is orphaned and never
+        fires); a cancelled or fired handle is revived.
         """
-        sim = self._simref
-        if self._flushed and (self._sim is not None or self.cancelled):
-            # The (possibly stale) entry is in the main heap and holds this
-            # very object; reviving it would re-arm that entry too.
-            self.cancel()
-            return sim.call_later(
-                delay, self.fn, *self.args, priority=self.priority
-            )
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
+        sim = self._sim
         time = sim.now + delay
         if time == sim._inline_guard_time and self.priority < _PRIO_START:
             raise RuntimeError(_GUARD_MSG)
-        if self._sim is None:
-            self.cancelled = False
-            self._sim = sim
+        if self.seq < 0:
             sim._live += 1
         self.time = time
         self.seq = seq = sim._next_seq()
-        # Wheel insert, inlined from Simulator._timer_insert: this is the
-        # hottest arm path in the system (every MAC re-arm lands here), and
-        # the extra call frame is measurable on fig12-class runs.
-        entry = (time, self.priority, seq, self, self.fn, self.args)
-        if not sim._wheel_enabled or time - sim.now < _WHEEL_MIN_DELAY:
-            self._flushed = True
-            heapq.heappush(sim._heap, entry)
-            return self
-        self._flushed = False
-        idx = int(time * _INV_GRAN)
-        bucket = sim._buckets.get(idx)
-        if bucket is None:
-            sim._buckets[idx] = [entry]
-            heapq.heappush(sim._bucket_heap, idx)
-            start = idx * _GRAN
-            if start < sim._wheel_next:
-                sim._wheel_next = start
-        else:
-            bucket.append(entry)
-        sim._wheel_count += 1
+        heapq.heappush(
+            sim._heap, (time, self.priority, seq, self, self.fn, self.args)
+        )
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        if self.cancelled:
-            state = "cancelled"
-        elif self._sim is None:
-            state = "fired"
-        else:
-            state = "wheel" if not self._flushed else "heap"
+        state = {_CANCELLED: "cancelled", _FIRED: "fired"}.get(self.seq, "pending")
         return (
             f"TimerHandle(t={self.time:.9f}, prio={self.priority}, "
             f"{state}, fn={self.fn!r})"
         )
 
 
-#: Heap entry layout: (time, priority, seq, event-or-None, fn, args). The
-#: event slot is None for uncancellable schedule_call entries.
-_Entry = Tuple[float, int, int, Optional[Event], Callable[..., None], tuple]
+#: Heap entry layout: (time, priority, seq, handle-or-None, fn, args). The
+#: handle slot is None for uncancellable schedule_call / fan-out entries.
+_Entry = Tuple[float, int, int, Optional[TimerHandle], Callable[..., None], tuple]
 
 #: Plain-int copies of the fan-out priorities (avoids enum attribute lookups
 #: on the per-frame path; compare equal to their Priority counterparts).
@@ -298,8 +164,8 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> out = []
-    >>> _ = sim.schedule(1.0, out.append, "a")
-    >>> _ = sim.schedule(0.5, out.append, "b")
+    >>> _ = sim.call_later(1.0, out.append, "a")
+    >>> _ = sim.call_later(0.5, out.append, "b")
     >>> sim.run()
     >>> out
     ['b', 'a']
@@ -316,11 +182,6 @@ class Simulator:
         "_events_processed",
         "_live",
         "_inline_guard_time",
-        "_buckets",
-        "_bucket_heap",
-        "_wheel_next",
-        "_wheel_count",
-        "_wheel_enabled",
     )
 
     def __init__(self) -> None:
@@ -335,80 +196,10 @@ class Simulator:
         #: already delivered this instant's frame-start batch inline, and
         #: such an event would have run before it in the heap layout.
         self._inline_guard_time = -1.0
-        #: Timer wheel: bucket-index -> list of heap-shaped entries, plus a
-        #: min-heap of occupied bucket indices. ``_wheel_next`` caches the
-        #: earliest occupied bucket's start time (inf when empty) so the
-        #: run loop's wheel check is a single float compare.
-        self._buckets: Dict[int, List[_Entry]] = {}
-        self._bucket_heap: List[int] = []
-        self._wheel_next = _INF
-        #: Raw entry count currently parked in the wheel (stale entries
-        #: included); folded into the inline-fan-out depth snapshot.
-        self._wheel_count = 0
-        #: The compiled run loop drains the heap only, so the wheel turns
-        #: off under the native backend; REPRO_TIMER_WHEEL=0 forces the
-        #: legacy all-heap layout for the lockstep twin-engine tests.
-        self._wheel_enabled = (
-            os.environ.get(WHEEL_ENV_VAR, "1") != "0"
-            and not _kernels_backend.get_backend().native_run_loop
-        )
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = Priority.NORMAL,
-    ) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
-
-        Legacy shim: kept for back-compat (and for the non-timer layers
-        that never cancel). New cancel-or-re-arm timer sites should use
-        :meth:`call_later`, which parks the entry in the timer wheel and
-        returns a reusable :class:`TimerHandle`.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self.now + delay
-        if time == self._inline_guard_time and priority < _PRIO_START:
-            raise RuntimeError(
-                "same-instant event scheduled below FRAME_START priority "
-                "after an inline fan-out delivery at this instant; this "
-                "would break deterministic event ordering"
-            )
-        seq = self._next_seq()
-        event = Event(time, priority, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, priority, seq, event, fn, args))
-        self._live += 1
-        return event
-
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        *args: Any,
-        priority: int = Priority.NORMAL,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at {time} before current time {self.now}"
-            )
-        if time == self._inline_guard_time and priority < _PRIO_START:
-            raise RuntimeError(
-                "same-instant event scheduled below FRAME_START priority "
-                "after an inline fan-out delivery at this instant; this "
-                "would break deterministic event ordering"
-            )
-        seq = self._next_seq()
-        event = Event(time, priority, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, priority, seq, event, fn, args))
-        self._live += 1
-        return event
-
     def call_later(
         self,
         delay: float,
@@ -418,11 +209,8 @@ class Simulator:
     ) -> TimerHandle:
         """Arm a timer for ``fn(*args)`` ``delay`` seconds from now.
 
-        Same ordering semantics as :meth:`schedule` — the entry gets the
-        next ``(time, priority, seq)`` key — but the entry parks in the
-        timer wheel (O(1) insert, and cancelled timers never reach the
-        main heap) and the returned :class:`TimerHandle` supports
-        ``reschedule`` without reallocation.
+        The entry gets the next ``(time, priority, seq)`` key; the returned
+        :class:`TimerHandle` cancels it or re-arms it in place.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
@@ -431,8 +219,8 @@ class Simulator:
             raise RuntimeError(_GUARD_MSG)
         seq = self._next_seq()
         handle = TimerHandle(time, priority, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, priority, seq, handle, fn, args))
         self._live += 1
-        self._timer_insert((time, priority, seq, handle, fn, args))
         return handle
 
     def call_at(
@@ -451,58 +239,9 @@ class Simulator:
             raise RuntimeError(_GUARD_MSG)
         seq = self._next_seq()
         handle = TimerHandle(time, priority, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, priority, seq, handle, fn, args))
         self._live += 1
-        self._timer_insert((time, priority, seq, handle, fn, args))
         return handle
-
-    def _timer_insert(self, entry: _Entry) -> None:
-        """Park a timer entry in the wheel (or the heap when disabled).
-
-        Sub-bucket delays skip the wheel entirely — see _WHEEL_MIN_DELAY.
-        """
-        handle = entry[3]
-        if not self._wheel_enabled or entry[0] - self.now < _WHEEL_MIN_DELAY:
-            handle._flushed = True
-            heapq.heappush(self._heap, entry)
-            return
-        handle._flushed = False
-        idx = int(entry[0] * _INV_GRAN)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [entry]
-            heapq.heappush(self._bucket_heap, idx)
-            start = idx * _GRAN
-            if start < self._wheel_next:
-                self._wheel_next = start
-        else:
-            bucket.append(entry)
-        self._wheel_count += 1
-
-    def _wheel_flush_until(self, limit: float) -> None:
-        """Migrate every bucket whose span starts at or before ``limit``.
-
-        Entries keep their arm-time ``(time, priority, seq)`` keys, so the
-        main heap interleaves them with directly-scheduled entries in the
-        exact order a wheel-less engine would have used (the merge-order
-        rule). Stale entries — cancelled, or orphaned by a ``reschedule``
-        that moved the handle's seq — are dropped here and never touch the
-        heap; their ``_live`` accounting already happened.
-        """
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        heap = self._heap
-        push = heapq.heappush
-        pop = heapq.heappop
-        while bucket_heap and bucket_heap[0] * _GRAN <= limit:
-            bucket = buckets.pop(pop(bucket_heap))
-            self._wheel_count -= len(bucket)
-            for entry in bucket:
-                handle = entry[3]
-                if handle.cancelled or handle.seq != entry[2]:
-                    continue
-                handle._flushed = True
-                push(heap, entry)
-        self._wheel_next = bucket_heap[0] * _GRAN if bucket_heap else _INF
 
     def schedule_call(
         self,
@@ -513,22 +252,17 @@ class Simulator:
     ) -> None:
         """Fast-path schedule with no cancellation handle.
 
-        Identical ordering semantics to :meth:`schedule`, but no
-        :class:`Event` is allocated, so the callback cannot be cancelled.
-        Used by the medium's per-frame fan-out, which never cancels.
+        Identical ordering semantics to :meth:`call_later`, but no
+        :class:`TimerHandle` is allocated, so the callback cannot be
+        cancelled. Note ``args`` is one tuple, not varargs.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
         if time == self._inline_guard_time and priority < _PRIO_START:
-            raise RuntimeError(
-                "same-instant event scheduled below FRAME_START priority "
-                "after an inline fan-out delivery at this instant; this "
-                "would break deterministic event ordering"
-            )
-        seq = self._next_seq()
+            raise RuntimeError(_GUARD_MSG)
         heapq.heappush(
-            self._heap, (time, priority, seq, None, fn, args)
+            self._heap, (time, priority, self._next_seq(), None, fn, args)
         )
         self._live += 1
 
@@ -546,7 +280,7 @@ class Simulator:
         when ``start_fn`` is None — a frame with no receivers), and
         ``end_fn(*end_args)`` runs ``end_delay`` seconds later at FRAME_END
         priority. Sequence numbers are assigned start-then-end, exactly as
-        two consecutive ``schedule`` calls would. Neither event is
+        two consecutive ``schedule_call`` calls would. Neither event is
         cancellable.
         """
         now = self.now
@@ -569,27 +303,19 @@ class Simulator:
     def step(self) -> bool:
         """Run the single next pending event. Returns False when drained."""
         heap = self._heap
-        while True:
-            if heap:
-                if self._wheel_next <= heap[0][0]:
-                    self._wheel_flush_until(heap[0][0])
-                entry = heapq.heappop(heap)
-            else:
-                wheel_next = self._wheel_next
-                if wheel_next == _INF:
-                    return False
-                self._wheel_flush_until(wheel_next)
-                continue
-            event = entry[3]
-            if event is not None:
-                if event.cancelled:
+        while heap:
+            entry = heapq.heappop(heap)
+            handle = entry[3]
+            if handle is not None:
+                if handle.seq != entry[2]:
                     continue
-                event._sim = None
+                handle.seq = _FIRED
             self.now = entry[0]
             self._events_processed += 1
             self._live -= 1
             entry[4](*entry[5])
             return True
+        return False
 
     def run(self, until: Optional[float] = None) -> None:
         """Run events until the queue drains or the clock passes ``until``.
@@ -597,83 +323,30 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         even if the queue drained earlier, so measurement windows are
         well-defined.
-
-        The kernel backend may supply a compiled drain loop (the ``native``
-        backend's C kernel); it executes the same pops in the same order
-        with the same counter semantics, so which loop ran is unobservable
-        in the outputs.
         """
-        loop = _kernels_backend.active_run_loop()
-        if loop is not None:
-            if self._bucket_heap:
-                # Defensive: the wheel disables itself under the native
-                # backend, but a mid-process backend switch could leave
-                # parked timers — the compiled loop sees the heap only.
-                self._wheel_flush_until(_INF)
-            loop(self, until)
-            return
         heap = self._heap
         pop = heapq.heappop
+        limit = float("inf") if until is None else until
         # The per-event counter increments are batched into a local and
         # written back on exit; callbacks that credit batched deliveries
         # add to the attribute directly, which commutes with the write-back.
-        # The wheel check per pop is one slot load and a float compare
-        # (_wheel_next stays inf whenever the wheel is empty or disabled).
         n = 0
-        if until is None:
-            try:
-                while True:
-                    if heap:
-                        if self._wheel_next <= heap[0][0]:
-                            self._wheel_flush_until(heap[0][0])
-                        entry = pop(heap)
-                    else:
-                        wheel_next = self._wheel_next
-                        if wheel_next == _INF:
-                            break
-                        self._wheel_flush_until(wheel_next)
-                        continue
-                    event = entry[3]
-                    if event is not None:
-                        if event.cancelled:
-                            continue
-                        event._sim = None
-                    self.now = entry[0]
-                    n += 1
-                    self._live -= 1
-                    entry[4](*entry[5])
-            finally:
-                self._events_processed += n
-            return
         try:
-            while True:
-                if not heap:
-                    wheel_next = self._wheel_next
-                    if wheel_next == _INF or wheel_next > until:
-                        break
-                    self._wheel_flush_until(wheel_next)
-                    continue
-                entry = heap[0]
-                t = entry[0]
-                if self._wheel_next <= t:
-                    self._wheel_flush_until(t)
-                    continue
-                event = entry[3]
-                if event is not None and event.cancelled:
-                    pop(heap)
-                    continue
-                if t > until:
-                    break
-                pop(heap)
-                if event is not None:
-                    event._sim = None
-                self.now = t
+            while heap and heap[0][0] <= limit:
+                entry = pop(heap)
+                handle = entry[3]
+                if handle is not None:
+                    if handle.seq != entry[2]:
+                        continue
+                    handle.seq = _FIRED
+                self.now = entry[0]
                 n += 1
                 self._live -= 1
                 entry[4](*entry[5])
         finally:
             self._events_processed += n
-        self.now = max(self.now, until)
+        if until is not None:
+            self.now = max(self.now, until)
 
     def deliver_fanout_inline(self, start_fns: tuple, tx: Any) -> bool:
         """Deliver a frame-start batch inline when nothing pends at now.
@@ -686,24 +359,19 @@ class Simulator:
         this instant with priority below FRAME_START raises instead of
         silently diverging from the heap layout (where it would have run
         before the batch). The raw heap depth — which grows by exactly one
-        per ``schedule*`` call and never shrinks outside the run loop — is
-        snapshotted around the loop to detect scheduling from inside the
-        delivered callbacks, and the batch credits one logical event per
-        delivered callback, exactly as the heap-scheduled batch would.
+        per arm and never shrinks outside the run loop — is snapshotted
+        around the loop to detect scheduling from inside the delivered
+        callbacks, and the batch credits one logical event per delivered
+        callback, exactly as the heap-scheduled batch would.
         """
-        if self._wheel_next <= self.now:
-            self._wheel_flush_until(self.now)
         heap = self._heap
         if heap and heap[0][0] <= self.now:
             return False
         self._inline_guard_time = self.now
-        # Wheel arms don't grow the heap, so the depth snapshot folds in
-        # the raw wheel-entry count (which only flush — never reached from
-        # inside a frame-start callback — decrements).
-        depth = len(heap) + self._wheel_count
+        depth = len(heap)
         for fn in start_fns:
             fn(tx)
-        if len(heap) + self._wheel_count != depth:
+        if len(heap) != depth:
             raise RuntimeError(
                 "a frame-start callback scheduled an event during inline "
                 "fan-out delivery; this breaks deterministic event "
@@ -715,32 +383,24 @@ class Simulator:
     def pending_at_now(self) -> bool:
         """True when any queued entry could still run at the current instant.
 
-        Conservative: cancelled entries count (they only make the caller
-        fall back to the scheduled path). This is the same test
+        Conservative: stale entries count (they only make the caller fall
+        back to the scheduled path). This is the same test
         :meth:`deliver_fanout_inline` applies before delivering a
         same-instant fan-out batch inline.
         """
-        if self._wheel_next <= self.now:
-            self._wheel_flush_until(self.now)
         heap = self._heap
         return bool(heap) and heap[0][0] <= self.now
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap
-        while True:
-            while heap:
-                event = heap[0][3]
-                if event is not None and event.cancelled:
-                    heapq.heappop(heap)
-                    continue
-                break
-            wheel_next = self._wheel_next
-            if wheel_next == _INF:
-                return heap[0][0] if heap else None
-            if heap and heap[0][0] < wheel_next:
-                return heap[0][0]
-            self._wheel_flush_until(heap[0][0] if heap else wheel_next)
+        while heap:
+            entry = heap[0]
+            handle = entry[3]
+            if handle is None or handle.seq == entry[2]:
+                return entry[0]
+            heapq.heappop(heap)
+        return None
 
     @property
     def events_processed(self) -> int:
@@ -764,8 +424,3 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
-
-    @property
-    def timer_wheel_enabled(self) -> bool:
-        """Whether ``call_later``/``call_at`` park entries in the wheel."""
-        return self._wheel_enabled

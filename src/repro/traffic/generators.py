@@ -76,7 +76,7 @@ class CbrSource:
         self._stopped = False
 
     def start(self) -> None:
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule_call(self.interval, self._tick)
 
     def stop(self) -> None:
         self._stopped = True
@@ -86,7 +86,7 @@ class CbrSource:
             return
         self.generated += 1
         self.mac.enqueue(Packet(dst=self.dst, size_bytes=self.payload_bytes))
-        self.sim.schedule(self.interval, self._tick)
+        self.sim.schedule_call(self.interval, self._tick)
 
 
 @dataclass

@@ -123,7 +123,7 @@ class TestOngoingListMaintenance:
         macs[2].start()
         # Snapshot node 2's ongoing list mid-burst (after the header).
         snapshots = []
-        sim.schedule(2e-3, lambda: snapshots.append(macs[2].ongoing.active(sim.now)))
+        sim.call_later(2e-3, lambda: snapshots.append(macs[2].ongoing.active(sim.now)))
         sim.run(until=0.1)
         assert len(snapshots[0]) == 1
         entry = snapshots[0][0]

@@ -43,7 +43,7 @@ class TestDeference:
         block_end = medium.airtime(blocker)
         # Node 0's packet arrives mid-transmission; it must not start
         # transmitting until the channel clears + DIFS.
-        sim.schedule(200e-6, lambda: (macs[0].enqueue(Packet(dst=1)),
+        sim.call_later(200e-6, lambda: (macs[0].enqueue(Packet(dst=1)),
                                       macs[0].start()))
         starts = []
         orig = radios[0].transmit
@@ -71,7 +71,7 @@ class TestDeference:
         def occupy():
             radios[2].transmit(Frame(src=2, dst=1, size_bytes=1428))
 
-        sim.schedule(100e-6, occupy)
+        sim.call_later(100e-6, occupy)
         starts = []
         orig = radios[0].transmit
 

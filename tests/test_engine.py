@@ -10,47 +10,47 @@ class TestScheduling:
     def test_runs_in_time_order(self):
         sim = Simulator()
         out = []
-        sim.schedule(2.0, out.append, "b")
-        sim.schedule(1.0, out.append, "a")
-        sim.schedule(3.0, out.append, "c")
+        sim.call_later(2.0, out.append, "b")
+        sim.call_later(1.0, out.append, "a")
+        sim.call_later(3.0, out.append, "c")
         sim.run()
         assert out == ["a", "b", "c"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule(1.5, lambda: seen.append(sim.now))
+        sim.call_later(1.5, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [1.5]
 
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
         out = []
-        sim.schedule_at(5.0, out.append, "x")
+        sim.call_at(5.0, out.append, "x")
         sim.run()
         assert out == ["x"] and sim.now == 5.0
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            sim.schedule(-1.0, lambda: None)
+            sim.call_later(-1.0, lambda: None)
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.call_later(1.0, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            sim.schedule_at(0.5, lambda: None)
+            sim.call_at(0.5, lambda: None)
 
     def test_zero_delay_runs_after_current_event(self):
         sim = Simulator()
         out = []
 
         def first():
-            sim.schedule(0.0, out.append, "nested")
+            sim.call_later(0.0, out.append, "nested")
             out.append("first")
 
-        sim.schedule(1.0, first)
+        sim.call_later(1.0, first)
         sim.run()
         assert out == ["first", "nested"]
 
@@ -59,9 +59,9 @@ class TestPriorities:
     def test_frame_end_before_frame_start_at_same_instant(self):
         sim = Simulator()
         out = []
-        sim.schedule(1.0, out.append, "start", priority=Priority.FRAME_START)
-        sim.schedule(1.0, out.append, "end", priority=Priority.FRAME_END)
-        sim.schedule(1.0, out.append, "normal", priority=Priority.NORMAL)
+        sim.call_later(1.0, out.append, "start", priority=Priority.FRAME_START)
+        sim.call_later(1.0, out.append, "end", priority=Priority.FRAME_END)
+        sim.call_later(1.0, out.append, "normal", priority=Priority.NORMAL)
         sim.run()
         assert out == ["end", "normal", "start"]
 
@@ -69,7 +69,7 @@ class TestPriorities:
         sim = Simulator()
         out = []
         for i in range(5):
-            sim.schedule(1.0, out.append, i)
+            sim.call_later(1.0, out.append, i)
         sim.run()
         assert out == [0, 1, 2, 3, 4]
 
@@ -78,7 +78,7 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         out = []
-        ev = sim.schedule(1.0, out.append, "x")
+        ev = sim.call_later(1.0, out.append, "x")
         ev.cancel()
         sim.run()
         assert out == []
@@ -86,23 +86,23 @@ class TestCancellation:
     def test_cancel_from_within_earlier_event(self):
         sim = Simulator()
         out = []
-        later = sim.schedule(2.0, out.append, "later")
-        sim.schedule(1.0, later.cancel)
+        later = sim.call_later(2.0, out.append, "later")
+        sim.call_later(1.0, later.cancel)
         sim.run()
         assert out == []
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
         out = []
-        ev = sim.schedule(1.0, out.append, "x")
+        ev = sim.call_later(1.0, out.append, "x")
         sim.run()
         ev.cancel()  # must not raise
         assert out == ["x"]
 
     def test_pending_count_skips_cancelled(self):
         sim = Simulator()
-        ev1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        ev1 = sim.call_later(1.0, lambda: None)
+        sim.call_later(2.0, lambda: None)
         ev1.cancel()
         assert sim.pending_count() == 1
 
@@ -110,7 +110,7 @@ class TestCancellation:
         """pending_count is a live counter: correct through heavy cancel
         traffic, double-cancels, and cancels of already-fired events."""
         sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
+        events = [sim.call_later(float(i + 1), lambda: None) for i in range(100)]
         assert sim.pending_count() == 100
         for ev in events[::2]:
             ev.cancel()
@@ -129,10 +129,10 @@ class TestCancellation:
         sim = Simulator()
 
         def first():
-            sim.schedule(1.0, lambda: None)
+            sim.call_later(1.0, lambda: None)
             assert sim.pending_count() == 1
 
-        sim.schedule(1.0, first)
+        sim.call_later(1.0, first)
         sim.run()
         assert sim.pending_count() == 0
 
@@ -141,23 +141,23 @@ class TestRunUntil:
     def test_run_until_stops_before_later_events(self):
         sim = Simulator()
         out = []
-        sim.schedule(1.0, out.append, "a")
-        sim.schedule(5.0, out.append, "b")
+        sim.call_later(1.0, out.append, "a")
+        sim.call_later(5.0, out.append, "b")
         sim.run(until=3.0)
         assert out == ["a"]
         assert sim.now == 3.0
 
     def test_run_until_advances_clock_when_queue_drains(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.call_later(1.0, lambda: None)
         sim.run(until=10.0)
         assert sim.now == 10.0
 
     def test_resume_after_until(self):
         sim = Simulator()
         out = []
-        sim.schedule(1.0, out.append, "a")
-        sim.schedule(5.0, out.append, "b")
+        sim.call_later(1.0, out.append, "a")
+        sim.call_later(5.0, out.append, "b")
         sim.run(until=3.0)
         sim.run()
         assert out == ["a", "b"]
@@ -165,14 +165,14 @@ class TestRunUntil:
     def test_event_exactly_at_until_runs(self):
         sim = Simulator()
         out = []
-        sim.schedule(3.0, out.append, "edge")
+        sim.call_later(3.0, out.append, "edge")
         sim.run(until=3.0)
         assert out == ["edge"]
 
     def test_peek_time(self):
         sim = Simulator()
         assert sim.peek_time() is None
-        ev = sim.schedule(2.0, lambda: None)
+        ev = sim.call_later(2.0, lambda: None)
         assert sim.peek_time() == 2.0
         ev.cancel()
         assert sim.peek_time() is None
@@ -180,7 +180,7 @@ class TestRunUntil:
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(7):
-            sim.schedule(float(i + 1), lambda: None)
+            sim.call_later(float(i + 1), lambda: None)
         sim.run()
         assert sim.events_processed == 7
 
@@ -192,8 +192,8 @@ class TestStep:
     def test_step_runs_one_event(self):
         sim = Simulator()
         out = []
-        sim.schedule(1.0, out.append, "a")
-        sim.schedule(2.0, out.append, "b")
+        sim.call_later(1.0, out.append, "a")
+        sim.call_later(2.0, out.append, "b")
         assert sim.step() is True
         assert out == ["a"]
 
@@ -203,7 +203,7 @@ class TestFastPaths:
         sim = Simulator()
         out = []
         sim.schedule_call(2.0, out.append, ("b",))
-        sim.schedule(1.0, out.append, "a")
+        sim.call_later(1.0, out.append, "a")
         sim.schedule_call(3.0, out.append, ("c",))
         sim.run()
         assert out == ["a", "b", "c"]
@@ -219,7 +219,7 @@ class TestFastPaths:
         sim.schedule_fanout(
             1.0, out.append, ("start",), out.append, ("end",)
         )
-        sim.schedule(0.5, out.append, "mid")
+        sim.call_later(0.5, out.append, "mid")
         sim.run()
         assert out == ["start", "mid", "end"]
         assert sim.pending_count() == 0
@@ -228,7 +228,7 @@ class TestFastPaths:
         # A frame end at time T must run before a NORMAL event at T.
         sim = Simulator()
         out = []
-        sim.schedule(1.0, out.append, "normal")
+        sim.call_later(1.0, out.append, "normal")
         sim.schedule_fanout(1.0, None, (), out.append, ("end",))
         sim.run()
         assert out == ["end", "normal"]
@@ -244,23 +244,23 @@ class TestFastPaths:
     def test_pending_at_now(self):
         sim = Simulator()
         assert sim.pending_at_now() is False
-        sim.schedule(1.0, lambda: None)
+        sim.call_later(1.0, lambda: None)
         assert sim.pending_at_now() is False  # strictly later
         seen = []
 
         def probe():
             # Inside the event: it has been popped, nothing else queued now.
             seen.append(sim.pending_at_now())
-            sim.schedule(0.0, lambda: None)
+            sim.call_later(0.0, lambda: None)
             seen.append(sim.pending_at_now())
 
-        sim.schedule(2.0, probe)
+        sim.call_later(2.0, probe)
         sim.run()
         assert seen == [False, True]
 
     def test_credit_events_augments_logical_count(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: sim.credit_events(4))
+        sim.call_later(1.0, lambda: sim.credit_events(4))
         sim.run()
         # 1 heap event + 4 credited batched deliveries.
         assert sim.events_processed == 5
@@ -275,7 +275,7 @@ def test_property_events_fire_in_nondecreasing_time_order(delays):
     sim = Simulator()
     fired = []
     for d in delays:
-        sim.schedule(d, lambda: fired.append(sim.now))
+        sim.call_later(d, lambda: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -295,7 +295,7 @@ def test_property_priority_order_within_same_instant(items):
     sim = Simulator()
     fired = []
     for delay, prio in items:
-        sim.schedule(delay, lambda d=delay, p=prio: fired.append((sim.now, p)), priority=prio)
+        sim.call_later(delay, lambda d=delay, p=prio: fired.append((sim.now, p)), priority=prio)
     sim.run()
     # Within equal timestamps, priorities must be non-decreasing.
     for (t1, p1), (t2, p2) in zip(fired, fired[1:]):

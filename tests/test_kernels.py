@@ -1,4 +1,4 @@
-"""Kernel layer tests: lockstep bit-identity, grid exactness, backends.
+"""Kernel layer tests: lockstep bit-identity, grid exactness, the reference.
 
 The load-bearing guarantees:
 
@@ -9,10 +9,9 @@ The load-bearing guarantees:
 * the chunk grids are exact — saturated-region shortcuts and grid-point
   table hits return the very float the fused closure computes (the grid
   exactness rule);
-* backends are interchangeable without moving a bit: ``scalar`` and
-  ``python`` produce identical trial results, process-pool workers agree
-  with serial, and the compiled ``native`` loop (when a toolchain exists)
-  replays the goldens byte-for-byte.
+* the kernels move no bit: a trial built inside ``reference_kernels()``
+  (per-draw RNG, region-free chunk kernels) equals the default build, and
+  process-pool workers agree with serial.
 """
 
 import math
@@ -23,11 +22,8 @@ import pytest
 from repro.experiments.executor import ProcessPoolBackend, SerialBackend, run_trial
 from repro.experiments.spec import MacSpec, TrialSpec
 from repro.kernels.backend import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    set_backend,
+    chunk_grids_enabled,
+    reference_kernels,
     wrap_uniform_stream,
 )
 from repro.kernels.chunkgrid import (
@@ -41,13 +37,6 @@ from repro.kernels.rngbuf import MAX_BLOCK, MIN_BLOCK, BufferedUniformStream
 from repro.net.testbed import Testbed
 from repro.phy.modulation import RATES, NistErrorModel
 from repro.util.rng import RngFactory
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process on the default backend."""
-    yield
-    set_backend(DEFAULT_BACKEND)
 
 
 # ----------------------------------------------------------------------
@@ -211,53 +200,31 @@ class TestChunkGrids:
         assert kernel.lookup(1e9, 1.0) == 0.25
 
     def test_scalar_backend_builds_null_kernel(self, model):
-        set_backend("scalar")
-        kernel = model.chunk_kernel(RATES[6])
+        with reference_kernels():
+            kernel = model.chunk_kernel(RATES[6])
         assert kernel.ratio_one == math.inf
-        set_backend("python")
         kernel = model.chunk_kernel(RATES[6])
         assert math.isfinite(kernel.ratio_one)
 
 
 # ----------------------------------------------------------------------
-# Backend registry
+# The reference switch
 # ----------------------------------------------------------------------
 class TestBackendRegistry:
     def test_default_backend(self):
-        set_backend(DEFAULT_BACKEND)
-        backend = get_backend()
-        assert backend.name == "python"
-        assert backend.buffer_rng and backend.chunk_grids
-        assert not backend.native_run_loop
-
-    def test_available_backends(self):
-        assert set(available_backends()) == {"python", "scalar", "native"}
-        assert set(BACKENDS) == set(available_backends())
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("fortran")
-
-    def test_env_resolution_in_subprocess(self):
-        import subprocess
-        import sys
-
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.kernels.backend import get_backend;"
-             "print(get_backend().name)"],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": "src", "REPRO_KERNEL_BACKEND": "scalar"},
-            cwd=__file__.rsplit("/tests/", 1)[0],
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "scalar"
+        """Both kernels are on by default, and again after a reference block
+        — including one left by an exception."""
+        assert chunk_grids_enabled()
+        with pytest.raises(RuntimeError):
+            with reference_kernels():
+                assert not chunk_grids_enabled()
+                raise RuntimeError("boom")
+        assert chunk_grids_enabled()
 
     def test_wrap_uniform_stream_respects_backend(self):
         gen = np.random.default_rng(1)
-        set_backend("scalar")
-        assert wrap_uniform_stream(gen) is gen
-        set_backend("python")
+        with reference_kernels():
+            assert wrap_uniform_stream(gen) is gen
         wrapped = wrap_uniform_stream(gen)
         assert isinstance(wrapped, BufferedUniformStream)
         # Idempotent: an already-buffered stream passes through.
@@ -265,14 +232,13 @@ class TestBackendRegistry:
 
 
 # ----------------------------------------------------------------------
-# Whole-trial bit-identity across backends
+# Whole-trial bit-identity with the scalar reference
 # ----------------------------------------------------------------------
 def _cmap_trial() -> TrialSpec:
     """A short saturated CMAP trial on the fading-heavy default testbed.
 
-    CMAP macs buffer their streams under the ``python`` backend, the
-    LOS/NLOS mixture keeps the radio streams scalar, and the chunk grids
-    score every reception — all three kernel paths are exercised.
+    CMAP macs buffer their streams, the LOS/NLOS mixture keeps the radio
+    streams scalar, and the chunk grids score every reception.
     """
     return TrialSpec(
         trial_id="kernels/cmap_parity",
@@ -291,37 +257,21 @@ class TestBackendBitIdentity:
         return Testbed(seed=1)
 
     @pytest.fixture(scope="class")
-    def scalar_result(self, testbed):
-        set_backend("scalar")
-        try:
-            return run_trial(testbed, _cmap_trial())
-        finally:
-            set_backend(DEFAULT_BACKEND)
+    def scalar_result(self):
+        # Its own testbed: chunk kernels are cached on the testbed's error
+        # model, so a shared one would hand the reference's region-free
+        # kernels to the kernelised runs below.
+        with reference_kernels():
+            return run_trial(Testbed(seed=1), _cmap_trial())
 
     def test_python_backend_matches_scalar(self, testbed, scalar_result):
-        set_backend("python")
         assert run_trial(testbed, _cmap_trial()) == scalar_result
 
     def test_pool_workers_match_serial(self, testbed, scalar_result):
-        """Process-pool workers (fresh interpreters, default backend via
-        the inherited environment) reproduce the serial trial exactly."""
+        """Process-pool workers (fresh interpreters) reproduce the serial
+        trial exactly."""
         trial = _cmap_trial()
         serial = SerialBackend().run(testbed, [trial])
         pooled = ProcessPoolBackend(jobs=2).run(testbed, [trial])
         assert serial == pooled
         assert serial == [scalar_result]
-
-    def test_native_backend_matches_scalar(self, testbed, scalar_result):
-        """The compiled run loop replays the trial byte-for-byte.
-
-        Skipped (not failed) where no C toolchain exists; the backend
-        itself raises loudly in that case, which is also asserted.
-        """
-        from repro.kernels.native import NativeUnavailable
-
-        set_backend("native")
-        try:
-            result = run_trial(testbed, _cmap_trial())
-        except NativeUnavailable as exc:
-            pytest.skip(f"no C toolchain: {exc}")
-        assert result == scalar_result

@@ -395,8 +395,8 @@ class TestChurn:
             assert node.mac._started  # mid-run adds start immediately
             net.add_saturated_flow(s, r)
 
-        net.sim.schedule(1.0, leave)
-        net.sim.schedule(2.0, rejoin)
+        net.sim.call_later(1.0, leave)
+        net.sim.call_later(2.0, rejoin)
         net.run(duration=3.0)
 
         assert counts["at_leave"] > 0
@@ -696,7 +696,7 @@ class TestMobilityExperiment:
                               step_interval=0.25)
         )
         controller.start()
-        net.sim.schedule(1.0, lambda: net.add_node(s, dcf_factory()))
+        net.sim.call_later(1.0, lambda: net.add_node(s, dcf_factory()))
         net.run(duration=3.0)
         assert net.medium.position_epoch(s) > 4  # moved before AND after join
         assert controller.moves_applied > 4

@@ -57,12 +57,12 @@ def run_probes(cfg_kwargs, distance=30.0, frames=40, interferer_at=None):
         macs[node_id] = m
     air = medium.airtime(Frame(src=0, dst=1, size_bytes=1428))
     for i in range(frames):
-        sim.schedule_at(
+        sim.call_at(
             i * (air + 1e-5),
             lambda: radios[0].transmit(Frame(src=0, dst=1, size_bytes=1428)),
         )
         if interferer_at is not None:
-            sim.schedule_at(
+            sim.call_at(
                 i * (air + 1e-5),
                 lambda: radios[2].transmit(Frame(src=2, dst=1, size_bytes=1428)),
             )

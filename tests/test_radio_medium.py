@@ -118,7 +118,7 @@ class TestHalfDuplex:
         )
         radios[0].transmit(data_frame(0, 1, size=1428))
         # Node 2 starts shortly after; node 0 is mid-TX for ~1.9 ms.
-        sim.schedule(100e-6, lambda: radios[2].transmit(data_frame(2, 1, size=100)))
+        sim.call_later(100e-6, lambda: radios[2].transmit(data_frame(2, 1, size=100)))
         sim.run()
         assert all(f.src != 2 for f, _ in macs[0].received)
 
@@ -126,7 +126,7 @@ class TestHalfDuplex:
         sim, medium, radios, macs = build({0: Position(0, 0), 1: Position(20, 0)})
         radios[0].transmit(data_frame(0, 1, size=1428))
         # Node 1 starts its own TX mid-reception: the RX dies.
-        sim.schedule(200e-6, lambda: radios[1].transmit(data_frame(1, 0, size=100)))
+        sim.call_later(200e-6, lambda: radios[1].transmit(data_frame(1, 0, size=100)))
         sim.run()
         assert radios[1].stats.rx_aborted_by_tx == 1
         assert all(f.src != 0 for f, _ in macs[1].received)
@@ -166,7 +166,7 @@ class TestCollisions:
             {0: Position(0, 0), 1: Position(50, 0), 2: Position(95, 0)}
         )
         radios[0].transmit(data_frame(0, 1))
-        sim.schedule(500e-6, lambda: radios[2].transmit(data_frame(2, 1)))
+        sim.call_later(500e-6, lambda: radios[2].transmit(data_frame(2, 1)))
         sim.run()
         oks = [ok for f, ok in macs[1].received if f.src == 0]
         assert oks == [False]
@@ -178,7 +178,7 @@ class TestCollisions:
             {0: Position(0, 0), 1: Position(15, 0), 2: Position(60, 15)}
         )
         radios[2].transmit(data_frame(2, 1))
-        sim.schedule(300e-6, lambda: radios[0].transmit(data_frame(0, 1, size=200)))
+        sim.call_later(300e-6, lambda: radios[0].transmit(data_frame(0, 1, size=200)))
         sim.run()
         assert radios[1].stats.rx_mim_captures == 1
         strong = [ok for f, ok in macs[1].received if f.src == 0]
@@ -190,7 +190,7 @@ class TestCollisions:
             mim_capture=False,
         )
         radios[2].transmit(data_frame(2, 1))
-        sim.schedule(300e-6, lambda: radios[0].transmit(data_frame(0, 1, size=200)))
+        sim.call_later(300e-6, lambda: radios[0].transmit(data_frame(0, 1, size=200)))
         sim.run()
         assert radios[1].stats.rx_mim_captures == 0
         assert all(f.src != 0 for f, ok in macs[1].received if ok)
@@ -208,7 +208,7 @@ class TestCarrierSense:
         radios[0].transmit(data_frame(0, 1))
         assert radios[0].is_channel_busy()  # own TX
         states = []
-        sim.schedule(100e-6, lambda: states.append(radios[1].is_channel_busy()))
+        sim.call_later(100e-6, lambda: states.append(radios[1].is_channel_busy()))
         sim.run()
         assert states == [True]
         assert not radios[1].is_channel_busy()
@@ -225,7 +225,7 @@ class TestCarrierSense:
             {0: Position(0, 0), 1: Position(30, 0), 2: Position(60, 0)}
         )
         radios[0].transmit(data_frame(0, 1))
-        sim.schedule(200e-6, lambda: radios[2].transmit(data_frame(2, 1)))
+        sim.call_later(200e-6, lambda: radios[2].transmit(data_frame(2, 1)))
         sim.run()
         assert macs[1].busy_edges == ["busy", "idle"]
 

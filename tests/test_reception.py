@@ -1,9 +1,11 @@
 """Unit tests for interval-based reception scoring."""
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels.backend import DEFAULT_BACKEND, set_backend
+from repro.kernels.backend import reference_kernels
 from repro.phy.frames import Frame
 from repro.phy.medium import Transmission
 from repro.phy.modulation import (
@@ -197,7 +199,7 @@ def _level_mw(level_dbm):
     return 0.0 if level_dbm is None else dbm_to_mw(level_dbm)
 
 
-@pytest.mark.parametrize("backend", ["python", "scalar"])
+@pytest.mark.parametrize("kernels", ["python", "scalar"])
 @settings(max_examples=150, deadline=None)
 @given(
     rate=st.sampled_from([RATE_6M, RATE_54M]),
@@ -211,14 +213,14 @@ def _level_mw(level_dbm):
     ),
 )
 def test_property_score_equals_reference_product(
-    backend, rate, size_bytes, initial, steps
+    kernels, rate, size_bytes, initial, steps
 ):
     """``success_probability`` is, bit for bit, the product of
     ``chunk_success`` over the constant-interference intervals — whatever
-    the saturation bounds skip and however change-points coalesce."""
-    set_backend(backend)
-    try:
-        model = NistErrorModel()  # fresh: kernels are built per backend
+    the saturation bounds skip and however change-points coalesce — on the
+    grid-backed chunk kernels and on the scalar reference alike."""
+    with reference_kernels() if kernels == "scalar" else nullcontext():
+        model = NistErrorModel()  # fresh: chunk kernels bind at build
         dur = 1e-3
         frame = Frame(src=0, dst=1, size_bytes=size_bytes, rate=rate)
         tx = Transmission(frame, 0, 0.0, dur)
@@ -230,5 +232,3 @@ def test_property_score_equals_reference_product(
         assert r.success_probability(model, NOISE_MW) == reference_probability(
             model, r, NOISE_MW, changes
         )
-    finally:
-        set_backend(DEFAULT_BACKEND)

@@ -83,7 +83,7 @@ class TestNav:
         def later():
             macs[2].enqueue(Packet(dst=3))
 
-        sim.schedule(150e-6, later)
+        sim.call_later(150e-6, later)
         starts = []
         orig = macs[2].radio.transmit
 

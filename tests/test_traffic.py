@@ -75,7 +75,7 @@ class TestCbrSource:
         src.start()
         # stop fires before the tick that shares its timestamp (FIFO order),
         # so packets arrive at 0.01..0.04 only.
-        sim.schedule(0.05, src.stop)
+        sim.call_later(0.05, src.stop)
         sim.run(until=0.2)
         assert mac.count == 4
 
