@@ -11,13 +11,16 @@ trial and reports, per workload:
   ratio-domain bounds resolved to exactly 1.0 / 0.0 and how many reached
   the fused chunk closure; receptions scored from a single interval; mean
   intervals per reception.
+* **scored receptions** — of the receptions a radio completed, how many
+  were *unscored* (``RadioStats.delivered_unscored``: no MAC reads them, so
+  they record no interference and skip the scorer; DESIGN.md rule 6).
 * **exclusion fold** — of the interference updates a frame *start* pushed
-  into an in-progress reception, how many the radio's incremental
+  into an in-progress scored reception, how many the radio's incremental
   ``_excl_*`` fold served and how many fell through to
   ``Radio.interference_mw(uid)`` (a miss: a full insertion-order re-sum).
-  ``RadioStats.sync_missed_busy_rx`` is printed beside it: every
-  full-delivery start at a synced radio bumps it, so it must equal the
-  full-delivery share of the updates.
+  Cross-checked against an independent count: every full-delivery start
+  that finds its radio synced to a *scored* reception and does not
+  capture it pushes exactly one update, so the two must agree.
 * **inline fan-out** — frame-start batches
   ``Simulator.deliver_fanout_inline`` delivered in place against those it
   sent round the heap.
@@ -90,6 +93,7 @@ def census(testbed, trials) -> dict:
             "chunk_evals",
             *START_EDGES.values(),
             "fold_misses",
+            "scored_busy_rx",
             "batches_inline",
             "batches_heap",
         ),
@@ -184,6 +188,22 @@ def census(testbed, trials) -> dict:
 
         return interference_mw
 
+    def counting_bind(original):
+        def bind_start_entry(radio, tx_node, rss_dbm, rss_mw):
+            entry = original(radio, tx_node, rss_dbm, rss_mw)
+            stats = radio.stats
+
+            def on_frame_start(tx):
+                sync = radio._sync
+                busy_rx = stats.sync_missed_busy_rx
+                entry(tx)
+                if stats.sync_missed_busy_rx != busy_rx and sync.scored:
+                    c["scored_busy_rx"] += 1
+
+            return on_frame_start
+
+        return bind_start_entry
+
     def counting_fanout(original):
         def deliver_fanout_inline(sim, start_fns, tx):
             inline = original(sim, start_fns, tx)
@@ -206,6 +226,7 @@ def census(testbed, trials) -> dict:
             (Reception, "success_probability", counting_score),
             (Reception, "interference_changed", counting_change),
             (Radio, "interference_mw", counting_resum),
+            (Radio, "bind_start_entry", counting_bind),
             (Radio, "__init__", collecting_init),
             (Simulator, "deliver_fanout_inline", counting_fanout),
         ):
@@ -213,7 +234,13 @@ def census(testbed, trials) -> dict:
             stack.enter_context(mock.patch.object(cls, name, wrapped))
         for trial in trials:
             run_trial(testbed, trial)
-    c["sync_missed_busy_rx"] = sum(r.stats.sync_missed_busy_rx for r in radios)
+    if c["fold_queries_frame"] != c["scored_busy_rx"]:
+        raise AssertionError(
+            f"{c['fold_queries_frame']} frame-start updates reached a reception "
+            f"but {c['scored_busy_rx']} starts found a scored one busy"
+        )
+    for key in ("delivered_ok", "delivered_corrupt", "delivered_unscored"):
+        c[key] = sum(getattr(r.stats, key) for r in radios)
     return c
 
 
@@ -226,8 +253,11 @@ def summarise(c: dict) -> dict:
     fold_queries = c["fold_queries_frame"] + c["fold_queries_energy"]
     batches = c["batches_inline"] + c["batches_heap"]
     scored = c["bound_resolved"] + c["chunk_evals"]
+    completed = c["delivered_ok"] + c["delivered_corrupt"] + c["delivered_unscored"]
     return {
         "counts": c,
+        "completed_receptions": completed,
+        "unscored_share": _share(c["delivered_unscored"], completed),
         "intervals_per_reception": _share(c["intervals"], c["receptions"]),
         "single_interval_share": _share(c["single_interval"], c["receptions"]),
         "bound_resolved_share": _share(c["bound_resolved"], scored),
@@ -240,6 +270,7 @@ def summarise(c: dict) -> dict:
 
 #: report column -> the summary key rule 5 judges it by.
 MECHANISMS = {
+    "scored receptions": "unscored_share",
     "saturation bounds": "bound_resolved_share",
     "single-interval path": "single_interval_share",
     "exclusion fold": "exclusion_fold_hit_share",
@@ -281,6 +312,11 @@ def main(argv=None) -> int:
             c = row["counts"]
             print(f"== {name} (seed {args.seed}, {row['trials']} trials)")
             print(
+                f"  scored:  {c['delivered_unscored']} of "
+                f"{row['completed_receptions']} completed receptions "
+                f"unscored ({row['unscored_share']:.1%})"
+            )
+            print(
                 f"  scorer:  {c['receptions']} receptions, "
                 f"{row['intervals_per_reception']:.2f} intervals each, "
                 f"{row['single_interval_share']:.1%} single-interval; "
@@ -291,7 +327,8 @@ def main(argv=None) -> int:
             print(
                 f"  fold:    {c['fold_queries_frame']} frame + "
                 f"{c['fold_queries_energy']} energy-only start updates at a "
-                f"synced radio (sync_missed_busy_rx {c['sync_missed_busy_rx']}), "
+                f"scored reception (cross-check: {c['scored_busy_rx']} "
+                f"scored busy-RX starts), "
                 f"{c['fold_misses']} re-sums "
                 f"({row['exclusion_fold_hit_share']:.1%} served by the fold)"
             )

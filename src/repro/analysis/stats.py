@@ -67,13 +67,14 @@ class Cdf:
         return bisect.bisect_right(self.values, x) / len(self.values)
 
     def quantile(self, q: float) -> float:
-        """Value at cumulative fraction ``q`` in [0, 1]."""
+        """Value at cumulative fraction ``q`` in [0, 1].
+
+        The same linear-interpolation estimator as :func:`percentile` and
+        :attr:`median`, so ``quantile(0.5) == median``.
+        """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        idx = min(len(self.values) - 1, max(0, int(q * len(self.values)) - 1))
-        if q == 0.0:
-            return self.values[0]
-        return self.values[idx]
+        return percentile(self.values, 100 * q)
 
     @property
     def median(self) -> float:

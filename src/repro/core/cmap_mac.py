@@ -103,6 +103,7 @@ class CmapMac(MacBase):
         "_burst_frames",
         "_burst_dst",
         "_burst_rate",
+        "_held_launch",
         "ongoing",
         "defer_table",
         "interferer_list",
@@ -129,10 +130,21 @@ class CmapMac(MacBase):
     #: kernel layer may block-buffer it (MacBase wires the wrap).
     RNG_DRAW_KIND = "uniform"
 
+    #: The conflict map is built from overheard headers, trailers and
+    #: interferer lists (§3.1); overheard data frames and ACKs are ignored.
+    READS_OVERHEARD = (
+        FrameKind.VPKT_HEADER,
+        FrameKind.VPKT_TRAILER,
+        FrameKind.INTERFERER_LIST,
+    )
+
     def __init__(self, sim, node_id, radio, rng, params: Optional[CmapParams] = None):
         super().__init__(sim, node_id, radio, rng)
         self.params = params or CmapParams()
         self.cstats = CmapStats()
+        if self.params.replicate_ht_in_data:
+            # §5.6: data frames carry the header's burst end as well.
+            radio.reads_overheard = self.READS_OVERHEARD + (FrameKind.DATA,)
 
         # --- sender state ---
         self._arq: Dict[int, ArqSender] = {}
@@ -145,6 +157,8 @@ class CmapMac(MacBase):
         self._burst_frames: Deque[Frame] = deque()
         self._burst_dst: Optional[int] = None
         self._burst_rate: Optional[Rate] = None
+        #: A burst whose launch found our own ACK on the air.
+        self._held_launch: Optional[VpktRecord] = None
 
         # Hot-path folds: per-decision reads of dataclass fields cost an
         # attribute chain each; these never change after construction.
@@ -209,6 +223,7 @@ class CmapMac(MacBase):
     def _on_stop(self) -> None:
         """Churn out: base stop drains the timer registry after this."""
         self._state = _State.IDLE
+        self._held_launch = None
 
     def on_queue_refill(self) -> None:
         if self._state is _State.IDLE:
@@ -402,6 +417,11 @@ class CmapMac(MacBase):
         self.timers.arm("launch", delay, self._cb_launch, record)
 
     def _launch_burst(self, record: VpktRecord) -> None:
+        if self.radio.is_transmitting:
+            # Our own ACK is still on the air (its turnaround ended inside
+            # ours): the burst follows it, from on_tx_complete.
+            self._held_launch = record
+            return
         self._burst_frames = deque(self._frames_for(record))
         self._send_next_burst_frame()
 
@@ -443,7 +463,7 @@ class CmapMac(MacBase):
             )
             if p.replicate_ht_in_data:
                 frame.size_bytes += 24  # §5.6: replicate header/trailer info
-                frame.burst_end = burst_end  # type: ignore[attr-defined]
+                frame.burst_end = burst_end
             frames.append(frame)
         frames.append(
             VpktTrailerFrame(
@@ -481,8 +501,13 @@ class CmapMac(MacBase):
         ):
             self._send_next_burst_frame()
             return
-        # Control frame (ACK / interferer list) finished; resume if idle.
-        if self._state is _State.IDLE:
+        # Control frame (ACK / interferer list) finished: launch a burst it
+        # held up, or resume if idle.
+        held = self._held_launch
+        if held is not None:
+            self._held_launch = None
+            self._launch_burst(held)
+        elif self._state is _State.IDLE:
             self._wake()
 
     def _ack_wait_expired(self) -> None:

@@ -23,12 +23,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Hashable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.phy.frames import Frame
+    from repro.phy.frames import Frame, FrameKind
     from repro.phy.radio import Radio
     from repro.phy.reception import Reception
     from repro.sim.engine import Simulator, TimerHandle
@@ -172,6 +172,14 @@ class MacBase:
     #: ``integers`` backoff draws) keeps the scalar generator.
     RNG_DRAW_KIND = "raw"
 
+    #: Frame kinds this MAC reads when they are addressed to another node
+    #: (overheard), as a tuple; ``None`` reads every frame. The radio
+    #: skips interference tracking and scoring for a synced frame that is
+    #: neither addressed to this node, nor broadcast, nor of a listed kind,
+    #: and never passes it to :meth:`on_frame_received` — so a MAC must list
+    #: every kind whose overheard copies it acts on.
+    READS_OVERHEARD: Optional[Tuple["FrameKind", ...]] = None
+
     def __init__(
         self,
         sim: "Simulator",
@@ -188,6 +196,7 @@ class MacBase:
             rng = wrap_uniform_stream(rng)
         self.rng = rng
         radio.mac = self
+        radio.reads_overheard = self.READS_OVERHEARD
         self.stats = MacStats()
         # Structured tracing hook; Network installs a real Tracer on demand.
         from repro.tracing import NULL_TRACER

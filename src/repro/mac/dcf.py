@@ -96,6 +96,9 @@ class DcfMac(MacBase):
         "_cb_ack",
     )
 
+    #: DCF acts only on frames addressed to it (or broadcast).
+    READS_OVERHEARD = ()
+
     def __init__(self, sim, node_id, radio, rng, params: Optional[DcfParams] = None):
         super().__init__(sim, node_id, radio, rng)
         self.params = params or DcfParams()

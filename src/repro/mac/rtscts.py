@@ -78,6 +78,9 @@ class RtsCtsMac(DcfMac):
         "stats_nav_set",
     )
 
+    #: Overheard RTS/CTS set the NAV; both carry ``DCF_DATA``.
+    READS_OVERHEARD = (FrameKind.DCF_DATA,)
+
     def __init__(self, sim, node_id, radio, rng, params: Optional[RtsCtsParams] = None):
         super().__init__(sim, node_id, radio, rng, params or RtsCtsParams())
         #: Network-allocation vector: virtual carrier busy until this time.
@@ -125,6 +128,12 @@ class RtsCtsMac(DcfMac):
     def _transmit_current(self) -> None:
         if self._current is None:  # pragma: no cover - defensive
             self._state = _State.IDLE
+            return
+        if self.radio.is_transmitting:
+            # Our own CTS or ACK is still on the air (a SIFS turnaround for
+            # the peer's exchange outlasted our countdown): retry a slot
+            # later, as DCF does.
+            self.timers.arm("slot", self._slot, self._cb_tx)
             return
         if self._current.dst < 0:
             # Broadcasts skip the handshake (no single CTS responder).

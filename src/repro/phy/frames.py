@@ -79,6 +79,9 @@ class DataFrame(Frame):
     seq: int = 0
     packet_id: int = 0
     vpkt_id: int = 0
+    #: End of the whole virtual packet, replicated from the header when
+    #: ``CmapParams.replicate_ht_in_data`` is set (§5.6); 0.0 otherwise.
+    burst_end: float = 0.0
 
     def __post_init__(self) -> None:
         self.kind = FrameKind.DATA

@@ -10,9 +10,16 @@ Reception model:
   reception, or too weak — contribute interference to whatever reception is
   in progress.
 * At frame end the reception is scored (see :mod:`repro.phy.reception`) and
-  delivered to the MAC with an ``ok`` flag; corrupt frames are delivered too,
-  mirroring monitor-mode 802.11 hardware (the CMAP prototype runs all nodes
-  promiscuous, paper §4).
+  delivered to the MAC with an ``ok`` flag; corrupt frames go to a MAC that
+  reads them too, mirroring monitor-mode 802.11 hardware (the CMAP prototype
+  runs all nodes promiscuous, paper §4).
+* A MAC reads every frame addressed to its node or broadcast, and of the
+  frames it overhears only the kinds it declares (:attr:`reads_overheard`,
+  set when it attaches; ``None`` reads everything). A synced frame nobody
+  reads is *unscored*: it still holds the radio in RX (capture,
+  message-in-message and carrier sense are unchanged) and its delivery coin
+  is still drawn, but its interference changes are not recorded, it is not
+  scored and no MAC is called (``RadioStats.delivered_unscored``).
 
 Carrier sense is preamble-style (paper footnote 1): the channel is busy iff
 some in-flight frame's RSS is at or above ``cs_threshold_dbm`` or the radio
@@ -53,7 +60,7 @@ import numpy as np
 from repro.kernels.backend import wrap_uniform_stream
 from repro.kernels.rngbuf import BufferedUniformStream
 from repro.phy.fading import FadingModel
-from repro.phy.frames import Frame
+from repro.phy.frames import BROADCAST, Frame
 from repro.phy.modulation import ErrorModel, NistErrorModel
 from repro.phy.reception import Reception
 from repro.util.units import dbm_to_mw
@@ -120,6 +127,8 @@ class RadioStats:
     tx_airtime: float = 0.0
     delivered_ok: int = 0
     delivered_corrupt: int = 0
+    #: Completed receptions no MAC reads: coin drawn, nothing scored.
+    delivered_unscored: int = 0
     sync_missed_weak: int = 0
     sync_missed_capture: int = 0
     sync_missed_busy_rx: int = 0
@@ -144,6 +153,7 @@ class Radio:
         "rng",
         "medium",
         "mac",
+        "reads_overheard",
         "detached",
         "stats",
         "_config",
@@ -183,6 +193,10 @@ class Radio:
         self._rng_random = rng.random
         self.medium: Optional["Medium"] = None
         self.mac = None  # set by the MAC when it attaches
+        #: Frame kinds the MAC reads when addressed to another node, as a
+        #: tuple (enum members hash in Python; a tuple scan does not), or
+        #: None for every frame. Set by the MAC when it attaches.
+        self.reads_overheard = None
         #: Set by Medium.detach (churn): future transmits become drops while
         #: in-flight frames still deliver their edges here.
         self.detached = False
@@ -447,9 +461,10 @@ class Radio:
                 tx, rss_dbm, rss_mw, prior
             ):
                 return
-            sync.interference_changed(
-                self.sim.now, self.interference_mw(sync.transmission.uid)
-            )
+            if sync.scored:
+                sync.interference_changed(
+                    self.sim.now, self.interference_mw(sync.transmission.uid)
+                )
             self.stats.sync_missed_busy_rx += 1
         elif rss_dbm < config.sensitivity_dbm:
             self.stats.sync_missed_weak += 1
@@ -460,9 +475,17 @@ class Radio:
             if preamble_sinr < config.capture_sinr_db:
                 self.stats.sync_missed_capture += 1
             else:
-                self._sync = Reception(
+                rec = self._sync = Reception(
                     tx, rss_dbm, self.sim.now, tx.end, prior, rss_mw
                 )
+                reads = self.reads_overheard
+                if reads is not None:
+                    frame = tx.frame
+                    if frame.kind not in reads and frame.dst not in (
+                        self.node_id,
+                        BROADCAST,
+                    ):
+                        rec.scored = False
                 self._state = RadioState.RX
 
         if not was_busy and sensed and self.mac is not None:
@@ -485,9 +508,17 @@ class Radio:
         if preamble_sinr < cfg.capture_sinr_db + cfg.mim_extra_db:
             return False
         self.stats.rx_mim_captures += 1
-        self._sync = Reception(
+        rec = self._sync = Reception(
             tx, rss_dbm, self.sim.now, tx.end, interference, rss_mw
         )
+        reads = self.reads_overheard
+        if reads is not None:
+            frame = tx.frame
+            if frame.kind not in reads and frame.dst not in (
+                self.node_id,
+                BROADCAST,
+            ):
+                rec.scored = False
         return True
 
     # ------------------------------------------------------------------
@@ -520,7 +551,7 @@ class Radio:
             sensed.add(uid)
         self.stats.interference_only_arrivals += 1
         sync = self._sync
-        if sync is not None and state is not RadioState.TX:
+        if sync is not None and state is not RadioState.TX and sync.scored:
             sync.interference_changed(
                 self.sim.now, self.interference_mw(sync.transmission.uid)
             )
@@ -534,7 +565,7 @@ class Radio:
         was_busy = self._state is RadioState.TX or bool(sensed)
         sensed.discard(uid)
         sync = self._sync
-        if sync is not None:
+        if sync is not None and sync.scored:
             # This radio can never be synced to an interference-only frame,
             # so the end edge only updates the aggregate seen by whatever
             # reception is in progress.
@@ -559,7 +590,7 @@ class Radio:
         if sync is not None:
             if sync.transmission is tx:
                 self._finalize_reception(rss_dbm)
-            else:
+            elif sync.scored:
                 sync.interference_changed(
                     self.sim.now, self.interference_mw(sync.transmission.uid)
                 )
@@ -576,6 +607,12 @@ class Radio:
         self._sync = None
         if self._state is not RadioState.TX:
             self._state = RadioState.IDLE
+        if not reception.scored:
+            # Nothing reads the outcome, but the coin is still drawn so the
+            # stream stays in step (determinism rule 3).
+            self._rng_random()
+            self.stats.delivered_unscored += 1
+            return
         prob = reception.success_probability(
             self._config.error_model, self._noise_mw
         )
@@ -619,6 +656,7 @@ class Radio:
         sensed = self._sensed
         stats = self.stats
         sim = self.sim
+        node_id = self.node_id
         TX = RadioState.TX
         RX = RadioState.RX
 
@@ -649,17 +687,26 @@ class Radio:
                     sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
                     if sinr >= mim_db:
                         stats.rx_mim_captures += 1
-                        self._sync = Reception(
+                        rec = self._sync = Reception(
                             tx, rss_dbm, sim.now, tx.end, prior, rss_mw
                         )
+                        reads = self.reads_overheard
+                        if reads is not None:
+                            frame = tx.frame
+                            if frame.kind not in reads and frame.dst not in (
+                                node_id,
+                                BROADCAST,
+                            ):
+                                rec.scored = False
                         return
-                suid = sync.transmission.uid
-                sync.interference_changed(
-                    sim.now,
-                    self._excl_total
-                    if self._excl_valid and self._excl_uid == suid
-                    else self.interference_mw(suid),
-                )
+                if sync.scored:
+                    suid = sync.transmission.uid
+                    sync.interference_changed(
+                        sim.now,
+                        self._excl_total
+                        if self._excl_valid and self._excl_uid == suid
+                        else self.interference_mw(suid),
+                    )
                 stats.sync_missed_busy_rx += 1
             elif not syncable:
                 stats.sync_missed_weak += 1
@@ -669,9 +716,17 @@ class Radio:
                 if sinr < capture_db:
                     stats.sync_missed_capture += 1
                 else:
-                    self._sync = Reception(
+                    rec = self._sync = Reception(
                         tx, rss_dbm, sim.now, tx.end, prior, rss_mw
                     )
+                    reads = self.reads_overheard
+                    if reads is not None:
+                        frame = tx.frame
+                        if frame.kind not in reads and frame.dst not in (
+                            node_id,
+                            BROADCAST,
+                        ):
+                            rec.scored = False
                     self._state = RX
             if not was_busy and sensed and self.mac is not None:
                 self.mac.on_channel_busy()
@@ -699,6 +754,7 @@ class Radio:
         sensed = self._sensed
         stats = self.stats
         sim = self.sim
+        node_id = self.node_id
         TX = RadioState.TX
         RX = RadioState.RX
 
@@ -733,17 +789,26 @@ class Radio:
                     sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
                     if sinr >= mim_db:
                         stats.rx_mim_captures += 1
-                        self._sync = Reception(
+                        rec = self._sync = Reception(
                             tx, rss_dbm, sim.now, tx.end, prior, rss_mw
                         )
+                        reads = self.reads_overheard
+                        if reads is not None:
+                            frame = tx.frame
+                            if frame.kind not in reads and frame.dst not in (
+                                node_id,
+                                BROADCAST,
+                            ):
+                                rec.scored = False
                         return
-                suid = sync.transmission.uid
-                sync.interference_changed(
-                    sim.now,
-                    self._excl_total
-                    if self._excl_valid and self._excl_uid == suid
-                    else self.interference_mw(suid),
-                )
+                if sync.scored:
+                    suid = sync.transmission.uid
+                    sync.interference_changed(
+                        sim.now,
+                        self._excl_total
+                        if self._excl_valid and self._excl_uid == suid
+                        else self.interference_mw(suid),
+                    )
                 stats.sync_missed_busy_rx += 1
             elif not syncable:
                 stats.sync_missed_weak += 1
@@ -753,9 +818,17 @@ class Radio:
                 if sinr < capture_db:
                     stats.sync_missed_capture += 1
                 else:
-                    self._sync = Reception(
+                    rec = self._sync = Reception(
                         tx, rss_dbm, sim.now, tx.end, prior, rss_mw
                     )
+                    reads = self.reads_overheard
+                    if reads is not None:
+                        frame = tx.frame
+                        if frame.kind not in reads and frame.dst not in (
+                            node_id,
+                            BROADCAST,
+                        ):
+                            rec.scored = False
                     self._state = RX
             if not was_busy and sensed and self.mac is not None:
                 self.mac.on_channel_busy()
@@ -784,7 +857,7 @@ class Radio:
                 sensed.add(uid)
             stats.interference_only_arrivals += 1
             sync = self._sync
-            if sync is not None and state is not TX:
+            if sync is not None and state is not TX and sync.scored:
                 suid = sync.transmission.uid
                 sync.interference_changed(
                     sim.now,
@@ -817,7 +890,7 @@ class Radio:
             if sync is not None:
                 if sync.transmission is tx:
                     self._finalize_reception(rss_dbm)
-                else:
+                elif sync.scored:
                     # Inlined interference_mw(suid): the removal above
                     # invalidated the fold, so this is always the full
                     # insertion-order re-sum (and it re-arms the slot).
@@ -853,7 +926,7 @@ class Radio:
             was_busy = self._state is TX or bool(sensed)
             sensed.discard(uid)
             sync = self._sync
-            if sync is not None:
+            if sync is not None and sync.scored:
                 # Inlined post-removal re-sum; see bind_end_entry.
                 suid = sync.transmission.uid
                 total = 0.0

@@ -1,8 +1,9 @@
 """Per-frame reception bookkeeping under time-varying interference.
 
-A radio that syncs to a frame records every change in aggregate interference
-power during the frame's airtime. At the end of the frame the reception is
-scored: the frame's bits are spread uniformly over its airtime, each
+A radio that syncs to a frame its MAC reads records every change in aggregate
+interference power during the frame's airtime (an *unscored* reception, one
+no MAC reads, records nothing; see :mod:`repro.phy.radio`). At the end of the
+frame the reception is scored: the frame's bits are spread uniformly over its airtime, each
 constant-interference interval contributes ``(1 - ber(SINR))^bits``, and the
 product is the delivery probability. This interval model is what makes
 *partial* collisions behave correctly: a data frame clobbered halfway through
@@ -48,6 +49,7 @@ class Reception:
         "_signal_mw",
         "_times",
         "_interference",
+        "scored",
     )
 
     def __init__(
@@ -72,6 +74,9 @@ class Reception:
         #: Parallel change-point columns; index 0 is the reception start.
         self._times: List[float] = [start]
         self._interference: List[float] = [initial_interference_mw]
+        #: False when no MAC reads the frame (see ``Radio.reads_overheard``):
+        #: the radio then records no change-points and never scores it.
+        self.scored = True
 
     @property
     def frame(self):
@@ -163,8 +168,11 @@ class Reception:
 
         Minimum SINR corresponds to the *maximum* interference level any
         recorded interval saw. Nothing on the simulation path reads it, so
-        the peak is taken on demand instead of tracked per change.
+        the peak is taken on demand instead of tracked per change. An
+        unscored reception recorded no change-points, so it has no answer.
         """
+        if not self.scored:
+            raise ValueError("unscored reception: no interference history")
         return linear_to_db(
             self._signal_mw / (max(self._interference) + noise_mw)
         )

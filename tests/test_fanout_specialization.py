@@ -15,6 +15,7 @@ The medium compiles per-receiver start/end closures at table-build time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.fading import GaussianBlockFading
@@ -28,9 +29,13 @@ from repro.util.rng import RngFactory
 from repro.util.units import dbm_to_mw
 
 
-def make_tx(src, start=0.0, end=1.0):
-    frame = Frame(src=src, dst=0, size_bytes=100)
+def make_tx(src, start=0.0, end=1.0, dst=0):
+    frame = Frame(src=src, dst=dst, size_bytes=100)
     return Transmission(frame, src, start, end)
+
+
+#: A node that is neither the twins' own id (0) nor broadcast.
+THIRD_NODE = 7
 
 
 class SpyMac:
@@ -50,14 +55,19 @@ class SpyMac:
         self.events.append(("idle", None, None))
 
 
-def twin_radios(fading=None):
-    """Two radios in identical state with identical RNG streams."""
+def twin_radios(fading=None, reads_overheard=None):
+    """Two radios in identical state with identical RNG streams.
+
+    ``reads_overheard`` is what a MAC declares on attach (see
+    ``MacBase.READS_OVERHEARD``); the spy MAC reads everything by default.
+    """
     radios = []
     for _ in range(2):
         cfg = RadioConfig(fading=fading)
         r = Radio(Simulator(), node_id=0, config=cfg,
                   rng=np.random.default_rng(42))
         r.mac = SpyMac()
+        r.reads_overheard = reads_overheard
         radios.append(r)
     return radios
 
@@ -69,9 +79,11 @@ def assert_lockstep(spec, ref):
     assert spec.stats == ref.stats
     assert spec.mac.events == ref.mac.events
     assert spec.interference_mw() == ref.interference_mw()
+    assert (spec._excl_valid, spec._excl_uid) == (ref._excl_valid, ref._excl_uid)
     assert (spec._sync is None) == (ref._sync is None)
     if spec._sync is not None:
         assert spec._sync.rss_dbm == ref._sync.rss_dbm
+        assert spec._sync.scored == ref._sync.scored
         assert spec._sync._interference == ref._sync._interference
 
 
@@ -90,31 +102,111 @@ class TestSpecializedLockstep:
     """Drive one radio through specialized closures, its twin through the
     generic methods, and require bit-identical state after every step."""
 
-    def run_ops(self, ops, fading):
-        spec, ref = twin_radios(fading=fading)
+    def run_ops(
+        self,
+        ops,
+        fading,
+        reads_overheard=None,
+        dst_of=lambda src: 0,
+        energy_only=frozenset(),
+    ):
+        """Apply ``ops`` to twin radios, then end every frame still on the
+        air. Sources in ``energy_only`` use the interference-only entries.
+        Returns the twins and every transmission started."""
+        spec, ref = twin_radios(fading=fading, reads_overheard=reads_overheard)
         live = {}
-        for op, src, rss in ops:
-            if op == "add" and src not in live:
-                tx = make_tx(src)
-                live[src] = (tx, rss)
-                rss_mw = dbm_to_mw(rss)
-                spec.bind_start_entry(src, rss, rss_mw)(tx)
-                ref.on_frame_start(tx, rss, rss_mw)
-            elif op == "remove" and src in live:
-                tx, rss0 = live.pop(src)
+        sent = []
+
+        def end(src, tx, rss0):
+            if src in energy_only:
+                spec.bind_interference_end_entry()(tx)
+                ref.on_interference_end(tx, rss0)
+            else:
                 spec.bind_end_entry(rss0)(tx)
                 ref.on_frame_end(tx, rss0)
+
+        for op, src, rss in ops:
+            if op == "add" and src not in live:
+                tx = make_tx(src, dst=dst_of(src))
+                live[src] = (tx, rss)
+                sent.append(tx)
+                rss_mw = dbm_to_mw(rss)
+                if src in energy_only:
+                    spec.bind_interference_start_entry(rss, rss_mw)(tx)
+                    ref.on_interference_start(tx, rss, rss_mw)
+                else:
+                    spec.bind_start_entry(src, rss, rss_mw)(tx)
+                    ref.on_frame_start(tx, rss, rss_mw)
+            elif op == "remove" and src in live:
+                end(src, *live.pop(src))
             elif op == "tx_toggle" and spec._sync is None:
                 new = (RadioState.TX if spec._state is not RadioState.TX
                        else RadioState.IDLE)
                 spec._state = new
                 ref._state = new
             assert_lockstep(spec, ref)
+        for src, (tx, rss0) in live.items():
+            end(src, tx, rss0)
+            assert_lockstep(spec, ref)
+        return spec, ref, sent
 
     @settings(max_examples=50, deadline=None)
     @given(ops=OPS)
     def test_static_channel(self, ops):
         self.run_ops(ops, fading=None)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ops=OPS, faded=st.booleans())
+    def test_unread_frames_for_a_third_node(self, ops, faded):
+        """A MAC that declares it reads no overheard kind; odd sources send
+        to a third node, source 6 is energy-only. Those receptions go
+        unscored on both paths — identical state, stats and RNG position
+        — and no ``on_frame_received`` arrives for any of them."""
+        spec, ref, sent = self.run_ops(
+            ops,
+            fading=GaussianBlockFading(sigma_db=6.0) if faded else None,
+            reads_overheard=(),
+            dst_of=lambda src: THIRD_NODE if src % 2 else 0,
+            energy_only=frozenset({6}),
+        )
+        unread = {tx.frame.uid for tx in sent if tx.frame.dst == THIRD_NODE}
+        for radio in (spec, ref):
+            heard = [uid for kind, uid, _ in radio.mac.events if kind == "rx"]
+            assert not unread.intersection(heard)
+            stats = radio.stats
+            assert len(heard) == stats.delivered_ok + stats.delivered_corrupt
+        # Every completed reception drew one delivery coin, read or not.
+        assert spec.rng.random() == ref.rng.random()
+
+    def test_unread_frame_draws_its_coin_and_nothing_else(self):
+        spec, ref = twin_radios(reads_overheard=())
+        overheard = make_tx(1, dst=THIRD_NODE)
+        noise = make_tx(2)
+        spec.bind_start_entry(1, -60.0, dbm_to_mw(-60.0))(overheard)
+        ref.on_frame_start(overheard, -60.0, dbm_to_mw(-60.0))
+        spec.bind_interference_start_entry(-80.0, dbm_to_mw(-80.0))(noise)
+        ref.on_interference_start(noise, -80.0, dbm_to_mw(-80.0))
+        for radio in (spec, ref):
+            assert radio._sync is not None and not radio._sync.scored
+            # Nothing was recorded for it: only the sync-time level.
+            assert radio._sync._interference == [0.0]
+            with pytest.raises(ValueError):
+                radio._sync.min_sinr_db(radio._noise_mw)
+        spec.bind_interference_end_entry()(noise)
+        ref.on_interference_end(noise, -80.0)
+        spec.bind_end_entry(-60.0)(overheard)
+        ref.on_frame_end(overheard, -60.0)
+        assert_lockstep(spec, ref)
+        coin = np.random.default_rng(42)
+        coin.random()
+        for radio in (spec, ref):
+            assert radio._state is RadioState.IDLE and radio._sync is None
+            assert radio.stats.delivered_unscored == 1
+            assert radio.stats.delivered_ok + radio.stats.delivered_corrupt == 0
+            assert not [e for e in radio.mac.events if e[0] == "rx"]
+        # The stream sits exactly one coin past its seed on both paths.
+        expected = coin.random()
+        assert spec.rng.random() == expected == ref.rng.random()
 
     @settings(max_examples=50, deadline=None)
     @given(ops=OPS)

@@ -105,6 +105,14 @@ class TestInterferenceIntervals:
         expected = linear_to_db(dbm_to_mw(-70.0) / NOISE_MW)
         assert r.min_sinr_db(NOISE_MW) == expected
 
+    def test_min_sinr_refused_on_unscored_reception(self):
+        # The radio records no change-points for an unscored reception, so
+        # its one-entry history would read as a clean frame.
+        r = make_reception(rss_dbm=-70.0, dur=1e-3)
+        r.scored = False
+        with pytest.raises(ValueError):
+            r.min_sinr_db(NOISE_MW)
+
     def test_peak_survives_coalescing_overwrite_upward(self):
         # A same-instant overwrite that *raises* the level must raise the
         # peak min_sinr_db reads.

@@ -51,6 +51,19 @@ class TestHandshake:
         mbps = sink.flows[(0, 1)].bytes_unique * 8 / 2.0 / 1e6
         assert 3.5 < mbps < 5.1  # plain DCF measures ~5.2 in this harness
 
+    def test_two_way_flows_survive_own_cts_on_the_air(self):
+        """Each node both sends and answers: a countdown that ends while
+        the node's own CTS/ACK is on the air retries a slot later instead
+        of transmitting over it."""
+        sim, medium, macs, sink = build({0: Position(0, 0), 1: Position(20, 0)})
+        macs[0].attach_source(SaturatedSource(dst=1))
+        macs[1].attach_source(SaturatedSource(dst=0))
+        for m in macs.values():
+            m.start()
+        sim.run(until=1.0)
+        assert sink.flows[(0, 1)].delivered_unique > 0
+        assert sink.flows[(1, 0)].delivered_unique > 0
+
     def test_cts_timeout_retries(self):
         sim, medium, macs, sink = build({0: Position(0, 0), 1: Position(500, 0)})
         macs[0].enqueue(Packet(dst=1))

@@ -49,6 +49,12 @@ class TestCdf:
     def test_median(self):
         assert Cdf([5, 1, 3]).median == 3
 
+    def test_quantile_is_the_median_estimator(self):
+        # Three samples: p50 is the middle one, not the lower-index minimum.
+        cdf = Cdf([1, 2, 3])
+        assert cdf.quantile(0.5) == 2.0 == cdf.median
+        assert cdf.quantile(0.25) == 1.5
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             Cdf([])
