@@ -18,9 +18,11 @@ trial and reports, per workload:
   into an in-progress scored reception, how many the radio's incremental
   ``_excl_*`` fold served and how many fell through to
   ``Radio.interference_mw(uid)`` (a miss: a full insertion-order re-sum).
-  Cross-checked against an independent count: every full-delivery start
-  that finds its radio synced to a *scored* reception and does not
-  capture it pushes exactly one update, so the two must agree.
+  Both rows are cross-checked against independent counts, and the census
+  raises if either disagrees: every full-delivery start that finds its
+  radio synced to a *scored* reception and does not capture it pushes
+  exactly one update, and so does every energy-only start that finds one
+  while the radio is not transmitting.
 * **inline fan-out** — frame-start batches
   ``Simulator.deliver_fanout_inline`` delivered in place against those it
   sent round the heap.
@@ -62,8 +64,9 @@ N400_SCALE = ExperimentScale(duration=0.6, warmup=0.2, trials_per_n=1)
 #: The rule-5 floor a kept mechanism must clear on at least one workload.
 FLOOR = 0.05
 
-#: Name of a frame-start callback (the generic method and its specialised
-#: closure share it) -> the counter its interference update lands in.
+#: ``__name__`` of a fan-out start closure -> the counter its interference
+#: update lands in. Both rows are cross-checked against counts taken by the
+#: bind wrappers below, so a renamed closure fails the census loudly.
 START_EDGES = {
     "on_frame_start": "fold_queries_frame",
     "on_interference_start": "fold_queries_energy",
@@ -189,8 +192,8 @@ def census(testbed, trials) -> dict:
         return interference_mw
 
     def counting_bind(original):
-        def bind_start_entry(radio, tx_node, rss_dbm, rss_mw):
-            entry = original(radio, tx_node, rss_dbm, rss_mw)
+        def bind_start_entry(radio, tx_node, rss_dbm):
+            entry = original(radio, tx_node, rss_dbm)
             stats = radio.stats
 
             def on_frame_start(tx):
@@ -203,6 +206,26 @@ def census(testbed, trials) -> dict:
             return on_frame_start
 
         return bind_start_entry
+
+    # Energy-only starts that find a scored reception and a radio not
+    # transmitting: each pushes exactly one update. Kept out of ``c`` so the
+    # report is unchanged.
+    scored_energy = 0
+
+    def counting_energy_bind(original):
+        def bind_interference_start_entry(radio, rss_dbm, rss_mw):
+            entry = original(radio, rss_dbm, rss_mw)
+
+            def on_interference_start(tx):
+                nonlocal scored_energy
+                sync = radio._sync
+                if sync is not None and not radio.is_transmitting and sync.scored:
+                    scored_energy += 1
+                entry(tx)
+
+            return on_interference_start
+
+        return bind_interference_start_entry
 
     def counting_fanout(original):
         def deliver_fanout_inline(sim, start_fns, tx):
@@ -227,6 +250,7 @@ def census(testbed, trials) -> dict:
             (Reception, "interference_changed", counting_change),
             (Radio, "interference_mw", counting_resum),
             (Radio, "bind_start_entry", counting_bind),
+            (Radio, "bind_interference_start_entry", counting_energy_bind),
             (Radio, "__init__", collecting_init),
             (Simulator, "deliver_fanout_inline", counting_fanout),
         ):
@@ -238,6 +262,11 @@ def census(testbed, trials) -> dict:
         raise AssertionError(
             f"{c['fold_queries_frame']} frame-start updates reached a reception "
             f"but {c['scored_busy_rx']} starts found a scored one busy"
+        )
+    if c["fold_queries_energy"] != scored_energy:
+        raise AssertionError(
+            f"{c['fold_queries_energy']} energy-only start updates reached a "
+            f"reception but {scored_energy} starts found a scored one"
         )
     for key in ("delivered_ok", "delivered_corrupt", "delivered_unscored"):
         c[key] = sum(getattr(r.stats, key) for r in radios)

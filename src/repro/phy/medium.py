@@ -10,12 +10,12 @@ which back-to-back virtual-packet frames rely on.
 Hot-path layout: per-transmitter fan-out tables are *columnar* — a
 metadata column of ``(callback, rss_dbm, rss_mw)`` entries for
 introspection, plus bare callback columns the delivery loops iterate.
-Each callback is a **build-time-specialized closure** minted by the
-receiver's :meth:`repro.phy.radio.Radio.bind_start_entry` /
-``bind_end_entry`` (or the interference-only variants): the table knows
-the receiver's config and the entry's static RSS when it is built, so
-threshold comparisons, fade-sampler resolution, and config/noise lookups
-are folded into the closure instead of re-branching per frame. Tables are
+Each callback is a closure minted by the receiver's
+:meth:`repro.phy.radio.Radio.bind_start_entry` / ``bind_end_entry`` (or
+the interference-only variants) — the radio's only receive path: the
+table knows the receiver's config and the entry's static RSS when it is
+built, so fade-sampler resolution and config/noise lookups are folded
+into the closure instead of repeated per frame. Tables are
 cached behind a *geometry version*: each is built lazily at that
 transmitter's next frame and reused until the geometry changes. Any
 :meth:`Medium.attach`, :meth:`Medium.detach`, :meth:`Medium.set_position`,
@@ -47,7 +47,7 @@ fan-out tables from "every attached radio" to a physical neighborhood.
 ``delivery_floor_dbm`` splits included receivers into full entries (sync +
 MAC delivery) and *interference-only* entries -- energy and carrier-sense
 bookkeeping with none of the per-frame reception work; see
-:meth:`repro.phy.radio.Radio.on_interference_start`.
+:meth:`repro.phy.radio.Radio.bind_interference_start_entry`.
 ``interference_floor_dbm`` drops receivers entirely, bounding per-frame
 cost by neighborhood density instead of node count. Both default to None
 (disabled), and a permissive floor below every link builds byte-identical
@@ -376,8 +376,8 @@ class Medium:
                 start_fn = rx_radio.bind_interference_start_entry(rss, rss_mw)
                 end_fn = rx_radio.bind_interference_end_entry()
             else:
-                start_fn = rx_radio.bind_start_entry(tx_id, rss, rss_mw)
-                end_fn = rx_radio.bind_end_entry(rss)
+                start_fn = rx_radio.bind_start_entry(tx_id, rss)
+                end_fn = rx_radio.bind_end_entry()
             starts.append((start_fn, rss, rss_mw))
             ends.append((end_fn, rss))
         table = (tuple(starts), tuple(ends))

@@ -38,14 +38,12 @@ idle radio's sync attempt asks for it, and that either syncs (later
 queries use the exclusion form) or is followed by a removal, so a total
 fold measured 0–4 % hits (DESIGN.md "Performance").
 
-The medium's fan-out tables bind *specialized* per-receiver callbacks via
-the ``bind_*_entry`` factories below: threshold comparisons against this
-radio's config and the pair's fade sampler are resolved once at table-build
-time, collapsing :meth:`on_frame_start`'s per-call branch cascade into
-straight-line code. The generic ``on_*`` methods remain the reference
-implementation (and the entry point for tests); reassigning
-:attr:`Radio.config` invalidates every table containing the radio, so
-specializations can never outlive the config they were compiled from.
+The receive path is the four closures the ``bind_*_entry`` factories below
+mint for the medium's fan-out tables, one per table entry and edge. The
+pair's fade sampler (a zero-fade sampler on a static channel) and this
+radio's config and noise are resolved once at table-build time;
+reassigning :attr:`Radio.config` invalidates every table containing the
+radio, so a closure can never outlive the config it was compiled from.
 """
 
 from __future__ import annotations
@@ -74,6 +72,11 @@ class RadioState(Enum):
     IDLE = "idle"
     RX = "rx"
     TX = "tx"
+
+
+def _no_fade() -> float:
+    """The static channel's fade sampler (what ``NoFading`` binds)."""
+    return 0.0
 
 
 def _fading_is_rng_free(fading: Optional[FadingModel]) -> bool:
@@ -310,22 +313,6 @@ class Radio:
         self._excl_valid = True
         return total
 
-    def _append_arrival(self, uid: int, rss_mw: float) -> None:
-        """Insert an arrival and extend a valid fold (rule-2-safe).
-
-        The new uid lands *last* in the dict's insertion order, so
-        ``fold + rss_mw`` is exactly the left-to-right re-sum of the
-        post-insertion arrival set: identical terms, identical order.
-        """
-        self._arrivals[uid] = rss_mw
-        if self._excl_valid and uid != self._excl_uid:
-            self._excl_total += rss_mw
-
-    def _remove_arrival(self, uid: int) -> None:
-        """Drop an arrival; the fold dies (a removal forces a full re-sum)."""
-        if self._arrivals.pop(uid, None) is not None:
-            self._excl_valid = False
-
     # ------------------------------------------------------------------
     # Geometry (dynamic world)
     # ------------------------------------------------------------------
@@ -390,16 +377,24 @@ class Radio:
             self.mac.on_tx_complete(tx.frame)
 
     # ------------------------------------------------------------------
-    # Receive path (medium callbacks; reference implementation)
+    # Receive path: the fan-out entries
     # ------------------------------------------------------------------
+    # The medium calls these factories while (re)building a transmitter's
+    # fan-out table; the closures they return are the whole receive path.
+    # The fade sampler and config/noise lookups are bound at build time, and
+    # the closures die with the table (geometry or config change), so they
+    # never see a config they were not compiled from. Each keeps its edge's
+    # name (on_frame_start, ...): tests and census tooling classify by it.
+
     def _sampler_for(self, tx_node: int) -> Callable:
         """The pair's fade sampler, cached across table rebuilds.
 
-        Resolution consumes no RNG (samplers bind generator methods; the
-        quenched LOS/NLOS class has its own hash-seeded stream), so it is
-        safe at both per-frame time and table-build time.
+        Resolution draws no RNG (samplers bind generator methods; the
+        quenched LOS/NLOS class has its own hash-seeded stream).
         """
         fading = self._config.fading
+        if fading is None:
+            return _no_fade
         if fading is not self._sampler_model:
             self._fade_samplers = {}
             self._sampler_model = fading
@@ -410,337 +405,15 @@ class Radio:
             )
         return sampler
 
-    def on_frame_start(
-        self,
-        tx: "Transmission",
-        rss_dbm: float,
-        rss_mw: Optional[float] = None,
-    ) -> None:
-        """Medium callback: a frame's first bit arrived.
-
-        ``rss_mw`` is the fan-out table's precomputed conversion of
-        ``rss_dbm``; with fading active the faded RSS is converted here
-        instead.
-        """
-        config = self._config
-        if config.fading is not None:
-            rss_dbm = rss_dbm + self._sampler_for(tx.tx_node)()
-            rss_mw = 10.0 ** (rss_dbm / 10.0)  # == dbm_to_mw(rss_dbm)
-        elif rss_mw is None:
-            rss_mw = 10.0 ** (rss_dbm / 10.0)
-        uid = tx.uid
-        sensed = self._sensed
-        state = self._state
-        was_busy = state is RadioState.TX or bool(sensed)
-        sync = self._sync
-
-        # Pre-insertion aggregate for the branches that need "everything
-        # but the new frame": summed before insertion == summed after,
-        # excluding the new (last-inserted) uid — identical terms,
-        # identical order.
-        prior = None
-        if state is not RadioState.TX:
-            if sync is not None:
-                if config.mim_capture and rss_dbm >= config.sensitivity_dbm:
-                    prior = self.interference_mw()  # MIM precheck passed
-            elif rss_dbm >= config.sensitivity_dbm:
-                prior = self.interference_mw()  # idle-radio sync attempt
-
-        self._append_arrival(uid, rss_mw)
-        if rss_dbm >= config.cs_threshold_dbm:
-            sensed.add(uid)
-
-        if state is RadioState.TX:
-            # Deaf while transmitting; the frame still adds to the arrival
-            # set so it is counted as interference after our TX ends. The
-            # channel was already busy (own TX), so no busy edge can fire.
-            self.stats.sync_missed_busy_tx += 1
-            return
-        if sync is not None:
-            if prior is not None and self._mim_capture_attempt(
-                tx, rss_dbm, rss_mw, prior
-            ):
-                return
-            if sync.scored:
-                sync.interference_changed(
-                    self.sim.now, self.interference_mw(sync.transmission.uid)
-                )
-            self.stats.sync_missed_busy_rx += 1
-        elif rss_dbm < config.sensitivity_dbm:
-            self.stats.sync_missed_weak += 1
-        else:
-            # Inline sync attempt (the hot idle-radio path).
-            ratio = rss_mw / (prior + self._noise_mw)
-            preamble_sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
-            if preamble_sinr < config.capture_sinr_db:
-                self.stats.sync_missed_capture += 1
-            else:
-                rec = self._sync = Reception(
-                    tx, rss_dbm, self.sim.now, tx.end, prior, rss_mw
-                )
-                reads = self.reads_overheard
-                if reads is not None:
-                    frame = tx.frame
-                    if frame.kind not in reads and frame.dst not in (
-                        self.node_id,
-                        BROADCAST,
-                    ):
-                        rec.scored = False
-                self._state = RadioState.RX
-
-        if not was_busy and sensed and self.mac is not None:
-            self.mac.on_channel_busy()
-
-    def _mim_capture_attempt(
-        self, tx: "Transmission", rss_dbm: float, rss_mw: float, interference: float
-    ) -> bool:
-        """Try restarting reception onto a much stronger late arrival.
-
-        ``interference`` is everything else on the air — including the
-        currently-synced frame — which counts against the newcomer's
-        preamble (the caller already has the sum in hand; it also performed
-        the mim_capture/sensitivity precheck).
-        """
-        cfg = self._config
-        ratio = rss_mw / (interference + self._noise_mw)
-        # Inlined linear_to_db (identical arithmetic and floor).
-        preamble_sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
-        if preamble_sinr < cfg.capture_sinr_db + cfg.mim_extra_db:
-            return False
-        self.stats.rx_mim_captures += 1
-        rec = self._sync = Reception(
-            tx, rss_dbm, self.sim.now, tx.end, interference, rss_mw
-        )
-        reads = self.reads_overheard
-        if reads is not None:
-            frame = tx.frame
-            if frame.kind not in reads and frame.dst not in (
-                self.node_id,
-                BROADCAST,
-            ):
-                rec.scored = False
-        return True
-
-    # ------------------------------------------------------------------
-    # Interference-only receive path (below the medium's delivery floor)
-    # ------------------------------------------------------------------
-    def on_interference_start(
-        self,
-        tx: "Transmission",
-        rss_dbm: float,
-        rss_mw: Optional[float] = None,
-    ) -> None:
-        """Medium callback for an energy-only arrival.
-
-        The frame is too weak (below ``delivery_floor_dbm``) to ever be
-        synced or delivered, so this path does only the aggregate-noise
-        bookkeeping: track the arrival's power, feed carrier sense, and
-        notify any in-progress reception that its interference changed. No
-        per-frame fading is sampled -- the table's deterministic path-loss
-        RSS stands in for it -- and no reception stats beyond the
-        dedicated counter are touched.
-        """
-        if rss_mw is None:
-            rss_mw = 10.0 ** (rss_dbm / 10.0)
-        uid = tx.uid
-        sensed = self._sensed
-        state = self._state
-        was_busy = state is RadioState.TX or bool(sensed)
-        self._append_arrival(uid, rss_mw)
-        if rss_dbm >= self._config.cs_threshold_dbm:
-            sensed.add(uid)
-        self.stats.interference_only_arrivals += 1
-        sync = self._sync
-        if sync is not None and state is not RadioState.TX and sync.scored:
-            sync.interference_changed(
-                self.sim.now, self.interference_mw(sync.transmission.uid)
-            )
-        if not was_busy and sensed and self.mac is not None:
-            self.mac.on_channel_busy()
-
-    def on_interference_end(self, tx: "Transmission", rss_dbm: float) -> None:
-        uid = tx.uid
-        self._remove_arrival(uid)
-        sensed = self._sensed
-        was_busy = self._state is RadioState.TX or bool(sensed)
-        sensed.discard(uid)
-        sync = self._sync
-        if sync is not None and sync.scored:
-            # This radio can never be synced to an interference-only frame,
-            # so the end edge only updates the aggregate seen by whatever
-            # reception is in progress.
-            sync.interference_changed(
-                self.sim.now, self.interference_mw(sync.transmission.uid)
-            )
-        if (
-            was_busy
-            and self.mac is not None
-            and not (sensed or self._state is RadioState.TX)
-        ):
-            self.mac.on_channel_idle()
-
-    def on_frame_end(self, tx: "Transmission", rss_dbm: float) -> None:
-        uid = tx.uid
-        self._remove_arrival(uid)
-        sensed = self._sensed
-        was_busy = self._state is RadioState.TX or bool(sensed)
-        sensed.discard(uid)
-
-        sync = self._sync
-        if sync is not None:
-            if sync.transmission is tx:
-                self._finalize_reception(rss_dbm)
-            elif sync.scored:
-                sync.interference_changed(
-                    self.sim.now, self.interference_mw(sync.transmission.uid)
-                )
-
-        if (
-            was_busy
-            and self.mac is not None
-            and not (sensed or self._state is RadioState.TX)
-        ):
-            self.mac.on_channel_idle()
-
-    def _finalize_reception(self, rss_dbm: float) -> None:
-        reception = self._sync
-        self._sync = None
-        if self._state is not RadioState.TX:
-            self._state = RadioState.IDLE
-        if not reception.scored:
-            # Nothing reads the outcome, but the coin is still drawn so the
-            # stream stays in step (determinism rule 3).
-            self._rng_random()
-            self.stats.delivered_unscored += 1
-            return
-        prob = reception.success_probability(
-            self._config.error_model, self._noise_mw
-        )
-        ok = bool(self._rng_random() < prob)
-        if ok:
-            self.stats.delivered_ok += 1
-        else:
-            self.stats.delivered_corrupt += 1
-        if self.mac is not None:
-            self.mac.on_frame_received(reception.transmission.frame, ok, reception)
-
-    # ------------------------------------------------------------------
-    # Build-time-specialized fan-out entries
-    # ------------------------------------------------------------------
-    # The medium calls these factories while (re)building a transmitter's
-    # fan-out table. Each returned closure replays the matching generic
-    # method exactly — same branches taken, same arithmetic, same RNG
-    # consumption — with everything the table knows already resolved:
-    # threshold comparisons against a static RSS become build-time
-    # booleans, the pair's fade sampler is bound once, and config/noise
-    # lookups become closure constants. The closures die with the table
-    # (geometry version bump or config reassignment), so they can never
-    # observe a config they were not compiled from. Inner functions keep
-    # the generic method's __name__ so table introspection (tests, census
-    # tooling) still classifies entries by callback name.
-
     def bind_start_entry(
-        self, tx_node: int, rss_dbm: float, rss_mw: float
-    ) -> Callable[["Transmission"], None]:
-        """Specialized full-delivery frame-start callback for one entry."""
-        cfg = self._config
-        if cfg.fading is not None:
-            return self._bind_faded_start(tx_node, rss_dbm)
-        senses = rss_dbm >= cfg.cs_threshold_dbm
-        syncable = rss_dbm >= cfg.sensitivity_dbm
-        mim_ok = cfg.mim_capture and syncable
-        capture_db = cfg.capture_sinr_db
-        mim_db = cfg.capture_sinr_db + cfg.mim_extra_db
-        noise_mw = self._noise_mw
-        arrivals = self._arrivals
-        sensed = self._sensed
-        stats = self.stats
-        sim = self.sim
-        node_id = self.node_id
-        TX = RadioState.TX
-        RX = RadioState.RX
-
-        def on_frame_start(tx: "Transmission") -> None:
-            state = self._state
-            sync = self._sync
-            was_busy = state is TX or bool(sensed)
-            # Inlined interference_mw(): the insertion-order total, for
-            # the two branches that score the new frame's preamble.
-            prior = None
-            if state is not TX and (syncable if sync is None else mim_ok):
-                prior = 0.0
-                for mw in arrivals.values():
-                    prior += mw
-            uid = tx.uid
-            arrivals[uid] = rss_mw
-            if self._excl_valid and uid != self._excl_uid:
-                self._excl_total += rss_mw
-            if senses:
-                sensed.add(uid)
-            if state is TX:
-                stats.sync_missed_busy_tx += 1
-                return
-            if sync is not None:
-                if prior is not None:
-                    # Inlined _mim_capture_attempt (identical arithmetic).
-                    ratio = rss_mw / (prior + noise_mw)
-                    sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
-                    if sinr >= mim_db:
-                        stats.rx_mim_captures += 1
-                        rec = self._sync = Reception(
-                            tx, rss_dbm, sim.now, tx.end, prior, rss_mw
-                        )
-                        reads = self.reads_overheard
-                        if reads is not None:
-                            frame = tx.frame
-                            if frame.kind not in reads and frame.dst not in (
-                                node_id,
-                                BROADCAST,
-                            ):
-                                rec.scored = False
-                        return
-                if sync.scored:
-                    suid = sync.transmission.uid
-                    sync.interference_changed(
-                        sim.now,
-                        self._excl_total
-                        if self._excl_valid and self._excl_uid == suid
-                        else self.interference_mw(suid),
-                    )
-                stats.sync_missed_busy_rx += 1
-            elif not syncable:
-                stats.sync_missed_weak += 1
-            else:
-                ratio = rss_mw / (prior + noise_mw)
-                sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
-                if sinr < capture_db:
-                    stats.sync_missed_capture += 1
-                else:
-                    rec = self._sync = Reception(
-                        tx, rss_dbm, sim.now, tx.end, prior, rss_mw
-                    )
-                    reads = self.reads_overheard
-                    if reads is not None:
-                        frame = tx.frame
-                        if frame.kind not in reads and frame.dst not in (
-                            node_id,
-                            BROADCAST,
-                        ):
-                            rec.scored = False
-                    self._state = RX
-            if not was_busy and sensed and self.mac is not None:
-                self.mac.on_channel_busy()
-
-        return on_frame_start
-
-    def _bind_faded_start(
         self, tx_node: int, base_rss_dbm: float
     ) -> Callable[["Transmission"], None]:
-        """Faded variant: sampler bound at build time, comparisons live.
+        """Full-delivery frame-start callback for one entry.
 
-        The fade draw happens first — exactly where the generic method
-        draws — so RNG consumption order is unchanged; the faded RSS then
-        drives the same threshold comparisons the generic method makes.
+        Every edge draws its fade first, then compares the faded RSS
+        against the live thresholds. A static channel binds
+        :func:`_no_fade`: ``base + 0.0`` is ``base``, the conversion is
+        :func:`dbm_to_mw`'s expression, and no RNG is drawn.
         """
         cfg = self._config
         sampler = self._sampler_for(tx_node)
@@ -754,7 +427,7 @@ class Radio:
         sensed = self._sensed
         stats = self.stats
         sim = self.sim
-        node_id = self.node_id
+        addressed = (self.node_id, BROADCAST)
         TX = RadioState.TX
         RX = RadioState.RX
 
@@ -765,26 +438,32 @@ class Radio:
             sync = self._sync
             was_busy = state is TX or bool(sensed)
             syncable = rss_dbm >= sens_db
+            # Inlined interference_mw(): the insertion-order total, for the
+            # two branches that score the new frame's preamble (an idle
+            # sync attempt, or message-in-message over the current sync).
             prior = None
-            if (
-                state is not TX
-                and syncable
-                and (sync is None or mim_capture)
-            ):
+            if state is not TX and syncable and (sync is None or mim_capture):
                 prior = 0.0
                 for mw in arrivals.values():
                     prior += mw
             uid = tx.uid
+            # The new uid lands last in insertion order, so extending a
+            # valid fold by rss_mw is exactly the fresh re-sum.
             arrivals[uid] = rss_mw
             if self._excl_valid and uid != self._excl_uid:
                 self._excl_total += rss_mw
             if rss_dbm >= cs_db:
                 sensed.add(uid)
             if state is TX:
+                # Deaf while transmitting; the frame still joins the arrival
+                # set, and the channel was already busy (own TX).
                 stats.sync_missed_busy_tx += 1
                 return
             if sync is not None:
                 if prior is not None:
+                    # Message-in-message: everything else on the air,
+                    # including the current sync, counts against the
+                    # newcomer's preamble (inlined linear_to_db).
                     ratio = rss_mw / (prior + noise_mw)
                     sinr = 10.0 * _log10(ratio) if ratio > 0.0 else -400.0
                     if sinr >= mim_db:
@@ -795,10 +474,7 @@ class Radio:
                         reads = self.reads_overheard
                         if reads is not None:
                             frame = tx.frame
-                            if frame.kind not in reads and frame.dst not in (
-                                node_id,
-                                BROADCAST,
-                            ):
+                            if frame.kind not in reads and frame.dst not in addressed:
                                 rec.scored = False
                         return
                 if sync.scored:
@@ -824,10 +500,7 @@ class Radio:
                     reads = self.reads_overheard
                     if reads is not None:
                         frame = tx.frame
-                        if frame.kind not in reads and frame.dst not in (
-                            node_id,
-                            BROADCAST,
-                        ):
+                        if frame.kind not in reads and frame.dst not in addressed:
                             rec.scored = False
                     self._state = RX
             if not was_busy and sensed and self.mac is not None:
@@ -838,7 +511,11 @@ class Radio:
     def bind_interference_start_entry(
         self, rss_dbm: float, rss_mw: float
     ) -> Callable[["Transmission"], None]:
-        """Specialized energy-only frame-start callback for one entry."""
+        """Energy-only frame-start callback for one entry.
+
+        Below the delivery floor a frame is never synced and never faded:
+        its path-loss RSS only joins interference and carrier sense.
+        """
         senses = rss_dbm >= self._config.cs_threshold_dbm
         arrivals = self._arrivals
         sensed = self._sensed
@@ -870,10 +547,8 @@ class Radio:
 
         return on_interference_start
 
-    def bind_end_entry(
-        self, rss_dbm: float
-    ) -> Callable[["Transmission"], None]:
-        """Specialized full-delivery frame-end callback for one entry."""
+    def bind_end_entry(self) -> Callable[["Transmission"], None]:
+        """Full-delivery frame-end callback for one entry."""
         arrivals = self._arrivals
         sensed = self._sensed
         sim = self.sim
@@ -881,7 +556,7 @@ class Radio:
 
         def on_frame_end(tx: "Transmission") -> None:
             uid = tx.uid
-            # Inlined _remove_arrival: a removal kills the fold.
+            # A removal kills the fold.
             if arrivals.pop(uid, None) is not None:
                 self._excl_valid = False
             was_busy = self._state is TX or bool(sensed)
@@ -889,7 +564,7 @@ class Radio:
             sync = self._sync
             if sync is not None:
                 if sync.transmission is tx:
-                    self._finalize_reception(rss_dbm)
+                    self._finalize_reception()
                 elif sync.scored:
                     # Inlined interference_mw(suid): the removal above
                     # invalidated the fold, so this is always the full
@@ -913,7 +588,7 @@ class Radio:
         return on_frame_end
 
     def bind_interference_end_entry(self) -> Callable[["Transmission"], None]:
-        """Specialized energy-only frame-end callback for one entry."""
+        """Energy-only frame-end callback for one entry."""
         arrivals = self._arrivals
         sensed = self._sensed
         sim = self.sim
@@ -927,7 +602,9 @@ class Radio:
             sensed.discard(uid)
             sync = self._sync
             if sync is not None and sync.scored:
-                # Inlined post-removal re-sum; see bind_end_entry.
+                # Never synced to an energy-only frame, so the edge only
+                # updates the in-progress reception (post-removal re-sum;
+                # see bind_end_entry).
                 suid = sync.transmission.uid
                 total = 0.0
                 for auid, mw in arrivals.items():
@@ -945,3 +622,25 @@ class Radio:
                 self.mac.on_channel_idle()
 
         return on_interference_end
+
+    def _finalize_reception(self) -> None:
+        reception = self._sync
+        self._sync = None
+        if self._state is not RadioState.TX:
+            self._state = RadioState.IDLE
+        if not reception.scored:
+            # Nothing reads the outcome, but the coin is still drawn so the
+            # stream stays in step (determinism rule 3).
+            self._rng_random()
+            self.stats.delivered_unscored += 1
+            return
+        prob = reception.success_probability(
+            self._config.error_model, self._noise_mw
+        )
+        ok = bool(self._rng_random() < prob)
+        if ok:
+            self.stats.delivered_ok += 1
+        else:
+            self.stats.delivered_corrupt += 1
+        if self.mac is not None:
+            self.mac.on_frame_received(reception.transmission.frame, ok, reception)

@@ -1,6 +1,8 @@
 """The radio's interference cache must be invisible: bit-identical to a
 fresh insertion-order re-sum of the arrival set, under any sequence of
-arrivals, departures, and repeated queries."""
+arrivals, departures, and repeated queries. Edges are delivered through
+the radio's fan-out closures (``Radio.bind_*_entry``), its only receive
+path."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,16 @@ def make_tx(uid_frame_src, rss_dbm):
     return Transmission(frame, uid_frame_src, 0.0, 1.0)
 
 
+def start(radio, tx, rss_dbm):
+    """Deliver a frame start through the radio's fan-out closure."""
+    radio.bind_start_entry(tx.tx_node, rss_dbm)(tx)
+
+
+def end(radio, tx):
+    """Deliver a frame end through the radio's fan-out closure."""
+    radio.bind_end_entry()(tx)
+
+
 class TestCacheBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -50,10 +62,10 @@ class TestCacheBitIdentity:
             if op == "add" and src not in live:
                 tx = make_tx(src, rss)
                 live[src] = tx
-                radio.on_frame_start(tx, rss)
+                start(radio, tx, rss)
             elif op == "remove" and src in live:
                 tx = live.pop(src)
-                radio.on_frame_end(tx, rss)
+                end(radio, tx)
             # After every mutation (and on explicit query ops), the cached
             # aggregate must equal a fresh insertion-order re-sum for every
             # exclusion that can occur: each live uid, a foreign uid, None.
@@ -68,10 +80,10 @@ class TestCacheBitIdentity:
     def test_cache_invalidated_by_arrival(self):
         radio = make_radio()
         a = make_tx(1, -60.0)
-        radio.on_frame_start(a, -60.0)
+        start(radio, a, -60.0)
         first = radio.interference_mw()
         b = make_tx(2, -70.0)
-        radio.on_frame_start(b, -70.0)
+        start(radio, b, -70.0)
         second = radio.interference_mw()
         assert second > first
         assert second == fresh_insertion_order_sum(radio)
@@ -79,10 +91,10 @@ class TestCacheBitIdentity:
     def test_cache_invalidated_by_departure(self):
         radio = make_radio()
         a, b = make_tx(1, -60.0), make_tx(2, -70.0)
-        radio.on_frame_start(a, -60.0)
-        radio.on_frame_start(b, -70.0)
+        start(radio, a, -60.0)
+        start(radio, b, -70.0)
         before = radio.interference_mw()
-        radio.on_frame_end(b, -70.0)
+        end(radio, b)
         after = radio.interference_mw()
         assert after < before
         assert after == fresh_insertion_order_sum(radio)
@@ -90,8 +102,8 @@ class TestCacheBitIdentity:
     def test_exclusion_distinct_from_total(self):
         radio = make_radio()
         a, b = make_tx(1, -60.0), make_tx(2, -70.0)
-        radio.on_frame_start(a, -60.0)
-        radio.on_frame_start(b, -70.0)
+        start(radio, a, -60.0)
+        start(radio, b, -70.0)
         assert radio.interference_mw(a.uid) == fresh_insertion_order_sum(
             radio, a.uid
         )
@@ -110,23 +122,21 @@ class TestIncrementalFold:
     plain insertion-order loop on every query."""
 
     def test_append_extends_valid_fold(self):
-        """Every start path — the generic methods and the specialised
-        closures, which inline the maintenance — extends a valid fold."""
+        """Both start closures — full-delivery and energy-only, which
+        inline the maintenance — extend a valid fold."""
         radio = make_radio()
         a = make_tx(1, -60.0)
-        radio.on_frame_start(a, -60.0)  # syncs: a.uid is the hot exclusion
-        starts = [
-            lambda tx: radio.on_frame_start(tx, -70.0),
-            lambda tx: radio.on_interference_start(tx, -70.0),
-            radio.bind_start_entry(9, -70.0, 1e-7),
+        start(radio, a, -60.0)  # syncs: a.uid is the hot exclusion
+        entries = [
+            radio.bind_start_entry(9, -70.0),
             radio.bind_interference_start_entry(-70.0, 1e-7),
         ]
-        radio.on_frame_start(make_tx(2, -70.0), -70.0)  # arms the slot
-        for src, start in enumerate(starts, start=3):
+        start(radio, make_tx(2, -70.0), -70.0)  # arms the slot
+        for src, entry in enumerate(entries, start=3):
             assert radio._excl_valid and radio._excl_uid == a.uid
             before = radio._excl_total
             tx = make_tx(src, -70.0)
-            start(tx)
+            entry(tx)
             # Extended in place (no invalidation), and the extension is
             # bit-identical to the fresh insertion-order re-sum.
             assert radio._excl_valid and radio._excl_uid == a.uid
@@ -136,12 +146,12 @@ class TestIncrementalFold:
     def test_append_extends_exclusion_fold(self):
         radio = make_radio()
         a, b = make_tx(1, -60.0), make_tx(2, -70.0)
-        radio.on_frame_start(a, -60.0)
-        radio.on_frame_start(b, -70.0)
+        start(radio, a, -60.0)
+        start(radio, b, -70.0)
         excl = radio.interference_mw(a.uid)  # arms the exclusion slot
         assert radio._excl_valid and radio._excl_uid == a.uid
         c = make_tx(3, -65.0)
-        radio.on_frame_start(c, -65.0)
+        start(radio, c, -65.0)
         assert radio._excl_valid  # extended, not invalidated
         assert radio.interference_mw(a.uid) == excl + radio._arrivals[c.uid]
         assert radio.interference_mw(a.uid) == fresh_insertion_order_sum(
@@ -154,10 +164,10 @@ class TestIncrementalFold:
         radio = make_radio()
         a, b, c = make_tx(1, -91.0), make_tx(2, -92.0), make_tx(3, -92.5)
         for t, rss in ((a, -91.0), (b, -92.0), (c, -92.5)):
-            radio.on_frame_start(t, rss)
+            start(radio, t, rss)
         radio.interference_mw(a.uid)
         assert radio._excl_valid
-        radio.on_frame_end(b, -92.0)
+        end(radio, b)
         assert not radio._excl_valid
         # The post-removal re-sum runs the full insertion-order loop.
         assert radio.interference_mw() == fresh_insertion_order_sum(radio)
@@ -168,8 +178,8 @@ class TestIncrementalFold:
     def test_position_change_invalidates_folds(self):
         radio = make_radio()
         a, b = make_tx(1, -60.0), make_tx(2, -70.0)
-        radio.on_frame_start(a, -60.0)
-        radio.on_frame_start(b, -70.0)
+        start(radio, a, -60.0)
+        start(radio, b, -70.0)
         radio.interference_mw(a.uid)
         assert radio._excl_valid
         radio.on_position_changed()
@@ -182,8 +192,8 @@ class TestIncrementalFold:
     def test_exclusion_of_absent_uid_equals_total(self):
         radio = make_radio()
         a, b = make_tx(1, -60.0), make_tx(2, -70.0)
-        radio.on_frame_start(a, -60.0)
-        radio.on_frame_start(b, -70.0)
+        start(radio, a, -60.0)
+        start(radio, b, -70.0)
         total = radio.interference_mw()
         # Excluding a uid not on the air sums the same terms in the same
         # order as the total — one value, bit-identical.
@@ -212,9 +222,9 @@ class TestIncrementalFold:
             if op == "add" and src not in live:
                 tx = make_tx(src, rss)
                 live[src] = tx
-                radio.on_frame_start(tx, rss)
+                start(radio, tx, rss)
             elif op == "remove" and src in live:
-                radio.on_frame_end(live.pop(src), rss)
+                end(radio, live.pop(src))
             elif op in ("excl_a", "excl_b") and live:
                 uids = sorted(t.uid for t in live.values())
                 uid = uids[0] if op == "excl_a" else uids[-1]
