@@ -14,7 +14,7 @@ Usage::
         --out benchmarks/BENCH_pr4_scale.json
 
 Not a pytest file on purpose: one run is a trajectory point, written as a
-BENCH_*.json like the other perf records (see repro.perf).
+BENCH_*.json (events and event-loop wall time from repro.perf.recording).
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
         return 2
     ratio = culled_cases[hi]["us_per_event"] / culled_cases[lo]["us_per_event"]
     payload = {
-        "schema": perf.BENCH_SCHEMA,
+        "schema": 1,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "kind": "scale",
         "topology": args.topology,

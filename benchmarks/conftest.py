@@ -9,17 +9,19 @@ out over N worker processes through the shared experiment executor. Results
 are bit-identical to serial, so the printed tables (and shape assertions)
 do not change — only wall time does.
 
-Every benchmark prints the same rows/series its paper figure reports; run
-with ``pytest benchmarks/ --benchmark-only -s`` to see them, and compare
-against the paper-vs-measured record in EXPERIMENTS.md.
+Every benchmark prints the same rows/series its paper figure reports; the
+files are named ``bench_*.py``, which pytest does not collect by default,
+so name them explicitly::
+
+    PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_fig12_exposed.py -q -s
+
+and compare against the paper-vs-measured record in EXPERIMENTS.md.
 """
 
 import os
-import time
 
 import pytest
 
-from repro import perf
 from repro.experiments.executor import make_backend
 from repro.experiments.runners import ExperimentScale
 from repro.net.testbed import Testbed
@@ -42,31 +44,6 @@ def bench_scale() -> ExperimentScale:
         mesh_topologies=6,
         ht_configs_per_n=2,
     )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def bench_trajectory():
-    """Optionally record a ``BENCH_*.json`` for the whole benchmark session.
-
-    Set ``REPRO_BENCH_DIR=<dir>`` to capture aggregate events/sec over every
-    figure this session regenerates (meaningful for serial runs only —
-    ``REPRO_JOBS`` workers execute their events where the recorder cannot
-    see them).
-    """
-    out_dir = os.environ.get("REPRO_BENCH_DIR")
-    if not out_dir:
-        yield
-        return
-    with perf.recording() as recorder:
-        t0 = time.perf_counter()
-        yield
-        wall = time.perf_counter() - t0
-    summary = perf.summarize_recorder("pytest_benchmarks", recorder, wall)
-    payload = perf.bench_payload(
-        [summary], os.environ.get("REPRO_SCALE", "bench"), seed=1
-    )
-    path = perf.write_bench_file(payload, out_dir)
-    print(f"\n[bench trajectory written to {path}]")
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,7 @@ Usage::
     python -m repro.cli mobility --scale smoke
     python -m repro.cli churn --scale smoke
     python -m repro.cli scale --scale smoke --jobs 2
-    python -m repro.cli bench --scale smoke
-    python -m repro.cli bench --scale smoke --figures fig12,mobility --out-dir bench
     python -m repro.cli profile --scale smoke
-    python -m repro.cli profile --scale smoke --figures fig12 --out-dir prof
     python -m repro.cli serve --port 8642 --data-dir sweep-data
     python -m repro.cli submit --builder fig12 --scale smoke --tail
     python -m repro.cli tail <job-id>
@@ -163,79 +160,13 @@ def _figures() -> Dict[str, Callable]:
     }
 
 
-def run_bench(args, figures) -> int:
-    """Time figure regenerations and emit a BENCH_*.json trajectory point.
-
-    The benchmark always uses the serial backend: worker processes would
-    execute their events where the recorder cannot see them. Testbed
-    construction (including link classification) happens before timing, so
-    the reported events/sec reflects the event core rather than setup cost.
-    """
-    env_jobs = os.environ.get("REPRO_JOBS")
-    if (args.jobs and args.jobs > 1) or (env_jobs and env_jobs != "1"):
-        print("[bench ignores --jobs/REPRO_JOBS: worker processes execute "
-              "their events where the recorder cannot see them; running "
-              "serial]")
-    # Validate figure names before paying for testbed construction.
-    names = [f.strip() for f in args.figures.split(",") if f.strip()]
-    if not names:
-        raise SystemExit(
-            f"--figures named no figures; pick from {sorted(figures)}"
-        )
-    for name in names:
-        if name not in figures:
-            raise SystemExit(
-                f"unknown figure {name!r}; pick from {sorted(figures)}"
-            )
-    testbed = Testbed(seed=args.seed)
-    # The link table is lazy; force the O(N^2) census now so it stays
-    # setup cost (per this function's contract) instead of being charged
-    # to the first timed figure that touches it.
-    testbed.links
-    scale = _scale(args.scale)
-    backend = SerialBackend()
-
-    results = []
-    for name in names:
-        print(f"=== bench {name} (scale={args.scale}, seed={args.seed}, "
-              f"best of {args.repeat}) ===")
-        bench = perf.bench_figure(
-            name,
-            lambda n=name: figures[n](testbed, scale, backend, None),
-            repeat=args.repeat,
-        )
-        print(f"  {bench.wall_seconds:.2f}s wall, {bench.events} events, "
-              f"{bench.events_per_sec:.0f} events/s, "
-              f"{bench.trials} trials ({bench.trials_per_sec:.2f}/s)")
-        results.append(bench)
-
-    baseline = perf.load_bench_file(args.baseline)
-    comparison = perf.bench_payload(results, args.scale, args.seed, baseline)
-    if args.write_baseline:
-        # A baseline must be a clean measurement: no embedded previous
-        # baseline, no speedup-vs-itself keys.
-        clean = perf.bench_payload(results, args.scale, args.seed)
-        path = perf.write_bench_file(
-            clean, os.path.dirname(args.baseline) or ".",
-            os.path.basename(args.baseline),
-        )
-    else:
-        path = perf.write_bench_file(comparison, args.out_dir)
-    print()
-    print(perf.format_bench_table(results, comparison.get("speedup_events_per_sec")))
-    if baseline is None and not args.write_baseline:
-        print(f"[no baseline at {args.baseline}; speedup column omitted]")
-    print(f"[wrote {path}]")
-    return 0
-
-
 def run_profile(args, figures) -> int:
-    """cProfile figure regenerations and emit a PROFILE_*.json breakdown.
+    """cProfile figure regenerations and print a per-layer breakdown.
 
-    Serial backend for the same reason as bench: worker processes would
-    execute their events outside the profiler. Profiling is observational
-    — outputs stay bit-identical — so the attribution describes exactly
-    the run the goldens pin.
+    Always the serial backend: worker processes would execute their events
+    outside the profiler. Profiling is observational — outputs stay
+    bit-identical — so the attribution describes exactly the run the
+    goldens pin.
     """
     names = [f.strip() for f in args.figures.split(",") if f.strip()]
     if not names:
@@ -252,7 +183,6 @@ def run_profile(args, figures) -> int:
     scale = _scale(args.scale)
     backend = SerialBackend()
 
-    profiles = []
     for name in names:
         print(f"=== profile {name} (scale={args.scale}, seed={args.seed}) ===")
         profile = perf.profile_figure(
@@ -260,11 +190,6 @@ def run_profile(args, figures) -> int:
             lambda n=name: figures[n](testbed, scale, backend, None),
         )
         print(perf.format_profile_table(profile))
-        profiles.append(profile)
-
-    payload = perf.profile_payload(profiles, args.scale, args.seed)
-    path = perf.write_profile_file(payload, args.out_dir)
-    print(f"[wrote {path}]")
     return 0
 
 
@@ -287,8 +212,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=sorted(figures) + ["census", "map", "all", "bench", "profile"],
-        help="figure to regenerate, census/map/all, bench, or profile "
+        choices=sorted(figures) + ["census", "map", "all", "profile"],
+        help="figure to regenerate, census/map/all, or profile "
              "(serve/submit/tail/runs/chaos dispatch to the sweep "
              "service CLI)",
     )
@@ -306,24 +231,9 @@ def main(argv=None) -> int:
     parser.add_argument("--regions", action="store_true",
                         help="with 'map': draw the §5.6 region boundaries")
     parser.add_argument("--figures", default="fig12",
-                        help="with 'bench'/'profile': comma-separated "
-                             "figures to measure (default fig12)")
-    parser.add_argument("--out-dir", default=".",
-                        help="with 'bench'/'profile': directory for the "
-                             "emitted BENCH_*/PROFILE_*.json (default cwd)")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="with 'bench': time each figure N times and "
-                             "report the fastest (default 1)")
-    parser.add_argument("--baseline", default=perf.DEFAULT_BASELINE,
-                        help="with 'bench': baseline BENCH file to compare "
-                             f"against (default {perf.DEFAULT_BASELINE})")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="with 'bench': (over)write the baseline file "
-                             "instead of a timestamped BENCH file")
+                        help="with 'profile': comma-separated figures to "
+                             "profile (default fig12)")
     args = parser.parse_args(argv)
-
-    if args.target == "bench":
-        return run_bench(args, figures)
 
     if args.target == "profile":
         return run_profile(args, figures)

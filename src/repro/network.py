@@ -370,7 +370,6 @@ class Network:
                 self.sim.run(until=duration)
                 recorder.add(
                     self.sim.events_processed - events_before,
-                    duration,
                     time.perf_counter() - t0,
                 )
         finally:

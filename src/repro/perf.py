@@ -1,52 +1,37 @@
 """Performance instrumentation for the event core.
 
-Every CMAP figure is a Monte-Carlo sweep of 50-node saturated-traffic runs,
-so the metric that matters for the ROADMAP's "as fast as the hardware
-allows" goal is *events per second of wall time* through the discrete-event
-core. This module provides:
+Every CMAP figure is a Monte-Carlo sweep of saturated-traffic trials, so
+the cost that matters is the cost of one trial. The repo's measuring
+instrument is the ruler (``BENCHMARK.json``, ``benchmarks/ruler/``); this
+module holds the two probes it is built on:
 
-* :class:`PerfRecorder` — collects one sample per :meth:`Network.run`
-  (events executed, simulated seconds, wall seconds) while active. The
-  recorder is installed with the :func:`recording` context manager;
-  ``Network.run`` reports into whichever recorder is active. Recording is
-  in-process only: trials fanned out to worker processes (``--jobs N``)
-  execute their events in the workers, so benchmark runs use the serial
-  backend.
-* :func:`bench_figure` — time one figure run end-to-end and summarise it.
-* :func:`write_bench_file` / :func:`load_bench_file` — persist ``BENCH_*.json``
-  trajectory points (wall seconds, events, events/sec, trials/sec) and
-  compare against a recorded baseline.
-* :func:`profile_figure` / :func:`write_profile_file` — cProfile one figure
-  run and aggregate time **by subsystem layer** (engine / medium / radio /
-  reception / fading / mac / experiments, ...), emitting a
-  ``PROFILE_*.json`` attribution breakdown so every perf PR starts from
-  measurement instead of guesswork (``python -m repro.cli profile``).
+* :class:`PerfRecorder` — totals the events executed and the wall seconds
+  spent inside :meth:`Network.run` while installed with the
+  :func:`recording` context manager; ``Network.run`` reports into whichever
+  recorder is active. Recording is in-process only: trials fanned out to
+  worker processes (``--jobs N``) execute their events in the workers.
+* :func:`profile_figure` — cProfile one zero-argument callable and
+  aggregate time and exact call counts **by subsystem layer** (engine /
+  medium / radio / reception / fading / mac / experiments, ...);
+  ``python -m repro.cli profile`` prints the result with
+  :func:`format_profile_table`.
 
-The numbers are observational: nothing here changes scheduling, RNG
-consumption, or float arithmetic, so instrumented runs stay bit-identical
-to uninstrumented ones (profiling adds wall-clock overhead, never a
-different result).
+Both are observational: nothing here changes scheduling, RNG consumption,
+or float arithmetic, so instrumented runs stay bit-identical to
+uninstrumented ones (profiling adds wall-clock overhead, never a different
+result).
 """
 
 from __future__ import annotations
 
 import cProfile
-import json
 import os
 import pstats
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-#: Schema tag written into every BENCH file, bumped on layout changes.
-BENCH_SCHEMA = 1
-
-#: Schema tag written into every PROFILE file, bumped on layout changes.
-#: Bumped to 2 when per-figure ``mac_share`` was added (PR 9).
-PROFILE_SCHEMA = 2
-
-#: Layers every PROFILE payload must report (CI asserts these keys exist).
+#: Layers every profile reports, even when they recorded no time.
 REQUIRED_LAYERS = (
     "engine",
     "medium",
@@ -57,46 +42,18 @@ REQUIRED_LAYERS = (
     "experiments",
 )
 
-#: Default location of the recorded baseline (committed to the repo so the
-#: perf trajectory has a fixed origin to compare against).
-DEFAULT_BASELINE = os.path.join("benchmarks", "BENCH_baseline.json")
-
-
-@dataclass
-class RunSample:
-    """One ``Network.run``'s worth of event-core work."""
-
-    events: int
-    sim_seconds: float
-    wall_seconds: float
-
 
 class PerfRecorder:
-    """Accumulates :class:`RunSample` entries while installed."""
+    """Event-core totals over every ``Network.run`` while installed."""
 
     def __init__(self) -> None:
-        self.samples: List[RunSample] = []
+        self.events = 0
+        #: Wall seconds spent inside the event loop itself.
+        self.run_wall_seconds = 0.0
 
-    def add(self, events: int, sim_seconds: float, wall_seconds: float) -> None:
-        self.samples.append(RunSample(events, sim_seconds, wall_seconds))
-
-    # ------------------------------------------------------------------
-    @property
-    def runs(self) -> int:
-        return len(self.samples)
-
-    @property
-    def events(self) -> int:
-        return sum(s.events for s in self.samples)
-
-    @property
-    def sim_seconds(self) -> float:
-        return sum(s.sim_seconds for s in self.samples)
-
-    @property
-    def run_wall_seconds(self) -> float:
-        """Wall time spent inside the event loop itself."""
-        return sum(s.wall_seconds for s in self.samples)
+    def add(self, events: int, wall_seconds: float) -> None:
+        self.events += events
+        self.run_wall_seconds += wall_seconds
 
 
 _active: Optional[PerfRecorder] = None
@@ -120,120 +77,7 @@ def recording():
 
 
 # ----------------------------------------------------------------------
-# Figure benchmarking
-# ----------------------------------------------------------------------
-@dataclass
-class FigureBench:
-    """Timing summary of one figure regeneration."""
-
-    figure: str
-    wall_seconds: float
-    #: Wall seconds spent inside Network.run (event core only).
-    run_wall_seconds: float
-    events: int
-    trials: int
-    sim_seconds: float
-    events_per_sec: float
-    core_events_per_sec: float
-    trials_per_sec: float
-
-
-def summarize_recorder(
-    name: str, recorder: PerfRecorder, wall_seconds: float
-) -> FigureBench:
-    """Fold a recorder's samples plus a wall-clock reading into a summary."""
-    events = recorder.events
-    trials = recorder.runs
-    run_wall = recorder.run_wall_seconds
-    return FigureBench(
-        figure=name,
-        wall_seconds=wall_seconds,
-        run_wall_seconds=run_wall,
-        events=events,
-        trials=trials,
-        sim_seconds=recorder.sim_seconds,
-        events_per_sec=events / wall_seconds if wall_seconds > 0 else 0.0,
-        core_events_per_sec=events / run_wall if run_wall > 0 else 0.0,
-        trials_per_sec=trials / wall_seconds if wall_seconds > 0 else 0.0,
-    )
-
-
-def bench_figure(name: str, fn: Callable[[], object], repeat: int = 1) -> FigureBench:
-    """Run ``fn`` (a zero-arg figure runner) under timing instrumentation.
-
-    With ``repeat > 1`` the figure is regenerated that many times and the
-    fastest run is reported — the standard defence against scheduler noise
-    on shared machines (the simulation itself is deterministic, so only the
-    wall clock varies between runs).
-    """
-    best: Optional[FigureBench] = None
-    for _ in range(max(1, repeat)):
-        with recording() as recorder:
-            t0 = time.perf_counter()
-            fn()
-            wall = time.perf_counter() - t0
-        bench = summarize_recorder(name, recorder, wall)
-        if best is None or bench.wall_seconds < best.wall_seconds:
-            best = bench
-    return best
-
-
-# ----------------------------------------------------------------------
-# BENCH_*.json persistence
-# ----------------------------------------------------------------------
-def bench_payload(
-    figures: List[FigureBench],
-    scale: str,
-    seed: int,
-    baseline: Optional[dict] = None,
-) -> dict:
-    """Assemble the JSON payload for one benchmark session."""
-    payload: dict = {
-        "schema": BENCH_SCHEMA,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": scale,
-        "seed": seed,
-        "figures": {b.figure: asdict(b) for b in figures},
-    }
-    if baseline is not None:
-        payload["baseline"] = {
-            "created_utc": baseline.get("created_utc"),
-            "figures": baseline.get("figures", {}),
-        }
-        speedups = {}
-        for b in figures:
-            ref = baseline.get("figures", {}).get(b.figure)
-            if ref and ref.get("events_per_sec"):
-                speedups[b.figure] = b.events_per_sec / ref["events_per_sec"]
-        payload["speedup_events_per_sec"] = speedups
-    return payload
-
-
-def write_bench_file(
-    payload: dict, out_dir: str = ".", name: Optional[str] = None
-) -> str:
-    """Write a ``BENCH_*.json`` file and return its path."""
-    if name is None:
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        name = f"BENCH_{payload['scale']}_{stamp}.json"
-    path = os.path.join(out_dir, name)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_bench_file(path: str) -> Optional[dict]:
-    """Load a BENCH file, returning None if it does not exist."""
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return json.load(fh)
-
-
-# ----------------------------------------------------------------------
-# Subsystem profiler (cli profile)
+# Subsystem profiler (cli profile, the ruler's call counts)
 # ----------------------------------------------------------------------
 #: Module-path fragment -> layer name; first match wins, so more specific
 #: fragments come first. Paths use "/" after normalisation.
@@ -282,19 +126,23 @@ def _function_label(func_key) -> str:
 def profile_figure(name: str, fn: Callable[[], object]) -> dict:
     """Run ``fn`` under cProfile and attribute time by subsystem layer.
 
-    Per layer the payload reports *self* seconds (exclusive time of the
+    Per layer the result reports *self* seconds (exclusive time of the
     layer's own functions), *called* seconds (time spent inside non-repro
     callees — numpy RNG draws, math transcendentals — attributed to the
     repro layer that called them via the profiler's caller edges), their
-    sum, the fraction of total profiled time, and the layer's costliest
-    functions. Self/called seconds partition the total, so fractions sum
-    to ~1.0 across layers plus the ``other`` bucket.
+    sum, the fraction of total profiled time, the exact number of calls
+    into the layer's own functions, and the layer's costliest functions.
+    Self/called seconds partition the total, so fractions sum to ~1.0
+    across layers plus the ``other`` bucket. The profiler is uninstalled
+    even when ``fn`` raises.
     """
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
     profiler.enable()
-    fn()
-    profiler.disable()
+    try:
+        fn()
+    finally:
+        profiler.disable()
     wall = time.perf_counter() - t0
     stats = pstats.Stats(profiler).stats
 
@@ -361,39 +209,8 @@ def profile_figure(name: str, fn: Callable[[], object]) -> dict:
         "figure": name,
         "wall_seconds": round(wall, 3),
         "profiled_seconds": round(total, 3),
-        # Headline number for MAC-focused perf PRs: the fraction of profiled
-        # time spent in the MAC layer (repro/mac/ + repro/core/). Duplicated
-        # out of ``layers`` so trajectory tooling can diff it without
-        # digging through the per-layer breakdown.
-        "mac_share": layers["mac"]["fraction"],
         "layers": layers,
     }
-
-
-def profile_payload(profiles: List[dict], scale: str, seed: int) -> dict:
-    """Assemble the JSON payload for one profiling session."""
-    return {
-        "schema": PROFILE_SCHEMA,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "scale": scale,
-        "seed": seed,
-        "figures": {p["figure"]: p for p in profiles},
-    }
-
-
-def write_profile_file(
-    payload: dict, out_dir: str = ".", name: Optional[str] = None
-) -> str:
-    """Write a ``PROFILE_*.json`` file and return its path."""
-    if name is None:
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        name = f"PROFILE_{payload['scale']}_{stamp}.json"
-    path = os.path.join(out_dir, name)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def format_profile_table(profile: dict) -> str:
@@ -418,23 +235,4 @@ def format_profile_table(profile: dict) -> str:
         if entry["top"]:
             hot = entry["top"][0]
             lines.append(f"    hottest: {hot['function']} ({hot['seconds']}s)")
-    return "\n".join(lines)
-
-
-def format_bench_table(
-    figures: List[FigureBench], speedups: Optional[Dict[str, float]] = None
-) -> str:
-    """Human-readable summary printed by ``repro.cli bench``."""
-    lines = [
-        f"{'figure':<12} {'wall s':>8} {'events':>10} {'events/s':>10} "
-        f"{'trials':>7} {'trials/s':>9}" + ("  speedup" if speedups else "")
-    ]
-    for b in figures:
-        row = (
-            f"{b.figure:<12} {b.wall_seconds:>8.2f} {b.events:>10d} "
-            f"{b.events_per_sec:>10.0f} {b.trials:>7d} {b.trials_per_sec:>9.2f}"
-        )
-        if speedups and b.figure in speedups:
-            row += f"  {speedups[b.figure]:.2f}x"
-        lines.append(row)
     return "\n".join(lines)

@@ -1,24 +1,29 @@
-"""Tests for the perf instrumentation subsystem (repro/perf.py)."""
+"""Tests for the perf instrumentation subsystem (repro/perf.py) and
+``cli profile``."""
 
-import json
-import os
+import sys
 
 import pytest
 
 from repro import perf
+from repro.cli import main as cli_main
+from repro.experiments.executor import run_trial
+from repro.experiments.spec import MacSpec, TrialSpec
 from repro.net.testbed import Testbed, TestbedConfig
 from repro.net.topology import FloorPlan
 from repro.network import Network, cmap_factory
 
 
+def small_testbed() -> Testbed:
+    return Testbed(seed=3, config=TestbedConfig(num_nodes=6, floor=FloorPlan(60, 30)))
+
+
 class TestPerfRecorder:
     def test_accumulates_samples(self):
         rec = perf.PerfRecorder()
-        rec.add(100, 2.0, 0.5)
-        rec.add(50, 1.0, 0.25)
-        assert rec.runs == 2
+        rec.add(100, 0.5)
+        rec.add(50, 0.25)
         assert rec.events == 150
-        assert rec.sim_seconds == 3.0
         assert rec.run_wall_seconds == 0.75
 
     def test_recording_installs_and_restores(self):
@@ -31,25 +36,18 @@ class TestPerfRecorder:
         assert perf.active_recorder() is None
 
     def test_network_run_reports_into_active_recorder(self):
-        testbed = Testbed(
-            seed=3, config=TestbedConfig(num_nodes=6, floor=FloorPlan(60, 30))
-        )
         with perf.recording() as rec:
-            net = Network(testbed)
+            net = Network(small_testbed())
             net.add_node(0, cmap_factory())
             net.add_node(1, cmap_factory())
             net.add_saturated_flow(0, 1)
             net.run(duration=0.5, warmup=0.1)
-            assert rec.runs == 1
             assert rec.events == net.sim.events_processed
-            assert rec.sim_seconds == 0.5
             assert rec.run_wall_seconds > 0.0
 
     def test_instrumentation_is_observational(self):
         """A recorded run delivers the same bytes as an unrecorded one."""
-        testbed = Testbed(
-            seed=3, config=TestbedConfig(num_nodes=6, floor=FloorPlan(60, 30))
-        )
+        testbed = small_testbed()
 
         def run_once():
             net = Network(testbed, run_seed=2)
@@ -65,68 +63,88 @@ class TestPerfRecorder:
         assert plain == recorded
 
 
-class TestBenchFigure:
-    def test_times_and_summarizes(self):
-        def fake_figure():
-            rec = perf.active_recorder()
-            rec.add(1000, 2.0, 0.01)
-            rec.add(500, 1.0, 0.01)
-
-        bench = perf.bench_figure("figX", fake_figure)
-        assert bench.figure == "figX"
-        assert bench.events == 1500
-        assert bench.trials == 2
-        assert bench.sim_seconds == 3.0
-        assert bench.wall_seconds > 0
-        assert bench.events_per_sec == bench.events / bench.wall_seconds
-
-    def test_repeat_keeps_fastest(self):
-        calls = []
-
-        def fake_figure():
-            calls.append(1)
-            perf.active_recorder().add(10, 1.0, 0.001)
-
-        bench = perf.bench_figure("figY", fake_figure, repeat=3)
-        assert len(calls) == 3
-        assert bench.events == 10  # one repeat's worth, not the sum
+# ----------------------------------------------------------------------
+# profile_figure: what the ruler's per-layer metrics and calls_per_trial
+# are built on
+# ----------------------------------------------------------------------
+SPEC = TrialSpec(
+    trial_id="perf/cmap",
+    nodes=(0, 1, 2, 3),
+    flows=((0, 1), (2, 3)),
+    mac=MacSpec.of("cmap"),
+    run_seed=1,
+    duration=0.5,
+    warmup=0.1,
+)
 
 
-class TestBenchFiles:
-    def test_payload_and_roundtrip(self, tmp_path):
-        rec = perf.PerfRecorder()
-        rec.add(4000, 8.0, 1.0)
-        bench = perf.summarize_recorder("fig12", rec, 2.0)
-        payload = perf.bench_payload([bench], "smoke", seed=1)
-        assert payload["schema"] == perf.BENCH_SCHEMA
-        assert payload["figures"]["fig12"]["events"] == 4000
-        assert "speedup_events_per_sec" not in payload
-
-        path = perf.write_bench_file(payload, str(tmp_path))
-        assert os.path.basename(path).startswith("BENCH_smoke_")
-        assert perf.load_bench_file(path) == json.loads(json.dumps(payload))
-
-    def test_speedup_against_baseline(self, tmp_path):
-        old = perf.PerfRecorder()
-        old.add(1000, 1.0, 1.0)
-        baseline = perf.bench_payload(
-            [perf.summarize_recorder("fig12", old, 1.0)], "smoke", seed=1
+@pytest.fixture(scope="module")
+def trial_profiles():
+    """An unprofiled run (which also fills the lazy tables), then two
+    profiled runs of the same trial."""
+    testbed = small_testbed()
+    plain = run_trial(testbed, SPEC)
+    profiled = []
+    profiles = []
+    for _ in range(2):
+        profiles.append(
+            perf.profile_figure(
+                "trial", lambda: profiled.append(run_trial(testbed, SPEC))
+            )
         )
-        new = perf.PerfRecorder()
-        new.add(1000, 1.0, 0.5)
-        payload = perf.bench_payload(
-            [perf.summarize_recorder("fig12", new, 0.5)],
-            "smoke", seed=1, baseline=baseline,
-        )
-        assert payload["speedup_events_per_sec"]["fig12"] == pytest.approx(2.0)
+    return plain, profiled, profiles
 
-    def test_load_missing_returns_none(self, tmp_path):
-        assert perf.load_bench_file(str(tmp_path / "nope.json")) is None
 
-    def test_format_table(self):
-        rec = perf.PerfRecorder()
-        rec.add(100, 1.0, 0.1)
-        bench = perf.summarize_recorder("fig13", rec, 0.2)
-        table = perf.format_bench_table([bench], {"fig13": 1.5})
-        assert "fig13" in table
-        assert "1.50x" in table
+class TestProfileFigure:
+    def test_uninstalls_profiler_when_fn_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            perf.profile_figure("x", lambda: 1 / 0)
+        assert sys.getprofile() is None
+
+    def test_reports_every_required_layer(self, trial_profiles):
+        _, _, profiles = trial_profiles
+        for profile in profiles:
+            assert set(perf.REQUIRED_LAYERS) <= set(profile["layers"])
+            assert profile["layers"]["mac"]["calls"] > 0
+
+    def test_fractions_partition_the_profiled_time(self, trial_profiles):
+        _, _, profiles = trial_profiles
+        for profile in profiles:
+            fractions = [e["fraction"] for e in profile["layers"].values()]
+            assert all(0.0 <= f <= 1.0 for f in fractions)
+            assert 0.90 <= sum(fractions) <= 1.05
+
+    def test_call_counts_repeat_exactly(self, trial_profiles):
+        _, _, (first, second) = trial_profiles
+        calls = [
+            {name: e["calls"] for name, e in p["layers"].items()}
+            for p in (first, second)
+        ]
+        assert calls[0] == calls[1]
+
+    def test_profiled_result_equals_unprofiled(self, trial_profiles):
+        plain, profiled, _ = trial_profiles
+        for result in profiled:
+            assert result.to_json() == plain.to_json()
+
+
+class TestCliProfile:
+    def test_prints_the_layer_table(self, capsys):
+        assert cli_main(["profile", "--figures", "calibration"]) == 0
+        out = capsys.readouterr().out
+        assert "=== profile calibration" in out
+        assert "frac" in out
+        for layer in perf.REQUIRED_LAYERS:
+            assert f"  {layer} " in out
+
+    def test_unknown_figure_exits_with_one_line_message(self):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["profile", "--figures", "fig99"])
+        message = str(exc.value)
+        assert message.startswith("unknown figure 'fig99'")
+        assert "\n" not in message
+
+    def test_bench_target_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench"])
+        assert exc.value.code == 2  # argparse: invalid choice

@@ -1,10 +1,8 @@
 """Timer API: ``TimerHandle``, ``TimerRegistry`` and the engine's one heap.
 
-(The file name, and ``test_pending_count_tracks_wheel_and_heap``, predate
-the timer wheel's removal; they are kept so the test ids stay stable.)
-
 * unit tests of the handle lifecycle — arm, cancel, re-arm in place, revive
-  after cancel or fire — through both arm entry points;
+  after cancel or fire — through both arm entry points (``call_at`` and
+  ``call_later``);
 * a cancel-storm test — hundreds of pseudo-random arm/cancel/reschedule
   operations checked against a list sorted by ``(time, priority, seq)``;
 * a hypothesis state machine that drives every scheduling verb against the
@@ -34,11 +32,15 @@ def arm(sim: Simulator, absolute: bool, delay: float, fn, *args) -> TimerHandle:
     return sim.call_later(delay, fn, *args)
 
 
+#: Test ids of the ``absolute`` axis, named after the arm entry point.
+ARM_IDS = ["call_at", "call_later"]
+
+
 # ----------------------------------------------------------------------
 # TimerHandle unit behaviour
 # ----------------------------------------------------------------------
 class TestTimerHandle:
-    @pytest.mark.parametrize("absolute", [True, False])
+    @pytest.mark.parametrize("absolute", [True, False], ids=ARM_IDS)
     def test_call_later_fires_and_cancel_is_o1(self, absolute):
         sim = Simulator()
         fired = []
@@ -52,7 +54,7 @@ class TestTimerHandle:
         assert not h1.pending  # fired handles are no longer pending
         assert not h1.cancelled
 
-    @pytest.mark.parametrize("absolute", [True, False])
+    @pytest.mark.parametrize("absolute", [True, False], ids=ARM_IDS)
     def test_reschedule_in_place_retargets(self, absolute):
         sim = Simulator()
         fired = []
@@ -67,7 +69,7 @@ class TestTimerHandle:
         assert fired == ["x"]  # the orphaned t=5 entry never fires
         assert sim.now == 2.0
 
-    @pytest.mark.parametrize("absolute", [True, False])
+    @pytest.mark.parametrize("absolute", [True, False], ids=ARM_IDS)
     def test_reschedule_after_fire_revives_handle(self, absolute):
         """The periodic-timer idiom: re-arm the handle from its callback."""
         sim = Simulator()
@@ -83,7 +85,7 @@ class TestTimerHandle:
         sim.run()
         assert fires == [1.0, 2.0, 3.0]
 
-    @pytest.mark.parametrize("absolute", [True, False])
+    @pytest.mark.parametrize("absolute", [True, False], ids=ARM_IDS)
     def test_cancelled_then_rescheduled_never_double_fires(self, absolute):
         sim = Simulator()
         fired = []
@@ -103,8 +105,8 @@ class TestTimerHandle:
         with pytest.raises(ValueError):
             h.reschedule(-1.0)
 
-    @pytest.mark.parametrize("absolute", [True, False])
-    def test_pending_count_tracks_wheel_and_heap(self, absolute):
+    @pytest.mark.parametrize("absolute", [True, False], ids=ARM_IDS)
+    def test_pending_count_tracks_live_arms(self, absolute):
         sim = Simulator()
         handles = [arm(sim, absolute, 0.5 + i, lambda: None) for i in range(10)]
         assert sim.pending_count() == 10
