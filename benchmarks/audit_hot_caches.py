@@ -26,6 +26,16 @@ trial and reports, per workload:
 * **inline fan-out** — frame-start batches
   ``Simulator.deliver_fanout_inline`` delivered in place against those it
   sent round the heap.
+* **edge census** (reported, not a rule-5 mechanism; ROADMAP item 5(a)) —
+  of the fan-out edges the radios ran, how many did none of (i) a
+  full-delivery entry reaching an IDLE radio, (ii) a sensing entry, (iii) a
+  scored sync at the radio: their only effect is an insert into, or a pop
+  from, the radio's arrival set. Of those, how many are *inert* as well:
+  not a full-delivery start (each one draws its fade on a fading channel
+  and may capture by message-in-message) and not the end of the radio's
+  own sync (it finalizes the reception and draws the coin). The census
+  raises unless the edges it classified equal the edges the medium and
+  the engine delivered.
 
 Everything is observed from outside, through wrappers installed on the
 classes for the length of one workload; nothing under ``src/`` counts
@@ -52,8 +62,9 @@ sys.path.insert(0, os.path.join(REPO, "benchmarks", "ruler"))
 
 from repro.experiments.executor import run_trial
 from repro.experiments.runners import ExperimentScale, build_scale_sweep
+from repro.phy.medium import Medium
 from repro.phy.modulation import ErrorModel, NistErrorModel
-from repro.phy.radio import Radio
+from repro.phy.radio import Radio, RadioState
 from repro.phy.reception import Reception
 from repro.sim.engine import Simulator
 
@@ -71,6 +82,16 @@ START_EDGES = {
     "on_frame_start": "fold_queries_frame",
     "on_interference_start": "fold_queries_energy",
 }
+#: The edge census's counters (see the module docstring).
+EDGE_COUNTS = (
+    "edges",
+    "edges_delivered",
+    "edges_idle_full",
+    "edges_sensing",
+    "edges_scored_sync",
+    "edges_bookkeeping",
+    "edges_inert",
+)
 
 
 def build(workload: str, seed: int):
@@ -99,6 +120,7 @@ def census(testbed, trials) -> dict:
             "scored_busy_rx",
             "batches_inline",
             "batches_heap",
+            *EDGE_COUNTS,
         ),
         0,
     )
@@ -191,6 +213,24 @@ def census(testbed, trials) -> dict:
 
         return interference_mw
 
+    def run_edge(radio, tx, entry, full, start):
+        """Run one fan-out edge and classify it for the edge census."""
+        sync = radio._sync
+        idle_full = full and start and radio._state is RadioState.IDLE
+        scored = sync is not None and sync.scored
+        own_end = not start and sync is not None and sync.transmission is tx
+        sensed = tx.uid in radio._sensed  # an end's entry sensed iff present
+        entry(tx)
+        if start:
+            sensed = tx.uid in radio._sensed
+        c["edges"] += 1
+        c["edges_idle_full"] += idle_full
+        c["edges_sensing"] += sensed
+        c["edges_scored_sync"] += scored
+        if not (idle_full or sensed or scored):
+            c["edges_bookkeeping"] += 1
+            c["edges_inert"] += not (full and start) and not own_end
+
     def counting_bind(original):
         def bind_start_entry(radio, tx_node, rss_dbm):
             entry = original(radio, tx_node, rss_dbm)
@@ -199,13 +239,20 @@ def census(testbed, trials) -> dict:
             def on_frame_start(tx):
                 sync = radio._sync
                 busy_rx = stats.sync_missed_busy_rx
-                entry(tx)
+                run_edge(radio, tx, entry, True, True)
                 if stats.sync_missed_busy_rx != busy_rx and sync.scored:
                     c["scored_busy_rx"] += 1
 
             return on_frame_start
 
         return bind_start_entry
+
+    def counting_end_bind(original, full):
+        def bind_end(radio):
+            entry = original(radio)
+            return lambda tx: run_edge(radio, tx, entry, full, False)
+
+        return bind_end
 
     # Energy-only starts that find a scored reception and a radio not
     # transmitting: each pushes exactly one update. Kept out of ``c`` so the
@@ -221,7 +268,7 @@ def census(testbed, trials) -> dict:
                 sync = radio._sync
                 if sync is not None and not radio.is_transmitting and sync.scored:
                     scored_energy += 1
-                entry(tx)
+                run_edge(radio, tx, entry, False, True)
 
             return on_interference_start
 
@@ -231,9 +278,17 @@ def census(testbed, trials) -> dict:
         def deliver_fanout_inline(sim, start_fns, tx):
             inline = original(sim, start_fns, tx)
             c["batches_inline" if inline else "batches_heap"] += 1
+            c["edges_delivered"] += len(start_fns) if inline else 0
             return inline
 
         return deliver_fanout_inline
+
+    def counting_delivery(original):
+        def deliver(medium, *args):
+            c["edges_delivered"] += len(args[-1])  # the batch's callbacks
+            return original(medium, *args)
+
+        return deliver
 
     def collecting_init(original):
         def __init__(radio, *args, **kwargs):
@@ -251,13 +306,26 @@ def census(testbed, trials) -> dict:
             (Radio, "interference_mw", counting_resum),
             (Radio, "bind_start_entry", counting_bind),
             (Radio, "bind_interference_start_entry", counting_energy_bind),
+            (Radio, "bind_end_entry", lambda f: counting_end_bind(f, True)),
+            (
+                Radio,
+                "bind_interference_end_entry",
+                lambda f: counting_end_bind(f, False),
+            ),
             (Radio, "__init__", collecting_init),
             (Simulator, "deliver_fanout_inline", counting_fanout),
+            (Medium, "_deliver_starts", counting_delivery),
+            (Medium, "_deliver_ends", counting_delivery),
         ):
             wrapped = wrapper(cls.__dict__[name])
             stack.enter_context(mock.patch.object(cls, name, wrapped))
         for trial in trials:
             run_trial(testbed, trial)
+    if c["edges"] != c["edges_delivered"]:
+        raise AssertionError(
+            f"the edge census classified {c['edges']} fan-out edges but the "
+            f"medium and engine delivered {c['edges_delivered']}"
+        )
     if c["fold_queries_frame"] != c["scored_busy_rx"]:
         raise AssertionError(
             f"{c['fold_queries_frame']} frame-start updates reached a reception "
@@ -294,6 +362,8 @@ def summarise(c: dict) -> dict:
             fold_queries - c["fold_misses"], fold_queries
         ),
         "inline_batch_share": _share(c["batches_inline"], batches),
+        "bookkeeping_edge_share": _share(c["edges_bookkeeping"], c["edges"]),
+        "inert_edge_share": _share(c["edges_inert"], c["edges"]),
     }
 
 
@@ -365,6 +435,15 @@ def main(argv=None) -> int:
                 f"  fan-out: {c['batches_inline']} start batches inline, "
                 f"{c['batches_heap']} round the heap "
                 f"({row['inline_batch_share']:.1%} inline)"
+            )
+            print(
+                f"  edges:   {c['edges']} fan-out edges (cross-check: "
+                f"{c['edges_delivered']} delivered); {c['edges_idle_full']} "
+                f"full at an idle radio, {c['edges_sensing']} sensing, "
+                f"{c['edges_scored_sync']} at a scored sync; "
+                f"{c['edges_bookkeeping']} bookkeeping-only "
+                f"({row['bookkeeping_edge_share']:.1%}), {c['edges_inert']} "
+                f"of them inert ({row['inert_edge_share']:.1%})"
             )
         for label, best in verdicts.items():
             print(f"best on a ruler workload: {label} {best:.1%}")

@@ -1,28 +1,31 @@
-"""The seam between the simulator and its two numerical kernels.
+"""The seam between the simulator and its numerical kernels.
 
-The simulator makes two reads here, both at object-build time:
+The simulator makes three reads here, all at object-build time:
 
 * :func:`wrap_uniform_stream` — single-kind RNG streams are served from
   :class:`repro.kernels.rngbuf.BufferedUniformStream` (block refills,
   bit-identical; see the buffer refill determinism rule in that module).
+* :func:`bind_stream` — a radio's stream: buffered when its coin is its
+  only draw kind, else drawn by numpy's C functions (:mod:`.cdraws`).
 * :func:`chunk_grids_enabled` — the erfc waterfall error model precomputes
   saturated-region chunk kernels (:mod:`repro.kernels.chunkgrid`,
   bit-identical by the grid exactness rule).
 
-Both are always on. :func:`reference_kernels` turns both off for the
+All are always on. :func:`reference_kernels` turns them off for the
 duration of a ``with`` block so tests can build the scalar reference
-(per-draw RNG, region-free chunk kernel) in-process and diff it against the
-kernelised path. Objects bind their streams and chunk kernels at
-construction, so build the reference network *inside* the block.
+(per-draw Generator methods, region-free chunk kernel) in-process and diff
+it against the kernelised path. Objects bind their streams and chunk
+kernels at construction, so build the reference network *inside* the block.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Tuple
 
 import numpy as np
 
+from repro.kernels.cdraws import BitGen
 from repro.kernels.rngbuf import BufferedUniformStream
 
 _reference = False
@@ -39,6 +42,29 @@ def wrap_uniform_stream(rng: np.random.Generator):
     if _reference or isinstance(rng, BufferedUniformStream):
         return rng
     return BufferedUniformStream(rng)
+
+
+def bind_stream(rng, fading) -> Tuple[object, object]:
+    """``(stream, draw argument)`` for a radio on ``fading``'s channel.
+
+    An RNG-free channel leaves the coin as the only kind: the stream is
+    buffered and is its own argument. Otherwise the stream is the raw
+    Generator (a buffer is detached, so draws resume bit-identically) and
+    the argument its :class:`~repro.kernels.cdraws.BitGen`, or the Generator
+    itself inside :func:`reference_kernels`. ``type(arg).random(arg)`` is
+    the coin either way.
+    """
+    if fading is None or getattr(fading, "RNG_FREE", False):
+        rng = wrap_uniform_stream(rng)
+        return rng, rng
+    if isinstance(rng, BufferedUniformStream):
+        rng = rng.detach()
+    if _reference:
+        return rng, rng
+    # numpy's BitGenerator.ctypes interface: its bitgen_t *, cached.
+    bitgen = BitGen(rng.bit_generator.ctypes.bit_generator.value)
+    bitgen.generator = rng
+    return rng, bitgen
 
 
 def chunk_grids_enabled() -> bool:

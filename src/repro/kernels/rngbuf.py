@@ -17,8 +17,9 @@ serving both ziggurat ``standard_normal`` fade draws and ``random()``
 delivery flips) cannot be block-buffered bit-identically, because the block
 draw advances the underlying bit-generator past state the other
 distribution would have consumed — ziggurat draws consume a variable number
-of raw outputs. Such streams stay scalar. The two
-streams that qualify today:
+of raw outputs. Such streams draw one value at a time, through numpy's C
+distribution functions rather than the Generator methods (same bits;
+:mod:`repro.kernels.cdraws`). The two streams that qualify today:
 
 * CMAP-family MAC streams — every draw is ``random()`` or
   ``uniform(lo, hi)``, and ``Generator.uniform(lo, hi)`` consumes exactly

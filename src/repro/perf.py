@@ -127,11 +127,13 @@ def profile_figure(name: str, fn: Callable[[], object]) -> dict:
     """Run ``fn`` under cProfile and attribute time by subsystem layer.
 
     Per layer the result reports *self* seconds (exclusive time of the
-    layer's own functions), *called* seconds (time spent inside non-repro
-    callees — numpy RNG draws, math transcendentals — attributed to the
-    repro layer that called them via the profiler's caller edges), their
-    sum, the fraction of total profiled time, the exact number of calls
-    into the layer's own functions, and the layer's costliest functions.
+    layer's own functions), *called* seconds (time inside the non-repro
+    callees cProfile records — ``math`` transcendentals, stdlib — attributed
+    to the repro layer that called them via the profiler's caller edges),
+    their sum, the fraction of total profiled time, the exact number of
+    calls into the layer's own functions, and the layer's costliest
+    functions. numpy's Cython methods (``Generator.random()``) and ctypes
+    calls record no event: their time is the caller's self time.
     Self/called seconds partition the total, so fractions sum to ~1.0
     across layers plus the ``other`` bucket. The profiler is uninstalled
     even when ``fn`` raises.

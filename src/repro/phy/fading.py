@@ -12,6 +12,8 @@ deterministically (by seed) LOS with probability ``p_los`` — tiny log-normal
 fading — or NLOS — Rayleigh block fading per frame. Analytic fading-averaged
 PRRs (for link classification) use Gauss-Hermite / Gauss-Laguerre quadrature
 so they match the in-simulation per-frame draws exactly in distribution.
+Radio samplers draw through numpy's C functions on the radio stream's
+:class:`~repro.kernels.cdraws.BitGen`: the Generator methods' own, same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.kernels.cdraws import BitGen
 from repro.phy.modulation import ErrorModel, Rate
 from repro.util.rng import stable_hash
 from repro.util.units import sinr_db as _sinr_db
@@ -48,22 +51,26 @@ class FadingModel:
     #: True when this model's samplers never consume the radio's RNG
     #: stream. The kernel layer may then block-buffer that stream (the
     #: delivery coin flip becomes its only draw kind — see
-    #: :mod:`repro.kernels.rngbuf`); RNG-consuming models keep it scalar.
+    #: :mod:`repro.kernels.rngbuf`); RNG-consuming models keep it mixed.
     RNG_FREE = False
 
     def draw_db(self, rng: np.random.Generator, a: int, b: int) -> float:
         """One fade realisation (dB, added to mean RSS) for a frame a->b."""
         raise NotImplementedError
 
-    def pair_sampler(self, a: int, b: int, rng: np.random.Generator):
+    def pair_sampler(self, a: int, b: int, rng):
         """A zero-arg ``sampler() -> fade_db`` closure for the pair's frames.
 
-        Radios cache one sampler per transmitter so the per-frame hot path
-        skips re-resolving the pair's fading class (and the generator's
-        method) on every arrival. The default wraps :meth:`draw_db`;
-        subclasses specialise. Samplers MUST consume ``rng`` exactly as
-        ``draw_db`` does, so cached and uncached paths stay bit-identical.
+        ``rng`` is a Generator or the radio's :class:`BitGen` over one;
+        ``type(rng).standard_normal(rng)`` draws on either. Radios cache one
+        sampler per transmitter so the per-frame hot path skips re-resolving
+        the pair's fading class and draw function on every arrival. The
+        default wraps :meth:`draw_db`; subclasses specialise. Samplers MUST
+        consume the stream exactly as ``draw_db`` does, so cached and
+        uncached paths stay bit-identical.
         """
+        if isinstance(rng, BitGen):
+            rng = rng.generator
         return lambda: self.draw_db(rng, a, b)
 
     def mean_prr(
@@ -88,7 +95,7 @@ class NoFading(FadingModel):
     def draw_db(self, rng: np.random.Generator, a: int, b: int) -> float:
         return 0.0
 
-    def pair_sampler(self, a: int, b: int, rng: np.random.Generator):
+    def pair_sampler(self, a: int, b: int, rng):
         return lambda: 0.0
 
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
@@ -113,15 +120,15 @@ class GaussianBlockFading(FadingModel):
             return 0.0
         return float(rng.normal(0.0, self.sigma_db))
 
-    def pair_sampler(self, a: int, b: int, rng: np.random.Generator):
+    def pair_sampler(self, a: int, b: int, rng):
         if self.sigma_db == 0.0:
             return lambda: 0.0
         sigma = self.sigma_db
-        std_normal = rng.standard_normal
+        std_normal = type(rng).standard_normal
         # 0.0 + sigma * standard_normal() is what Generator.normal(0.0,
         # sigma) computes internally — same stream, same bits, less argument
-        # processing.
-        return lambda: float(0.0 + sigma * std_normal())
+        # processing. The closure holds rng, so a BitGen keeps its stream.
+        return lambda: 0.0 + sigma * std_normal(rng)
 
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
         s = _sinr_db(rss_dbm, -400.0, noise_dbm)
@@ -177,23 +184,23 @@ class LosNlosMixtureFading(FadingModel):
             return _FADE_FLOOR_DB
         return max(_FADE_FLOOR_DB, 10.0 * math.log10(gain))
 
-    def pair_sampler(self, a: int, b: int, rng: np.random.Generator):
+    def pair_sampler(self, a: int, b: int, rng):
         """Pair-specialised sampler: the LOS/NLOS class is quenched, so it
         is resolved once here instead of on every frame arrival."""
         if self.is_los(a, b):
             if self.los_sigma_db == 0.0:
                 return lambda: 0.0
             sigma = self.los_sigma_db
-            std_normal = rng.standard_normal
+            std_normal = type(rng).standard_normal
             # Bit-identical to rng.normal(0.0, sigma); see GaussianBlockFading.
-            return lambda: float(0.0 + sigma * std_normal())
+            return lambda: 0.0 + sigma * std_normal(rng)
         log10 = math.log10
         # Generator.exponential(1.0) is 1.0 * standard_exponential(): the
         # same stream and the same bits.
-        std_exp = rng.standard_exponential
+        std_exp = type(rng).standard_exponential
 
         def _nlos() -> float:
-            gain = float(std_exp())
+            gain = std_exp(rng)
             if gain <= 0.0:
                 return _FADE_FLOOR_DB
             return max(_FADE_FLOOR_DB, 10.0 * log10(gain))

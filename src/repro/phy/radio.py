@@ -44,6 +44,9 @@ pair's fade sampler (a zero-fade sampler on a static channel) and this
 radio's config and noise are resolved once at table-build time;
 reassigning :attr:`Radio.config` invalidates every table containing the
 radio, so a closure can never outlive the config it was compiled from.
+Fades and coins draw on one stream, bound by
+:func:`~repro.kernels.backend.bind_stream`: buffered on an RNG-free channel,
+else through numpy's C functions (bit-identical to the Generator methods).
 """
 
 from __future__ import annotations
@@ -55,8 +58,7 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernels.backend import wrap_uniform_stream
-from repro.kernels.rngbuf import BufferedUniformStream
+from repro.kernels.backend import bind_stream
 from repro.phy.fading import FadingModel
 from repro.phy.frames import BROADCAST, Frame
 from repro.phy.modulation import ErrorModel, NistErrorModel
@@ -77,17 +79,6 @@ class RadioState(Enum):
 def _no_fade() -> float:
     """The static channel's fade sampler (what ``NoFading`` binds)."""
     return 0.0
-
-
-def _fading_is_rng_free(fading: Optional[FadingModel]) -> bool:
-    """True when the channel's fade samplers never touch the radio stream.
-
-    ``FadingModel.RNG_FREE`` is the model's own declaration (NoFading, a
-    zero-sigma Gaussian); ``None`` is the static channel. Only then can the
-    radio's stream be block-buffered — the delivery coin flip is its sole
-    remaining draw kind.
-    """
-    return fading is None or getattr(fading, "RNG_FREE", False)
 
 
 @dataclass
@@ -171,7 +162,8 @@ class Radio:
         "_excl_valid",
         "_fade_samplers",
         "_sampler_model",
-        "_rng_random",
+        "_draw_arg",
+        "_coin",
         "__dict__",
     )
 
@@ -184,16 +176,9 @@ class Radio:
     ):
         self.sim = sim
         self.node_id = node_id
-        # A channel whose fading consumes no RNG leaves the per-delivery
-        # coin flip as this stream's only draw kind, so it qualifies for
-        # block buffering (bit-identical; see repro.kernels.rngbuf). With
-        # RNG-consuming fading the stream serves interleaved distributions
-        # and must stay scalar.
-        if _fading_is_rng_free(config.fading):
-            rng = wrap_uniform_stream(rng)
-        self.rng = rng
-        #: Bound draw method (the finalize path's per-delivery coin flip).
-        self._rng_random = rng.random
+        # The coin is _coin(_draw_arg); fade samplers draw on _draw_arg too.
+        self.rng, self._draw_arg = bind_stream(rng, config.fading)
+        self._coin = type(self._draw_arg).random
         self.medium: Optional["Medium"] = None
         self.mac = None  # set by the MAC when it attaches
         #: Frame kinds the MAC reads when addressed to another node, as a
@@ -251,21 +236,12 @@ class Radio:
         """
         self._config = config
         self._noise_mw = dbm_to_mw(config.noise_dbm)
-        # Keep the stream's buffering in step with the new channel model. A
-        # swap that introduces RNG-consuming fading rewinds the buffer onto
-        # the raw generator (detach() replays exactly the consumed draws,
-        # so scalar consumption continues bit-identically); a swap to an
-        # RNG-free channel starts buffering from the current stream state.
-        rng = self.rng
-        if isinstance(rng, BufferedUniformStream):
-            if not _fading_is_rng_free(config.fading):
-                self.rng = rng.detach()
-                self._rng_random = self.rng.random
-        elif _fading_is_rng_free(config.fading):
-            wrapped = wrap_uniform_stream(rng)
-            if wrapped is not rng:
-                self.rng = wrapped
-                self._rng_random = wrapped.random
+        # Re-bind the stream for the new channel model: a swap to
+        # RNG-consuming fading detaches the buffer (exactly the consumed
+        # draws are replayed, so the draws continue bit-identically); a swap
+        # to an RNG-free channel starts buffering from the current state.
+        self.rng, self._draw_arg = bind_stream(self.rng, config.fading)
+        self._coin = type(self._draw_arg).random
         medium = self.medium
         if medium is not None:
             medium.on_radio_config_changed(self.node_id)
@@ -389,8 +365,8 @@ class Radio:
     def _sampler_for(self, tx_node: int) -> Callable:
         """The pair's fade sampler, cached across table rebuilds.
 
-        Resolution draws no RNG (samplers bind generator methods; the
-        quenched LOS/NLOS class has its own hash-seeded stream).
+        Resolution draws no RNG (samplers bind the stream's draw functions;
+        the quenched LOS/NLOS class has its own hash-seeded stream).
         """
         fading = self._config.fading
         if fading is None:
@@ -401,7 +377,7 @@ class Radio:
         sampler = self._fade_samplers.get(tx_node)
         if sampler is None:
             sampler = self._fade_samplers[tx_node] = fading.pair_sampler(
-                tx_node, self.node_id, self.rng
+                tx_node, self.node_id, self._draw_arg
             )
         return sampler
 
@@ -631,13 +607,13 @@ class Radio:
         if not reception.scored:
             # Nothing reads the outcome, but the coin is still drawn so the
             # stream stays in step (determinism rule 3).
-            self._rng_random()
+            self._coin(self._draw_arg)
             self.stats.delivered_unscored += 1
             return
         prob = reception.success_probability(
             self._config.error_model, self._noise_mw
         )
-        ok = bool(self._rng_random() < prob)
+        ok = bool(self._coin(self._draw_arg) < prob)
         if ok:
             self.stats.delivered_ok += 1
         else:

@@ -1,8 +1,11 @@
 """Unit tests for the small-scale fading models."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.kernels.backend import bind_stream
 from repro.phy.fading import (
     FadingModel,
     GaussianBlockFading,
@@ -119,6 +122,8 @@ class TestPairSamplers:
     """pair_sampler must consume the generator exactly like draw_db."""
 
     def test_bit_identical_to_draw_db(self):
+        """On the Generator's methods and, as a radio binds it, on numpy's
+        C functions through the stream's BitGen."""
         models = [
             NoFading(),
             GaussianBlockFading(0.0),
@@ -126,11 +131,14 @@ class TestPairSamplers:
             LosNlosMixtureFading(seed=5, p_los=0.5),
             LosNlosMixtureFading(seed=5, p_los=0.5, los_sigma_db=0.0),
         ]
-        for model in models:
+        for model, bound in itertools.product(models, (False, True)):
             for a, b in [(0, 1), (2, 7), (3, 3)]:
                 r_ref = np.random.default_rng(42)
                 r_smp = np.random.default_rng(42)
-                sampler = model.pair_sampler(a, b, r_smp)
+                arg = r_smp
+                if bound:
+                    arg = bind_stream(r_smp, GaussianBlockFading(1.0))[1]
+                sampler = model.pair_sampler(a, b, arg)
                 for _ in range(400):
                     assert model.draw_db(r_ref, a, b) == sampler(), (model, a, b)
                 # Streams must be in lockstep afterwards too.

@@ -6,6 +6,10 @@ The load-bearing guarantees:
   generation — same bits, across refill boundaries, forks, and mixed
   ``random``/``uniform`` call sequences (the buffer refill determinism
   rule, DESIGN.md "Kernels");
+* numpy's C distribution functions on a :class:`BitGen` are lockstep with
+  the Generator methods over interleaved normal / exponential / uniform
+  draws, across radio config swaps and after the caller drops the
+  Generator;
 * the chunk grids are exact — saturated-region shortcuts and grid-point
   table hits return the very float the fused closure computes (the grid
   exactness rule);
@@ -14,6 +18,7 @@ The load-bearing guarantees:
   process-pool workers agree with serial.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -22,10 +27,12 @@ import pytest
 from repro.experiments.executor import ProcessPoolBackend, SerialBackend, run_trial
 from repro.experiments.spec import MacSpec, TrialSpec
 from repro.kernels.backend import (
+    bind_stream,
     chunk_grids_enabled,
     reference_kernels,
     wrap_uniform_stream,
 )
+from repro.kernels.cdraws import BitGen
 from repro.kernels.chunkgrid import (
     BITS_SAFE,
     GRID_POINTS,
@@ -35,7 +42,10 @@ from repro.kernels.chunkgrid import (
 )
 from repro.kernels.rngbuf import MAX_BLOCK, MIN_BLOCK, BufferedUniformStream
 from repro.net.testbed import Testbed
+from repro.phy.fading import GaussianBlockFading, LosNlosMixtureFading, NoFading
 from repro.phy.modulation import RATES, NistErrorModel
+from repro.phy.radio import Radio, RadioConfig
+from repro.sim.engine import Simulator
 from repro.util.rng import RngFactory
 
 
@@ -122,6 +132,55 @@ class TestBufferedLockstep:
     def test_bad_block_rejected(self):
         with pytest.raises(ValueError):
             BufferedUniformStream(np.random.default_rng(1), block=0)
+
+
+# ----------------------------------------------------------------------
+# C draws on a mixed-kind stream
+# ----------------------------------------------------------------------
+MIXED = GaussianBlockFading(2.0)
+KINDS = ("standard_normal", "standard_exponential", "random")
+
+
+class TestCDrawLockstep:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_interleaved_kinds_match_generator_methods(self, seed):
+        """>= 1M draws over the seeds, kinds interleaved at random: the C
+        functions on a BitGen return the methods' bits, in lockstep."""
+        _stream, bitgen = bind_stream(np.random.default_rng(seed), MIXED)
+        assert isinstance(bitgen, BitGen)
+        twin = np.random.default_rng(seed)
+        order = np.random.default_rng(seed + 1).integers(0, 3, 350_000)
+        c_draws = [getattr(BitGen, kind) for kind in KINDS]
+        methods = [getattr(twin, kind) for kind in KINDS]
+        for k in order.tolist():
+            assert c_draws[k](bitgen) == methods[k]()
+        assert bitgen.generator.random() == twin.random()
+
+    def test_config_swaps_keep_the_coin_sequence(self):
+        """RNG-free -> LOS/NLOS -> RNG-free swaps rebind the coin (buffer,
+        C function, buffer) without moving the stream."""
+        twin = np.random.default_rng(42)
+        static = RadioConfig(fading=NoFading())
+        faded = RadioConfig(fading=LosNlosMixtureFading(seed=3))
+        radio = Radio(Simulator(), 0, static, np.random.default_rng(42))
+        for config, draws in ((faded, 100), (static, 5), (faded, 4000), (static, 1)):
+            for _ in range(draws):
+                assert radio._coin(radio._draw_arg) == twin.random()
+            radio.config = config
+        assert isinstance(radio._draw_arg, BufferedUniformStream)
+        assert radio._coin(radio._draw_arg) == twin.random()
+
+    def test_bound_draw_outlives_the_callers_generator(self):
+        rng = np.random.default_rng(5)
+        _stream, bitgen = bind_stream(rng, MIXED)
+        sampler = LosNlosMixtureFading(seed=1, p_los=0.0).pair_sampler(0, 1, bitgen)
+        del rng, _stream, bitgen
+        gc.collect()
+        twin = np.random.default_rng(5)
+        for _ in range(1000):
+            assert sampler() == LosNlosMixtureFading(seed=1, p_los=0.0).draw_db(
+                twin, 0, 1
+            )
 
 
 # ----------------------------------------------------------------------
@@ -229,6 +288,19 @@ class TestBackendRegistry:
         assert isinstance(wrapped, BufferedUniformStream)
         # Idempotent: an already-buffered stream passes through.
         assert wrap_uniform_stream(wrapped) is wrapped
+
+    def test_reference_binds_the_generators_own_methods(self):
+        gen = np.random.default_rng(1)
+        with reference_kernels():
+            stream, arg = bind_stream(gen, MIXED)
+        assert stream is arg is gen
+        for kind in KINDS:
+            assert getattr(type(arg), kind) is getattr(np.random.Generator, kind)
+        stream, arg = bind_stream(gen, MIXED)
+        assert stream is gen and isinstance(arg, BitGen)
+        assert arg.generator is gen
+        stream, arg = bind_stream(gen, None)
+        assert stream is arg and isinstance(arg, BufferedUniformStream)
 
 
 # ----------------------------------------------------------------------
