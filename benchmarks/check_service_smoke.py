@@ -5,7 +5,9 @@ throwaway data dir), submits the fig12 smoke sweep over HTTP, tails the
 job to completion, and then checks the whole pipeline end to end:
 
 * the job finishes ``done`` with every trial completed;
-* the run-table holds exactly one row per trial of the sweep;
+* the run-table holds exactly one row per trial of the sweep, and every
+  ``ok`` row carries the ``worker_id`` and fencing ``token`` of the lease
+  that recorded it (local threads and remote workers alike);
 * every flow throughput served back over HTTP is **bit-identical** to
   running the same spec in-process through ``SerialBackend``;
 * the run-table's percentile summary equals
@@ -120,8 +122,9 @@ def stop_serve(proc) -> None:
 
 
 def check_results(client, spec, reference, final, failures) -> None:
-    """The shared postcondition: job done, one row per trial, every flow
-    throughput bit-identical to serial, percentiles == analysis.stats."""
+    """The shared postcondition: job done, one row per trial, every ok row
+    stamped by its lease, every flow throughput bit-identical to serial,
+    percentiles == analysis.stats."""
     if final is None or final["state"] != "done":
         failures.append(f"job did not finish done: {final}")
     elif final["completed"] != len(spec.trials):
@@ -141,6 +144,13 @@ def check_results(client, spec, reference, final, failures) -> None:
         failures.append(f"duplicate run-table rows: {sorted(ids)}")
 
     for row in rows:
+        if row["status"] == "ok" and (
+            row["worker_id"] is None or row["token"] is None
+        ):
+            failures.append(
+                f"{row['trial_id']}: ok row not fenced by a lease "
+                f"(worker_id={row['worker_id']}, token={row['token']})"
+            )
         ref = reference.get(row["trial_id"])
         if ref is None:
             failures.append(f"unexpected row {row['trial_id']}")
@@ -377,14 +387,20 @@ def run_workers(args, env) -> int:
 
             rows = client.runs(experiment=spec.name,
                                limit=len(spec.trials) + 10)["runs"]
+            # Local threads stamp their rows too (worker-0, ...): any
+            # writer outside the fleet means local execution ran.
             contributed = {r["worker_id"] for r in rows}
-            if None in contributed:
+            strangers = contributed - set(workers)
+            if strangers:
                 failures.append(
-                    "local execution ran trials while the fleet was live")
-            if victim is not None and len(contributed - {None}) < 2:
+                    f"local execution ran trials while the fleet was live: "
+                    f"{sorted(map(str, strangers))}"
+                )
+            if victim is not None and len(contributed & set(workers)) < 2:
                 failures.append(
                     f"expected both workers in the run-table, "
-                    f"got {sorted(c for c in contributed if c)}")
+                    f"got {sorted(map(str, contributed))}"
+                )
             if final is not None and final.get("attempt", 0) < 2:
                 failures.append(
                     f"job finished on attempt {final.get('attempt')} — "

@@ -28,9 +28,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import TrialHungError, WorkerCrashError
+from repro.errors import SimulatedCrash, TrialHungError, WorkerCrashError, is_transient
 from repro.experiments.spec import ExperimentSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.network import Network, RunResult
@@ -213,6 +213,52 @@ def run_trial(
                            f"{sorted(METRICS)}")
         metrics[name] = METRICS[name](net, result, spec)
     return TrialResult(spec.trial_id, flow_mbps, metrics, spec.fingerprint())
+
+
+def run_with_retries(
+    run: Callable[..., TrialResult],
+    testbed: Testbed,
+    trial: TrialSpec,
+    *,
+    max_retries: int,
+    backoff_base_s: float,
+    backoff_cap_s: float,
+    sleep: Callable[[float], None],
+    budget: Optional[Dict[str, int]] = None,
+    timeout_s: Optional[float] = None,
+    fault_hook=None,
+) -> Tuple[Optional[TrialResult], Optional[float], Optional[BaseException]]:
+    """Run one trial through ``run`` (a ``run_trial``), retrying
+    *transient* failures with capped exponential backoff while the
+    per-trial cap ``max_retries`` and the shared ``budget`` (a
+    ``{"left": n}`` every trial of one job draws from; None = unbounded)
+    allow. Permanent failures return at once — the simulation is
+    deterministic, so they would only reproduce. ``timeout_s`` and
+    ``fault_hook`` reach ``run`` only when set, so two-argument fakes
+    keep working. Returns (result | None, wall_seconds | None,
+    exception | None)."""
+    kwargs: Dict[str, Any] = {}
+    if timeout_s is not None:
+        kwargs["timeout_s"] = timeout_s
+    if fault_hook is not None:
+        kwargs["fault_hook"] = fault_hook
+    attempt = 0
+    while True:
+        try:
+            t0 = time.perf_counter()
+            result = run(testbed, trial, **kwargs)
+            return result, time.perf_counter() - t0, None
+        except SimulatedCrash:
+            raise  # fault injection: behave like a dead process
+        except Exception as exc:
+            if not is_transient(exc) or attempt >= max_retries:
+                return None, None, exc
+            if budget is not None:
+                if budget["left"] <= 0:
+                    return None, None, exc
+                budget["left"] -= 1
+            attempt += 1
+            sleep(min(backoff_cap_s, backoff_base_s * (2 ** (attempt - 1))))
 
 
 # ----------------------------------------------------------------------

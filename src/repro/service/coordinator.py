@@ -6,12 +6,21 @@ One coordinator owns a data directory::
     <data_dir>/stores/<job>.json  per-job fingerprinted ResultStores
     <data_dir>/faults/            exactly-once tokens for fault plans
 
-Scheduling loop (per worker thread): lease the best job, then walk its
-trials. Between trials the worker re-checks the world — a stop request
-requeues the job, a cancel finalizes it, and a strictly-higher-priority
-arrival preempts it (the job goes back to the queue with its progress
-already persisted, so nothing is lost). Completed trials stream into both
-the job's ResultStore (the fingerprinted resume source of truth) and the
+One lease protocol serves both execution paths. A remote worker drives
+it over HTTP (``service/worker.py``); a local worker thread is a
+synchronous in-process client of the very same verbs: it leases the best
+job, is granted its pending trials (``_grant``: cached results and
+quarantined trials are settled first), records each trial through the
+token-fenced ``record_remote_result`` / ``record_remote_quarantine``, and
+ends with ``remote_ack``, which computes the terminal state. Only the
+policy at trial boundaries is local: the heartbeat, then a stop request
+or a strictly-higher-priority arrival requeues the job (its progress
+already persisted, so nothing is lost) and a cancel finalizes it. A
+holder whose lease was reaped gets :class:`LeaseLost` (or, in the reap
+window, :class:`~repro.errors.StaleTokenError`) from its next verb and
+backs away; its in-flight result is discarded and re-executed
+bit-identically by the new holder. Completed trials stream into both the
+job's ResultStore (the fingerprinted resume source of truth) and the
 run-table (the query side) as they finish.
 
 Failure policy (see ``repro.errors`` and DESIGN.md "Failure domains"):
@@ -29,9 +38,9 @@ coordinator that died mid-job leaves a ``running`` row behind.
 job runs again, trials whose (id, fingerprint) already sit in its
 ResultStore are served from cache — bit-identical, and never re-executed —
 and trials a previous incarnation quarantined are skipped by their
-run-table row instead of hanging a worker again. If the run-table itself
-failed its integrity check at open, the trial rows are rebuilt from the
-flat stores before anything else runs.
+run-table row instead of hanging a worker again (both at the grant). If
+the run-table itself failed its integrity check at open, the trial rows
+are rebuilt from the flat stores before anything else runs.
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import (
     SimulatedCrash,
+    StaleTokenError,
     WorkerCrashError,
     error_class,
     is_transient,
@@ -53,6 +63,7 @@ from repro.experiments.executor import (
     SerialBackend,
     make_backend,
     run_trial,
+    run_with_retries,
 )
 from repro.experiments.spec import ExperimentSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
@@ -144,10 +155,11 @@ class Coordinator:
         #: worker is *active* while its last contact (register, lease poll,
         #: heartbeat, upload) is younger than ``worker_ttl_s``.
         self._remote_workers: Dict[str, float] = {}
-        #: Per-job remote lease context: job_id -> {worker_id, token,
-        #: store}. Cleared on ack/requeue; a reaped lease leaves a stale
-        #: entry that the queue's verify rejects before it is ever used.
-        self._remote: Dict[str, dict] = {}
+        #: Per-job lease context, local and remote alike: job_id ->
+        #: {token, store, lock}. Set by _grant, cleared on requeue and
+        #: finalize; a reaped lease leaves a stale entry that the queue's
+        #: verify rejects before it is ever used.
+        self._leases: Dict[str, dict] = {}
         self._cond = threading.Condition()
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -323,7 +335,7 @@ class Coordinator:
                 self._cond.wait(0.5 if remaining is None else min(remaining, 0.5))
 
     # ------------------------------------------------------------------
-    # Execution
+    # Execution: local threads are in-process clients of the lease verbs
     # ------------------------------------------------------------------
     def run_once(self, worker_id: str = "worker-inline") -> Optional[SweepJob]:
         """Lease and run (at most) one job synchronously — the unit the
@@ -334,7 +346,7 @@ class Coordinator:
             return None
         try:
             self._run_job(worker_id, job)
-        except LeaseLost:
+        except (LeaseLost, StaleTokenError):
             pass  # reaped mid-run; whoever re-leased the job owns it now
         return job
 
@@ -363,36 +375,30 @@ class Coordinator:
                 continue
             try:
                 self._run_job(worker_id, job)
-            except LeaseLost:
+            except (LeaseLost, StaleTokenError):
                 continue  # reaped mid-run; the new holder owns the job now
             except SimulatedCrash:
                 raise  # fault injection: die like a killed coordinator
             except Exception as exc:  # never kill the worker thread
-                job.error = f"coordinator error: {exc}\n{traceback.format_exc()}"
                 try:
-                    self._finalize(job, FAILED, worker_id=worker_id, ack=True)
+                    # Ack first: a reaped worker raises LeaseLost instead
+                    # of failing the new holder's run.
+                    self.queue.ack(job.job_id, worker_id)
                 except LeaseLost:
-                    pass
+                    continue
+                job.error = f"coordinator error: {exc}\n{traceback.format_exc()}"
+                self._finalize(job, FAILED)
 
     def _run_job(self, worker_id: str, job: SweepJob) -> None:
-        if job.cancel_requested:
-            self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
+        """Drive one leased job through the lease verbs a remote worker
+        uses: grant, one fenced record per trial, then ack. Only the
+        policy at trial boundaries is local. :class:`LeaseLost` or
+        :class:`StaleTokenError` out of here means "back away"."""
+        token = self.queue.lease_token(job.job_id, worker_id)
+        pending = self._grant(job, worker_id, token)
+        if pending is None:
             return
-        job.state = RUNNING
-        job.started_at = time.time()
-        job.completed = 0
-        job.failed = 0
-        job.quarantined = 0
-        self.runtable.upsert_job(job)
-        self._notify()
-
         testbed = self.testbed(job.testbed_seed)
-        store = ResultStore(
-            self._store_path(job),
-            testbed_seed=job.testbed_seed,
-            experiment=job.name,
-            fault_hook=self._fault_hook,
-        )
         backend = make_backend(
             self.trial_jobs,
             trial_timeout_s=self.trial_timeout_s,
@@ -402,110 +408,93 @@ class Coordinator:
         chunk_size = 1 if serial else max(2, self.trial_jobs)
         #: Transient-retry budget shared by every trial of this run.
         budget = {"left": self.retry_budget}
+        #: Trials already recorded or quarantined (the serial retry path
+        #: below skips the ones the pool settled).
+        settled: set = set()
 
-        trials = list(job.trials)
-        index = 0
-        while index < len(trials):
+        def quarantine(trial: TrialSpec, exc: BaseException) -> None:
+            settled.add(trial.trial_id)
+            self.record_remote_quarantine(
+                job.job_id, worker_id, token, trial.trial_id,
+                trial.fingerprint(), str(exc), error_class(exc),
+            )
+
+        def on_result(res: TrialResult) -> None:
+            settled.add(res.trial_id)
+            self.record_remote_result(job.job_id, worker_id, token, res)
+
+        def on_error(trial: TrialSpec, exc: BaseException) -> None:
+            # The pool already applied its own policy: a hung trial
+            # (watchdog/backstop) arrives as TrialHungError, a
+            # twice-crashing chunk as WorkerCrashError — both quarantine
+            # outright (WorkerCrashError is "transient once" and the pool
+            # spent that once; re-running the trial in-process could take
+            # the whole service down). Anything else transient falls
+            # through to the serial retry path below.
+            if isinstance(exc, WorkerCrashError) or not is_transient(exc):
+                quarantine(trial, exc)
+
+        for index in range(0, len(pending), chunk_size):
             # --- trial/chunk boundary: the scheduling decisions ---------
             # Heartbeat first: it keeps a job whose trials outlive
-            # ``lease_s`` from being reaped mid-run, and it detects the
-            # lease already having been re-granted — in which case the new
-            # holder owns the job and this worker must not touch it again.
-            if not self._heartbeat(worker_id, job):
-                return
+            # ``lease_s`` from being reaped mid-run, and raises LeaseLost
+            # when the lease was already re-granted.
+            self._heartbeat(worker_id, job, token)
             if self._stop.is_set():
-                self._requeue(job, worker_id)
+                self.remote_requeue(job.job_id, worker_id, token)
                 return
             if job.cancel_requested:
-                self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
+                self.remote_ack(job.job_id, worker_id, token)
                 return
             top = self.queue.max_queued_priority()
             if top is not None and top > job.priority:
-                self._requeue(job, worker_id)
+                self.remote_requeue(job.job_id, worker_id, token)
                 return
-
-            chunk = trials[index:index + chunk_size]
-            index += len(chunk)
-
-            # Fingerprint-cached and already-quarantined trials (the
-            # resume paths) never re-execute — a trial that hung a worker
-            # in a previous incarnation must not hang this one.
-            pending: List[TrialSpec] = []
-            for trial in chunk:
-                cached = store.get(trial)
-                if cached is not None:
-                    self._record_ok(job, cached, wall=None, replace=False)
-                    continue
-                status = self.runtable.trial_status(
-                    job.name, trial.trial_id, trial.fingerprint()
-                )
-                if status == "quarantined":
-                    job.quarantined += 1
-                    self.runtable.upsert_job(job)
-                    self._notify()
-                    continue
-                pending.append(trial)
-            if not pending:
-                continue
-
-            done_ids: set = set()
-            quarantined_ids: set = set()
-            if not serial and len(pending) > 1:
-                def on_result(res: TrialResult, _store=store) -> None:
-                    _store.put(res)
-                    self._save_store(_store)
-                    done_ids.add(res.trial_id)
-                    self._record_ok(job, res, wall=None, replace=True,
-                                    already_stored=True)
-
-                def on_error(trial: TrialSpec, exc: BaseException) -> None:
-                    # The pool already applied its own policy: a hung
-                    # trial (watchdog/backstop) arrives as TrialHungError,
-                    # a twice-crashing chunk as WorkerCrashError — both
-                    # quarantine outright (WorkerCrashError is "transient
-                    # once" and the pool spent that once; re-running the
-                    # trial in-process could take the whole service down).
-                    # Anything else transient falls through to the serial
-                    # retry path below.
-                    if isinstance(exc, WorkerCrashError) or not is_transient(exc):
-                        quarantined_ids.add(trial.trial_id)
-                        self._quarantine(job, trial, exc)
-
+            chunk = pending[index:index + chunk_size]
+            if len(chunk) > 1:
                 try:
-                    backend.run(testbed, pending,
+                    backend.run(testbed, chunk,
                                 on_result=on_result, on_error=on_error)
-                except SimulatedCrash:
+                except (SimulatedCrash, LeaseLost, StaleTokenError):
                     raise
                 except Exception:
                     pass  # survivors fall through to the serial retry path
-            leftovers = [
-                t for t in pending
-                if t.trial_id not in done_ids
-                and t.trial_id not in quarantined_ids
-            ]
-            for trial in leftovers:
-                if not self._heartbeat(worker_id, job):
-                    return
-                result, wall, exc = self._run_with_retries(
-                    testbed, trial, budget
+            for trial in chunk:
+                if trial.trial_id in settled:
+                    continue
+                if len(chunk) > 1:
+                    self._heartbeat(worker_id, job, token)
+                result, wall, exc = run_with_retries(
+                    run_trial, testbed, trial,
+                    max_retries=self.max_retries,
+                    backoff_base_s=self.backoff_base_s,
+                    backoff_cap_s=self.backoff_cap_s,
+                    sleep=self._sleep, budget=budget,
+                    timeout_s=self.trial_timeout_s,
+                    fault_hook=self._fault_hook,
                 )
                 if result is not None:
-                    store.put(result)
-                    self._save_store(store)
-                    self._record_ok(job, result, wall=wall, replace=True,
-                                    already_stored=True)
+                    self.record_remote_result(
+                        job.job_id, worker_id, token, result, wall=wall
+                    )
                 else:
-                    self._quarantine(job, trial, exc)
+                    quarantine(trial, exc)
+        self.remote_ack(job.job_id, worker_id, token)
 
-        self._finalize(
-            job,
-            DONE if job.quarantined == 0 and job.failed == 0 else DONE_PARTIAL,
-            worker_id=worker_id,
-            ack=True,
-        )
+    def _heartbeat(self, worker_id: str, job: SweepJob, token: int) -> None:
+        """Extend this holder's lease; :class:`LeaseLost` means it was
+        reaped (possibly re-granted) and the caller must back away."""
+        if self._fault_hook is not None:
+            rule = self._fault_hook("lease.reap", job.job_id)
+            if rule is not None and rule.action == "reap":
+                # Fault injection: yank the lease out from under the live
+                # worker, exactly as a stalled heartbeat would experience.
+                self.queue.force_expire(job.job_id)
+        self.remote_heartbeat(job.job_id, worker_id, token)
 
     # ------------------------------------------------------------------
-    # Remote workers (the HTTP lease protocol — see service/worker.py)
+    # The lease verbs: served over HTTP to remote workers (see
+    # service/worker.py), called directly by the local threads above
     # ------------------------------------------------------------------
     def register_worker(self, worker_id: str) -> dict:
         """A remote worker announced itself. Returns the handshake config
@@ -553,73 +542,29 @@ class Coordinator:
     def lease_for_remote(
         self, worker_id: str, timeout: float = 0.0
     ) -> Optional[dict]:
-        """Lease one job to a remote worker.
-
-        The coordinator sweeps the job's fingerprinted store and the
-        run-table *before* shipping it: cached results are recorded (with
-        this grant's token) and quarantined trials counted server-side, so
-        the worker stays stateless and only ever receives trials that
-        actually need executing. Returns None when nothing is queued, else
-        ``{"job": SweepJob, "token": int, "pending": [TrialSpec, ...]}``.
-        """
+        """Lease one job to a remote worker. Returns None when nothing is
+        queued, else ``{"job": SweepJob, "token": int, "pending":
+        [TrialSpec, ...]}`` — see :meth:`_grant` for what ``pending``
+        leaves out."""
         self.touch_worker(worker_id)
         self.queue.reap_expired()
         job = self.queue.lease(worker_id, timeout=timeout, lease_s=self.lease_s)
         if job is None:
             return None
         token = self.queue.lease_token(job.job_id, worker_id)
-        if job.cancel_requested:
-            self._finalize(job, CANCELLED, worker_id=worker_id, ack=True)
+        pending = self._grant(job, worker_id, token)
+        if pending is None:
             return None
-        job.state = RUNNING
-        job.started_at = time.time()
-        job.completed = 0
-        job.failed = 0
-        job.quarantined = 0
-        self.runtable.upsert_job(job)
-        self._notify()
-        store = ResultStore(
-            self._store_path(job),
-            testbed_seed=job.testbed_seed,
-            experiment=job.name,
-            fault_hook=self._fault_hook,
-        )
-        pending: List[TrialSpec] = []
-        for trial in job.trials:
-            cached = store.get(trial)
-            if cached is not None:
-                self._record_ok(
-                    job, cached, wall=None, replace=False,
-                    worker_id=worker_id, attempt=job.attempt, token=token,
-                )
-                continue
-            status = self.runtable.trial_status(
-                job.name, trial.trial_id, trial.fingerprint()
-            )
-            if status == "quarantined":
-                job.quarantined += 1
-                self.runtable.upsert_job(job)
-                self._notify()
-                continue
-            pending.append(trial)
-        with self._cond:
-            self._remote[job.job_id] = {
-                "worker_id": worker_id, "token": token, "store": store,
-                # Serializes this lease's uploads: the has/put/counter
-                # sequence must be atomic against a retransmission racing
-                # its still-in-flight original on another handler thread.
-                "lock": threading.Lock(),
-            }
         return {"job": job, "token": token, "pending": pending}
 
     def remote_heartbeat(self, job_id: str, worker_id: str, token: int) -> None:
-        """Extend a remote lease; :class:`LeaseLost` tells the worker its
+        """Extend a lease; :class:`LeaseLost` tells the lease holder its
         lease was reaped (and possibly re-granted) — it must abandon."""
         self.touch_worker(worker_id)
         try:
             self.queue.extend(job_id, worker_id, self.lease_s, token=token)
         except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
+            self._drop_lease(job_id, token)
             raise
 
     def record_remote_result(
@@ -630,39 +575,25 @@ class Coordinator:
         result: TrialResult,
         wall: Optional[float] = None,
     ) -> bool:
-        """Accept one uploaded TrialResult from a remote worker.
+        """Accept one finished TrialResult from a lease holder.
 
         Ordered checks make this safe against every replay the fault plan
         can produce: (1) the queue verifies worker *and* fencing token, so
-        a zombie's upload raises :class:`LeaseLost` before any write; (2)
+        a zombie's result raises :class:`LeaseLost` before any write; (2)
         the job's store deduplicates by (trial_id, fingerprint), so a
         duplicated upload returns False without touching counters; (3) the
         run-table insert carries the token, so even a write racing the
         reap window is fenced by :class:`~repro.errors.StaleTokenError`.
         Returns True when the result was new."""
         self.touch_worker(worker_id)
-        try:
-            self.queue.verify(job_id, worker_id, token)
-        except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
-            raise
-        with self._cond:
-            ctx = self._remote.get(job_id)
-            job = self._jobs.get(job_id)
-        if ctx is None or job is None or ctx["token"] != token:
-            raise LeaseLost(
-                f"job {job_id} has no live remote lease for token {token}"
-            )
-        store: ResultStore = ctx["store"]
-        with ctx["lock"]:
+        job, lease = self._held(job_id, worker_id, token)
+        store: ResultStore = lease["store"]
+        with lease["lock"]:
             if store.has(result.trial_id, result.fingerprint):
                 return False  # duplicated upload: one row, one counter bump
             store.put(result)
             self._save_store(store)
-            self._record_ok(
-                job, result, wall=wall, replace=True, already_stored=True,
-                worker_id=worker_id, attempt=job.attempt, token=token,
-            )
+            self._record_ok(job, result, worker_id, token, wall=wall)
         return True
 
     def record_remote_quarantine(
@@ -675,32 +606,19 @@ class Coordinator:
         error: str,
         error_class_name: str,
     ) -> None:
-        """A remote worker gave up on one trial (permanent failure or
+        """A lease holder gave up on one trial (permanent failure or
         exhausted retries). Fenced and verified exactly like a result."""
         self.touch_worker(worker_id)
-        try:
-            self.queue.verify(job_id, worker_id, token)
-        except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
-            raise
-        with self._cond:
-            ctx = self._remote.get(job_id)
-            job = self._jobs.get(job_id)
-        if ctx is None or job is None or ctx["token"] != token:
-            raise LeaseLost(
-                f"job {job_id} has no live remote lease for token {token}"
-            )
-        with ctx["lock"]:
+        job, lease = self._held(job_id, worker_id, token)
+        with lease["lock"]:
             # Replay dedup, mirroring the store.has check on the result
             # path: a duplicated quarantine upload must land exactly one
             # row *and* exactly one counter bump. The run-table row is the
             # durable witness that this (trial, fingerprint) was already
-            # counted — lease_for_remote excludes quarantined trials from
+            # counted — _grant excludes quarantined trials from
             # ``pending``, so a fresh grant never legitimately re-sends one.
-            status = self.runtable.trial_status(
-                job.name, trial_id, fingerprint
-            )
-            if status == "quarantined":
+            if self.runtable.trial_status(
+                    job.name, trial_id, fingerprint) == "quarantined":
                 return
             job.quarantined += 1
             job.error = f"{error_class_name}: {error}"
@@ -713,10 +631,11 @@ class Coordinator:
         self._notify()
 
     def remote_ack(self, job_id: str, worker_id: str, token: int) -> dict:
-        """The worker walked every pending trial: finalize the job. The
-        terminal state is computed *server-side* from the counters the
-        verified uploads built — a worker cannot claim completion it did
-        not upload. Returns the job's final progress dict."""
+        """The lease holder walked every pending trial (or the job was
+        cancelled): finalize the job. The terminal state is computed here
+        from the counters the verified records built — a holder cannot
+        claim completion it did not record. Returns the job's final
+        progress dict."""
         self.touch_worker(worker_id)
         with self._cond:
             job = self._jobs.get(job_id)
@@ -724,105 +643,125 @@ class Coordinator:
             raise LeaseLost(f"job {job_id} is not live")
         if job.cancel_requested:
             state = CANCELLED
-        elif (
-            job.completed + job.quarantined + job.failed >= job.total
-            and job.failed == 0
-            and job.quarantined == 0
-        ):
-            state = DONE
-        else:
+        elif job.failed or job.quarantined or job.completed < job.total:
             state = DONE_PARTIAL
+        else:
+            state = DONE
         try:
             # Ack verifies worker + token; LeaseLost means the new holder
-            # owns the job and this worker's view of it is already history.
+            # owns the job and this holder's view of it is already history.
             self.queue.ack(job_id, worker_id, token)
-        except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
-            raise
-        self._drop_remote_ctx(job_id, token)
+        finally:
+            self._drop_lease(job_id, token)
         self._finalize(job, state)
         return job.progress()
 
     def remote_requeue(self, job_id: str, worker_id: str, token: int) -> None:
-        """Graceful give-back (worker draining for shutdown): the job goes
-        back to the queue at its original position, progress persisted."""
+        """Graceful give-back (stop, preemption, a worker draining for
+        shutdown): the job goes back to the queue at its original
+        position, progress persisted."""
         self.touch_worker(worker_id)
         with self._cond:
             job = self._jobs.get(job_id)
         try:
             self.queue.requeue(job_id, worker_id, token=token)
-        except LeaseLost:
-            self._drop_remote_ctx(job_id, token)
-            raise
-        self._drop_remote_ctx(job_id, token)
+        finally:
+            self._drop_lease(job_id, token)
         if job is not None:
             job.state = QUEUED
             self.runtable.upsert_job(job)
             self._notify()
 
-    def _drop_remote_ctx(self, job_id: str, token: int) -> None:
-        """Forget a remote lease context, but only if it still belongs to
+    # ------------------------------------------------------------------
+    # The lease bookkeeping behind the verbs
+    # ------------------------------------------------------------------
+    def _grant(
+        self, job: SweepJob, worker_id: str, token: int
+    ) -> Optional[List[TrialSpec]]:
+        """Start ``worker_id``'s lease ``token`` on a freshly leased job
+        and return the trials it must execute (None: the job was cancelled
+        while queued, and is finalized here).
+
+        The job's fingerprinted store and the run-table are swept first:
+        cached results are recorded under this grant's token and
+        quarantined trials are counted, so the holder only ever executes
+        trials that actually need it — a resumed job never re-runs what a
+        previous incarnation finished, nor hangs on what it quarantined."""
+        if job.cancel_requested:
+            self.remote_ack(job.job_id, worker_id, token)
+            return None
+        job.state = RUNNING
+        job.started_at = time.time()
+        job.completed = job.failed = job.quarantined = 0
+        self.runtable.upsert_job(job)
+        self._notify()
+        store = ResultStore(
+            self._store_path(job),
+            testbed_seed=job.testbed_seed,
+            experiment=job.name,
+            fault_hook=self._fault_hook,
+        )
+        pending: List[TrialSpec] = []
+        for trial in job.trials:
+            cached = store.get(trial)
+            if cached is not None:
+                self._record_ok(job, cached, worker_id, token, replace=False)
+            elif self.runtable.trial_status(
+                job.name, trial.trial_id, trial.fingerprint()
+            ) == "quarantined":
+                job.quarantined += 1
+                self.runtable.upsert_job(job)
+                self._notify()
+            else:
+                pending.append(trial)
+        with self._cond:
+            self._leases[job.job_id] = {
+                "token": token, "store": store,
+                # Serializes this lease's records: the has/put/counter
+                # sequence must be atomic against a retransmission racing
+                # its still-in-flight original on another handler thread.
+                "lock": threading.Lock(),
+            }
+        return pending
+
+    def _held(self, job_id: str, worker_id: str, token: int) -> Tuple[SweepJob, dict]:
+        """The live job and lease context ``worker_id`` holds under
+        ``token``; :class:`LeaseLost` if the queue says the lease is gone
+        or this process has no context for that grant."""
+        try:
+            self.queue.verify(job_id, worker_id, token)
+        except LeaseLost:
+            self._drop_lease(job_id, token)
+            raise
+        with self._cond:
+            lease = self._leases.get(job_id)
+            job = self._jobs.get(job_id)
+        if lease is None or job is None or lease["token"] != token:
+            raise LeaseLost(f"job {job_id} has no live lease for token {token}")
+        return job, lease
+
+    def _drop_lease(self, job_id: str, token: int) -> None:
+        """Forget a lease context, but only if it still belongs to
         ``token`` — a re-granted lease's fresh context must survive the
         zombie's cleanup."""
         with self._cond:
-            ctx = self._remote.get(job_id)
-            if ctx is not None and ctx["token"] == token:
-                del self._remote[job_id]
+            lease = self._leases.get(job_id)
+            if lease is not None and lease["token"] == token:
+                del self._leases[job_id]
 
-    def _run_with_retries(
-        self, testbed: Testbed, trial: TrialSpec, budget: Dict[str, int]
-    ) -> "Tuple[Optional[TrialResult], Optional[float], Optional[BaseException]]":
-        """Run one trial serially, retrying *transient* failures with
-        capped exponential backoff while the per-trial cap and the job's
-        budget allow. Permanent failures return immediately — the sim is
-        deterministic, so they would only reproduce. Returns
-        (result | None, wall_seconds | None, exception | None)."""
-        attempt = 0
-        while True:
-            try:
-                t0 = time.perf_counter()
-                result = run_trial(testbed, trial, **self._trial_kwargs())
-                return result, time.perf_counter() - t0, None
-            except SimulatedCrash:
-                raise  # fault injection: behave like a dead process
-            except Exception as exc:
-                if not is_transient(exc):
-                    return None, None, exc
-                if attempt >= self.max_retries or budget["left"] <= 0:
-                    return None, None, exc
-                budget["left"] -= 1
-                attempt += 1
-                self._sleep(
-                    min(self.backoff_cap_s,
-                        self.backoff_base_s * (2 ** (attempt - 1)))
-                )
-
-    def _trial_kwargs(self) -> dict:
-        """Watchdog/fault kwargs for ``run_trial`` — only passed when
-        configured, so tests substituting two-argument fakes keep working."""
-        kwargs: dict = {}
-        if self.trial_timeout_s is not None:
-            kwargs["timeout_s"] = self.trial_timeout_s
-        if self._fault_hook is not None:
-            kwargs["fault_hook"] = self._fault_hook
-        return kwargs
-
-    # ------------------------------------------------------------------
     def _record_ok(
         self,
         job: SweepJob,
         result: TrialResult,
-        wall: Optional[float],
-        replace: bool,
-        already_stored: bool = False,
-        worker_id: Optional[str] = None,
-        attempt: Optional[int] = None,
-        token: Optional[int] = None,
+        worker_id: str,
+        token: int,
+        wall: Optional[float] = None,
+        replace: bool = True,
     ) -> None:
         self.runtable.record_trial(
             job.name, result, seed=job.testbed_seed, wall_time=wall,
             status="ok", job_id=job.job_id, replace=replace,
-            worker_id=worker_id, attempt=attempt, token=token,
+            worker_id=worker_id, attempt=job.attempt, token=token,
         )
         job.completed += 1
         self.runtable.upsert_job(job)
@@ -831,21 +770,6 @@ class Coordinator:
             # After the row and counters are durable: a kill/crash here is
             # the worst-timed coordinator death that still loses nothing.
             self._fault_hook("coordinator.record", result.trial_id)
-
-    def _quarantine(
-        self, job: SweepJob, trial: TrialSpec, exc: Optional[BaseException]
-    ) -> None:
-        exc = exc if exc is not None else RuntimeError("unknown error")
-        message = f"{error_class(exc)}: {exc}"
-        job.quarantined += 1
-        job.error = message
-        self.runtable.record_quarantine(
-            job.name, trial.trial_id, trial.fingerprint(),
-            str(exc), error_class(exc),
-            seed=job.testbed_seed, job_id=job.job_id,
-        )
-        self.runtable.upsert_job(job)
-        self._notify()
 
     def _save_store(self, store: ResultStore) -> None:
         """Persist the store, absorbing up to two transient write failures
@@ -864,51 +788,16 @@ class Coordinator:
                         self.backoff_base_s * (2 ** attempt))
                 )
 
-    def _heartbeat(self, worker_id: str, job: SweepJob) -> bool:
-        """Extend this worker's lease. False means the lease expired and was
-        reaped (possibly re-granted): the caller must abandon the job
-        without writing any further state for it."""
-        if self._fault_hook is not None:
-            rule = self._fault_hook("lease.reap", job.job_id)
-            if rule is not None and rule.action == "reap":
-                # Fault injection: yank the lease out from under the live
-                # worker, exactly as a stalled heartbeat would experience.
-                self.queue.force_expire(job.job_id)
-        try:
-            self.queue.extend(job.job_id, worker_id, self.lease_s)
-            return True
-        except LeaseLost:
-            return False
-
-    def _requeue(self, job: SweepJob, worker_id: str) -> None:
-        # Verify the lease before writing QUEUED anywhere: if it was
-        # reaped, the job is already back in the queue (or re-leased) and
-        # its state belongs to someone else. LeaseLost propagates.
-        self.queue.requeue(job.job_id, worker_id)
-        job.state = QUEUED
-        self.runtable.upsert_job(job)
-        self._notify()
-
-    def _finalize(
-        self,
-        job: SweepJob,
-        state: str,
-        worker_id: Optional[str] = None,
-        ack: bool = False,
-    ) -> None:
-        if ack:
-            # Ack first: it verifies this worker still holds the lease, so
-            # a reaped worker raises LeaseLost instead of writing a
-            # terminal state over the new holder's run.
-            self.queue.ack(job.job_id, worker_id)
+    def _finalize(self, job: SweepJob, state: str) -> None:
         job.state = state
         job.finished_at = time.time()
         self.runtable.upsert_job(job)
         with self._cond:
-            # Terminal jobs live on in the run-table; drop the live ref so
+            # Terminal jobs live on in the run-table; drop the live refs so
             # a long-lived serve process doesn't accumulate trial lists.
             # (The durable idem_key row keeps dedup working afterwards.)
             self._jobs.pop(job.job_id, None)
+            self._leases.pop(job.job_id, None)
             if job.idempotency_key:
                 self._idem.pop(job.idempotency_key, None)
         self._notify()

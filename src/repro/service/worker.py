@@ -66,8 +66,8 @@ import time
 import uuid
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import error_class, is_transient
-from repro.experiments.executor import run_trial
+from repro.errors import error_class
+from repro.experiments.executor import run_trial, run_with_retries
 from repro.experiments.spec import TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.service.faults import FaultPlan
@@ -273,7 +273,14 @@ class Worker:
                 if self.stop_event.is_set():
                     draining = True
                     break
-                result, wall, exc = self._run_trial(testbed, trial)
+                # A small transient-retry loop: first-line absorption (the
+                # server also quarantines what this worker reports).
+                result, wall, exc = run_with_retries(
+                    run_trial, testbed, trial,
+                    max_retries=self.trial_retries,
+                    backoff_base_s=0.1, backoff_cap_s=2.0,
+                    sleep=self._sleep, timeout_s=self.trial_timeout_s,
+                )
                 self.stats["trials"] += 1
                 if result is not None:
                     verb = self._upload_verb(job.job_id, token, result, wall)
@@ -357,30 +364,8 @@ class Worker:
             self.client.disconnect()
 
     # ------------------------------------------------------------------
-    # Trial execution + the fenced verbs
+    # The fenced verbs
     # ------------------------------------------------------------------
-    def _run_trial(self, testbed: Testbed, trial: TrialSpec):
-        """Serial run with a small transient-retry loop (the server also
-        quarantines what we report — this is just first-line absorption).
-        Returns (result | None, wall | None, exception | None)."""
-        attempt = 0
-        while True:
-            try:
-                t0 = time.perf_counter()
-                result = run_trial(testbed, trial, **self._trial_kwargs())
-                return result, time.perf_counter() - t0, None
-            except Exception as exc:
-                if not is_transient(exc) or attempt >= self.trial_retries:
-                    return None, None, exc
-                attempt += 1
-                self._sleep(min(2.0, 0.1 * (2 ** (attempt - 1))))
-
-    def _trial_kwargs(self) -> dict:
-        kwargs: dict = {}
-        if self.trial_timeout_s is not None:
-            kwargs["timeout_s"] = self.trial_timeout_s
-        return kwargs
-
     def _upload_verb(
         self,
         job_id: str,

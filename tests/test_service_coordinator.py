@@ -13,6 +13,7 @@ import types
 import pytest
 
 from repro.analysis import stats
+from repro.errors import StaleTokenError
 from repro.experiments.executor import ResultStore, SerialBackend
 from repro.experiments.runners import ExperimentScale, build_single_link_calibration
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
@@ -318,9 +319,10 @@ class TestLeaseHeartbeat:
         co.runtable.close()
 
     def test_stale_worker_backs_off_after_reap(self, tmp_path, fake):
-        """A worker whose lease expired and was re-granted abandons the job
-        at its next boundary: no FAILED finalize, no duplicate execution —
-        the new holder finishes from the shared fingerprinted store."""
+        """A worker whose lease expired and was re-granted backs away at
+        its next verb: its in-flight result writes no row, store line or
+        counter bump, and no FAILED finalize — the new holder re-runs that
+        trial (bit-identically) and finishes the job."""
         co, queue, clock = self._co(tmp_path, lease_s=5.0)
 
         def expire_and_steal(trial):
@@ -331,15 +333,80 @@ class TestLeaseHeartbeat:
 
         fake.hook = expire_and_steal
         job_id = co.submit(new_job("stolen", _trials(3)))
-        job = co.run_once()  # runs t/0, then backs off at the boundary
+        job = co.run_once()  # runs t/0, whose record then bounces
         assert job.state == RUNNING  # the stale worker never finalized it
         assert fake.calls == ["t/0"]
         assert co.runtable.get_job(job_id).state == RUNNING
+        assert job.completed == 0
+        assert co.runtable.trial_count(experiment="stolen") == 0
+        assert len(ResultStore(co._store_path(job))) == 0
 
-        # the thief finishes the job; t/0 comes from the store, not a rerun
+        # the thief re-runs t/0 and finishes the job
         co._run_job("w-thief", job)
         assert job.state == DONE and job.completed == 3
-        assert fake.calls == ["t/0", "t/1", "t/2"]
+        assert fake.calls == ["t/0", "t/0", "t/1", "t/2"]
+        serial = {t.trial_id: FakeRunTrial()(None, t) for t in _trials(3)}
+        assert {r.trial_id: r for r in co.runtable.results("stolen")} == serial
+        assert co.runtable.trial_count(experiment="stolen") == 3
+        co.runtable.close()
+
+    def test_regrant_during_a_local_trial_fences_the_stale_holder(
+        self, tmp_path, fake
+    ):
+        """A local holder is reaped during t/0 and the job re-granted to a
+        remote worker: the stale holder's t/0 never lands, so the re-grant's
+        records alone build the job — completed == total, one row per
+        trial, every row stamped with the re-grant's worker and token."""
+        co, queue, clock = self._co(tmp_path, lease_s=5.0)
+        grants = []
+
+        def expire_and_regrant(trial):
+            fake.hook = None  # only on the first trial
+            clock.now += 6.0
+            grants.append(co.lease_for_remote("wR"))
+
+        fake.hook = expire_and_regrant
+        job_id = co.submit(new_job("regrant", _trials(3)))
+        co.run_once()
+        (grant,) = grants
+        token = grant["token"]
+        assert [t.trial_id for t in grant["pending"]] == ["t/0", "t/1", "t/2"]
+        for trial in grant["pending"]:
+            co.record_remote_result(job_id, "wR", token,
+                                    FakeRunTrial()(None, trial))
+        final = co.remote_ack(job_id, "wR", token)
+        assert final["state"] == DONE
+        assert final["completed"] == final["total"] == 3
+        rows = co.runtable.recent_runs(experiment="regrant", limit=10)
+        assert sorted(r["trial_id"] for r in rows) == ["t/0", "t/1", "t/2"]
+        assert {(r["worker_id"], r["token"]) for r in rows} == {("wR", token)}
+        co.runtable.close()
+
+    def test_stale_token_on_a_local_write_backs_away(
+        self, tmp_path, fake, monkeypatch
+    ):
+        """The run-table's fence (a newer grant already wrote the row)
+        means "back away" on the local path too: no job.error on the job
+        the new holder shares, no FAILED finalize, and run_once returns
+        normally."""
+        co, queue, clock = self._co(tmp_path)
+        real_record = co.runtable.record_trial
+        tokens = []
+
+        def fenced_once(*args, **kwargs):
+            if not tokens:
+                tokens.append(kwargs["token"])
+                raise StaleTokenError("injected: a newer grant holds the row")
+            return real_record(*args, **kwargs)
+
+        monkeypatch.setattr(co.runtable, "record_trial", fenced_once)
+        job_id = co.submit(new_job("fenced", _trials(3)))
+        job = co.run_once()
+        assert job.job_id == job_id
+        assert tokens[0] is not None  # the local write carried its token
+        assert fake.calls == ["t/0"]
+        assert job.state == RUNNING and job.error is None
+        assert co.runtable.get_job(job_id).state == RUNNING
         co.runtable.close()
 
 

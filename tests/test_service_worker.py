@@ -248,7 +248,7 @@ class TestTransportFaults:
             job = _submit(service, n=1)
             leased = service.client.lease_job("wA")
             token = leased["token"]
-            store = service.co._remote[job.job_id]["store"]
+            store = service.co._leases[job.job_id]["store"]
             real_put = store.put
             store.put = lambda res: (time.sleep(0.3), real_put(res))[1]
             spec = _trials(1, "sweep")[0]
@@ -835,7 +835,8 @@ class TestDegradation:
                 time.sleep(0.1)
             assert progress["state"] == "done"
             rows = service.co.runtable.recent_runs(limit=10)
-            assert {r["worker_id"] for r in rows} == {None}  # local run
+            # local run: the coordinator's own thread held the lease
+            assert {r["worker_id"] for r in rows} == {"worker-0"}
         finally:
             service.close()
 
