@@ -26,6 +26,14 @@ trial and reports, per workload:
 * **inline fan-out** — frame-start batches
   ``Simulator.deliver_fanout_inline`` delivered in place against those it
   sent round the heap.
+* **link census** (reported once, for the ruler's 50-node testbed, the
+  only world a ruler workload builds a ``LinkTable`` for) — of the
+  quadrature points the link table's fading-averaged PRRs cover, how many
+  ``FadeQuadrature.total`` skipped by its zero-prefix bisection, resolved
+  to exactly 1.0 from the kernel's bound, or evaluated through the chunk
+  closure (and how many of those still returned exactly 0.0 or 1.0). A
+  replay of each call's classification must match the chunk calls counted,
+  or the census raises.
 * **edge census** (reported, not a rule-5 mechanism; ROADMAP item 5(a)) —
   of the fan-out edges the radios ran, how many did none of (i) a
   full-delivery entry reaching an IDLE radio, (ii) a sensing entry, (iii) a
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import ExitStack
@@ -63,7 +72,13 @@ sys.path.insert(0, os.path.join(REPO, "benchmarks", "ruler"))
 from repro.experiments.executor import run_trial
 from repro.experiments.runners import ExperimentScale, build_scale_sweep
 from repro.phy.medium import Medium
-from repro.phy.modulation import ErrorModel, NistErrorModel
+from repro.net.testbed import Testbed
+from repro.phy.modulation import (
+    ErrorModel,
+    FadeQuadrature,
+    NistErrorModel,
+    frame_kernel,
+)
 from repro.phy.radio import Radio, RadioState
 from repro.phy.reception import Reception
 from repro.sim.engine import Simulator
@@ -341,6 +356,69 @@ def census(testbed, trials) -> dict:
     return c
 
 
+def link_census(seed: int) -> dict:
+    """Build ``Testbed(seed).links`` under a ``FadeQuadrature.total``
+    wrapper; return the per-point counts and the resolved share."""
+    c = dict.fromkeys(
+        (
+            "links",
+            "points",
+            "skipped",
+            "resolved_one",
+            "evaluated",
+            "evaluated_zero",
+            "evaluated_one",
+        ),
+        0,
+    )
+    original = FadeQuadrature.__dict__["total"]
+
+    def total(quad, sinr_db, rate, size_bytes, error_model):
+        kernel = frame_kernel(error_model, rate)
+        bits = 8.0 * size_bytes
+        # Replay the classification: the skipped prefix, then per point.
+        offsets = quad.offsets
+        skipped = 0
+        if bits > 0.0:
+            while (
+                skipped < len(offsets)
+                and sinr_db + offsets[skipped] <= kernel.sinr_zero_db
+            ):
+                skipped += 1
+        one = kernel.sinr_one_db if 0.0 <= bits <= kernel.bits_safe else math.inf
+        ones = sum(1 for x in offsets[skipped:] if sinr_db + x >= one)
+        chunk, results = kernel.chunk, []
+
+        def counted(s, b):
+            p = chunk(s, b)
+            results.append(p)
+            return p
+
+        kernel.chunk = counted
+        try:
+            value = original(quad, sinr_db, rate, size_bytes, error_model)
+        finally:
+            kernel.chunk = chunk
+        if len(results) != len(offsets) - skipped - ones:
+            raise AssertionError(
+                f"FadeQuadrature.total made {len(results)} chunk calls; the "
+                f"replay expected {len(offsets) - skipped - ones}"
+            )
+        c["links"] += 1
+        c["points"] += len(offsets)
+        c["skipped"] += skipped
+        c["resolved_one"] += ones
+        c["evaluated"] += len(results)
+        c["evaluated_zero"] += results.count(0.0)
+        c["evaluated_one"] += results.count(1.0)
+        return value
+
+    with mock.patch.object(FadeQuadrature, "total", total):
+        Testbed(seed).links
+    c["resolved_share"] = _share(c["skipped"] + c["resolved_one"], c["points"])
+    return c
+
+
 def _share(part: int, whole: int) -> float:
     return part / whole if whole else 0.0
 
@@ -394,6 +472,8 @@ def main(argv=None) -> int:
         report[name] = summarise(census(testbed, trials))
         report[name]["trials"] = len(trials)
 
+    links = link_census(workloads.WORLD_SEED)
+
     ruler = [name for name in report if name != N400]
     verdicts = {
         label: max((report[name][key] for name in ruler), default=0.0)
@@ -403,6 +483,7 @@ def main(argv=None) -> int:
         payload = {
             "seed": args.seed,
             "workloads": report,
+            "links": links,
             "best_on_a_ruler_workload": verdicts,
         }
         print(json.dumps(payload, indent=2))
@@ -445,6 +526,14 @@ def main(argv=None) -> int:
                 f"({row['bookkeeping_edge_share']:.1%}), {c['edges_inert']} "
                 f"of them inert ({row['inert_edge_share']:.1%})"
             )
+        print(
+            f"links:   Testbed({workloads.WORLD_SEED}), {links['links']} links, "
+            f"{links['points']} quadrature points: {links['skipped']} skipped "
+            f"by the bisection, {links['resolved_one']} resolved to 1.0, "
+            f"{links['evaluated']} evaluated ({links['evaluated_zero']} of "
+            f"them exactly 0.0, {links['evaluated_one']} exactly 1.0); "
+            f"{links['resolved_share']:.1%} resolved without the closure"
+        )
         for label, best in verdicts.items():
             print(f"best on a ruler workload: {label} {best:.1%}")
     # Rule 5: a kept mechanism reads >= 5 % on at least one ruler workload.

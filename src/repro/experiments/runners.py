@@ -1138,10 +1138,13 @@ def build_scale_sweep(
 ) -> List[Tuple[TopologySpec, Testbed, ExperimentSpec]]:
     """Build one experiment per (topology family, N) generated world.
 
-    Each case attaches *all* N nodes (idle nodes still carrier-sense,
-    interfere, and — under CMAP — gossip interferer lists, which is exactly
-    the density cost culling bounds) and saturates a constant-density flow
-    workload. Trials run with the topology's culling floors
+    Each case attaches *all* N nodes and saturates a constant-density flow
+    workload. Nodes outside every flow only listen: each one's radio still
+    takes every frame in its neighbourhood (energy, carrier sense and, under
+    CMAP, scoring the headers and trailers it overhears) — exactly the
+    density cost culling bounds — but it transmits nothing, under CMAP too:
+    an interferer list fills only from data addressed to its node, so an
+    idle node has none to gossip. Trials run with the topology's culling floors
     (``delivery_floor_dbm`` / ``interference_floor_dbm``), so per-frame
     fan-out is bounded by physical neighborhood instead of N.
 
@@ -1218,8 +1221,9 @@ def build_scale_sweep(
                         )
                         if name not in by_proto and "fanout" in res.metrics:
                             by_proto[name] = res.metrics["fanout"]
-                # Report CMAP's census (the protocol whose gossip load the
-                # culling bounds); fall back to whichever ran first.
+                # Report CMAP's census (the protocol whose header and
+                # trailer traffic every neighbour scores); fall back to
+                # whichever ran first.
                 fanout = by_proto.get(
                     "cmap", next(iter(by_proto.values())) if by_proto else {}
                 )

@@ -6,7 +6,8 @@ seeded RNG — the analogue of the paper choosing "50 configurations at random
 from all possible configurations".
 
 Fig. 11's constraint vocabulary (all defined in §5.1, implemented by
-:class:`repro.net.links.LinkTable`):
+:class:`repro.net.links.LinkTable`, and read here through its per-node
+predicate index, :meth:`~repro.net.links.LinkTable.neighbours`):
 
 * *potential transmission link*: PRR > 0.9 both ways, signal above the 10th
   percentile — the only links data flows use;
@@ -14,13 +15,19 @@ Fig. 11's constraint vocabulary (all defined in §5.1, implemented by
 * *not in range*: PRR < 0.2 both ways;
 * *strong signal*: at/above the 90th percentile network-wide;
 * *weak signal*: below the 90th percentile.
+
+Each finder enumerates its candidates from the index in exactly the order
+a scan of ``itertools.permutations`` / ``combinations`` over the node ids
+or the links, testing the predicates, would visit them: it only skips
+candidates that scan would reject. So ``_sample`` draws the same
+configurations from the same candidate list.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -64,16 +71,66 @@ def _sample(items: List, count: int, rng: np.random.Generator) -> List:
 
 
 def _potential_tx_links(links: LinkTable) -> List[Tuple[int, int]]:
-    return [
-        (a, b)
-        for a, b in itertools.permutations(links.node_ids, 2)
-        if links.potential_tx_link(a, b)
-    ]
+    """Every potential transmission link, in ``permutations(ids, 2)`` order."""
+    return [(a, b) for a in links.node_ids for b in links.neighbours(a).tx]
+
+
+#: A candidate configuration ``(s1, r1, s2, r2)``: a plain tuple, so the
+#: tens of thousands a search lists cost little; only the sampled ones
+#: become :class:`PairConfig` objects.
+Candidate = Tuple[int, int, int, int]
+
+
+def _sample_configs(
+    candidates: Iterator[Candidate],
+    max_candidates: int,
+    count: int,
+    rng: np.random.Generator,
+) -> List[PairConfig]:
+    items = list(itertools.islice(candidates, max_candidates))
+    return [PairConfig(*c) for c in _sample(items, count, rng)]
 
 
 # ----------------------------------------------------------------------
 # Fig. 11(a): exposed terminals (§5.2)
 # ----------------------------------------------------------------------
+def _exposed_candidates(links: LinkTable) -> Iterator[Candidate]:
+    """In the order of ``permutations(strong potential-tx links, 2)``: the
+    links are grouped by sender in node order, so the second link runs over
+    the in-range senders ``s2`` (node order), then their strong links."""
+    strong_tx = {}
+    for a in links.node_ids:
+        row = links.neighbours(a)
+        strong_tx[a] = [b for b in row.tx if b in row.strong]
+    for s1 in links.node_ids:
+        n_s1 = links.neighbours(s1)
+        for r1 in strong_tx[s1]:
+            n_r1 = links.neighbours(r1)
+            for s2 in n_s1.in_range:
+                n_s2 = links.neighbours(s2)
+                # Weak: s1 -> s2, s2 -> s1, s2 -> r1, r1 -> s2.
+                if (
+                    s2 == r1
+                    or s2 not in n_s1.weak
+                    or s1 not in n_s2.weak
+                    or r1 not in n_s2.weak
+                    or s2 not in n_r1.weak
+                ):
+                    continue
+                for r2 in strong_tx[s2]:
+                    if r2 == s1 or r2 == r1:
+                        continue
+                    # Weak: s1 -> r2, r1 -> r2, r2 -> r1, r2 -> s1.
+                    n_r2 = links.neighbours(r2)
+                    if (
+                        r2 in n_s1.weak
+                        and r2 in n_r1.weak
+                        and r1 in n_r2.weak
+                        and s1 in n_r2.weak
+                    ):
+                        yield s1, r1, s2, r2
+
+
 def find_exposed_terminal_configs(
     testbed: Testbed,
     count: int,
@@ -86,29 +143,27 @@ def find_exposed_terminal_configs(
     transmission link; (iii) sender->its receiver strong (90th pct);
     (iv) every other inter-node signal weak (below 90th pct).
     """
-    links = testbed.links
-    strong_links = [
-        (a, b) for a, b in _potential_tx_links(links) if links.strong_signal(a, b)
-    ]
-    out: List[PairConfig] = []
-    for (s1, r1), (s2, r2) in itertools.permutations(strong_links, 2):
-        if len({s1, r1, s2, r2}) != 4:
-            continue
-        if not links.in_range(s1, s2):
-            continue
-        cross = [(s1, r2), (s2, r1), (r1, r2), (r2, r1), (r1, s2), (r2, s1),
-                 (s1, s2), (s2, s1)]
-        if all(links.weak_signal(a, b) for a, b in cross):
-            out.append(PairConfig(s1, r1, s2, r2))
-            if len(out) >= max_candidates:
-                break
     rng = testbed.rngs.fork("scenario", "exposed", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_configs(
+        _exposed_candidates(testbed.links), max_candidates, count, rng
+    )
 
 
 # ----------------------------------------------------------------------
 # Fig. 11(b): two senders in range, unconstrained cross links (§5.3)
 # ----------------------------------------------------------------------
+def _inrange_candidates(links: LinkTable) -> Iterator[Candidate]:
+    """In the order of ``permutations(_potential_tx_links(links), 2)``
+    (grouped by sender, as in :func:`_exposed_candidates`)."""
+    for s1, r1 in _potential_tx_links(links):
+        for s2 in links.neighbours(s1).in_range:
+            if s2 == r1:
+                continue
+            for r2 in links.neighbours(s2).tx:
+                if r2 != s1 and r2 != r1:
+                    yield s1, r1, s2, r2
+
+
 def find_inrange_configs(
     testbed: Testbed,
     count: int,
@@ -118,23 +173,31 @@ def find_inrange_configs(
     """Configurations satisfying Fig. 11(b): senders in range, both pairs
     potential transmission links, no further constraints (some will be
     exposed terminals, some will conflict)."""
-    links = testbed.links
-    tx_links = _potential_tx_links(links)
-    out: List[PairConfig] = []
-    for (s1, r1), (s2, r2) in itertools.permutations(tx_links, 2):
-        if len({s1, r1, s2, r2}) != 4:
-            continue
-        if links.in_range(s1, s2):
-            out.append(PairConfig(s1, r1, s2, r2))
-            if len(out) >= max_candidates:
-                break
     rng = testbed.rngs.fork("scenario", "inrange", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_configs(
+        _inrange_candidates(testbed.links), max_candidates, count, rng
+    )
 
 
 # ----------------------------------------------------------------------
 # Fig. 11(c): hidden terminals (§5.5)
 # ----------------------------------------------------------------------
+def _hidden_candidates(links: LinkTable) -> Iterator[Candidate]:
+    """In the order of ``combinations(ids, 2)`` for the out-of-range
+    senders, then ``permutations(ids, 2)`` for the receivers, which must be
+    potential-tx neighbours of both senders."""
+    position = {n: i for i, n in enumerate(links.node_ids)}
+    for s1 in links.node_ids:
+        n_s1 = links.neighbours(s1)
+        for s2 in n_s1.out_of_range:
+            if position[s2] < position[s1]:
+                continue
+            tx_s2 = links.neighbours(s2).tx_set
+            common = [r for r in n_s1.tx if r in tx_s2]
+            for r1, r2 in itertools.permutations(common, 2):
+                yield s1, r1, s2, r2
+
+
 def find_hidden_terminal_configs(
     testbed: Testbed,
     count: int,
@@ -145,28 +208,11 @@ def find_hidden_terminal_configs(
     transmission link to *both* senders (so transmissions almost always
     interfere at the receivers) while the senders are not in range of each
     other (so they cannot defer)."""
-    links = testbed.links
-    out: List[PairConfig] = []
-    ids = links.node_ids
-    for s1, s2 in itertools.combinations(ids, 2):
-        if not links.out_of_range(s1, s2):
-            continue
-        for r1, r2 in itertools.permutations(ids, 2):
-            if len({s1, s2, r1, r2}) != 4:
-                continue
-            if (
-                links.potential_tx_link(s1, r1)
-                and links.potential_tx_link(s2, r1)
-                and links.potential_tx_link(s1, r2)
-                and links.potential_tx_link(s2, r2)
-            ):
-                out.append(PairConfig(s1, r1, s2, r2))
-                if len(out) >= max_candidates:
-                    break
-        if len(out) >= max_candidates:
-            break
     rng = testbed.rngs.fork("scenario", "hidden", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_configs(
+        _hidden_candidates(testbed.links), max_candidates, count, rng
+    )
+
 
 
 def prr_at_rate(testbed: Testbed, a: int, b: int, mbps: int,
@@ -243,8 +289,7 @@ def find_hidden_interferer_triples(
             continue
         # The interferer needs somewhere to send its packets; prefer a
         # potential-tx neighbour, else its best-PRR neighbour.
-        partners = [b for b in ids if b not in (s, r, i)
-                    and links.potential_tx_link(i, b)]
+        partners = [b for b in links.neighbours(i).tx if b not in (s, r)]
         if partners:
             ir = partners[int(rng.integers(0, len(partners)))]
         else:
@@ -276,18 +321,10 @@ def find_mobility_configs(
     One sender then walks, carrying the configuration through conflicting
     and conflict-free geometries; the link census only describes time zero.
     """
-    links = testbed.links
-    tx_links = _potential_tx_links(links)
-    out: List[PairConfig] = []
-    for (s1, r1), (s2, r2) in itertools.permutations(tx_links, 2):
-        if len({s1, r1, s2, r2}) != 4:
-            continue
-        if links.in_range(s1, s2):
-            out.append(PairConfig(s1, r1, s2, r2))
-            if len(out) >= max_candidates:
-                break
     rng = testbed.rngs.fork("scenario", "mobility", seed).stream("sample")
-    return _sample(out, count, rng)
+    return _sample_configs(
+        _inrange_candidates(testbed.links), max_candidates, count, rng
+    )
 
 
 def find_disjoint_flows(
@@ -401,7 +438,7 @@ def find_ap_topology(
         clients = [
             n
             for n in by_region[region.index]
-            if n != ap and n not in aps and links.potential_tx_link(ap, n)
+            if n not in aps and n in links.neighbours(ap).tx_set
         ]
         if not clients:
             raise ScenarioError(f"AP {ap} has no clients in region {region.index}")
@@ -452,7 +489,7 @@ def find_mesh_topologies(
     while len(out) < count and attempts < 300 * count:
         attempts += 1
         s = ids[int(rng.integers(0, len(ids)))]
-        neighbours = [a for a in ids if a != s and links.potential_tx_link(s, a)]
+        neighbours = links.neighbours(s).tx
         if len(neighbours) < fanout:
             continue
         picks = rng.choice(len(neighbours), size=fanout, replace=False)
@@ -463,9 +500,8 @@ def find_mesh_topologies(
         for a in forwarders:
             dist_sa = positions[s].distance_to(positions[a])
             cands = [
-                b for b in ids
+                b for b in links.neighbours(a).tx
                 if b not in used
-                and links.potential_tx_link(a, b)
                 and positions[s].distance_to(positions[b]) > dist_sa
             ]
             if not cands:

@@ -1,12 +1,16 @@
 """The seam between the simulator and its numerical kernels.
 
-The simulator makes three reads here, all at object-build time:
+The simulator makes four reads here, all at object-build time:
 
 * :func:`wrap_uniform_stream` — single-kind RNG streams are served from
   :class:`repro.kernels.rngbuf.BufferedUniformStream` (block refills,
   bit-identical; see the buffer refill determinism rule in that module).
 * :func:`bind_stream` — a radio's stream: buffered when its coin is its
   only draw kind, else drawn by numpy's C functions (:mod:`.cdraws`).
+* :data:`reference` — DCF's backoff draws its bounded integers over the
+  stream's own ``next_uint32`` (:mod:`.cdraws`) unless it is set. A module
+  read, not a call, so building a MAC adds nothing to a trial's Python
+  call count.
 * :func:`chunk_grids_enabled` — the erfc waterfall error model precomputes
   saturated-region chunk kernels (:mod:`repro.kernels.chunkgrid`,
   bit-identical by the grid exactness rule).
@@ -28,7 +32,8 @@ import numpy as np
 from repro.kernels.cdraws import BitGen
 from repro.kernels.rngbuf import BufferedUniformStream
 
-_reference = False
+#: True inside :func:`reference_kernels`. Read it; never set it.
+reference = False
 
 
 def wrap_uniform_stream(rng: np.random.Generator):
@@ -39,7 +44,7 @@ def wrap_uniform_stream(rng: np.random.Generator):
     asserts the single-kind contract by calling this at all — see the
     buffer refill determinism rule.
     """
-    if _reference or isinstance(rng, BufferedUniformStream):
+    if reference or isinstance(rng, BufferedUniformStream):
         return rng
     return BufferedUniformStream(rng)
 
@@ -59,7 +64,7 @@ def bind_stream(rng, fading) -> Tuple[object, object]:
         return rng, rng
     if isinstance(rng, BufferedUniformStream):
         rng = rng.detach()
-    if _reference:
+    if reference:
         return rng, rng
     # numpy's BitGenerator.ctypes interface: its bitgen_t *, cached.
     bitgen = BitGen(rng.bit_generator.ctypes.bit_generator.value)
@@ -69,15 +74,15 @@ def bind_stream(rng, fading) -> Tuple[object, object]:
 
 def chunk_grids_enabled() -> bool:
     """Whether error models build grid-backed chunk kernels."""
-    return not _reference
+    return not reference
 
 
 @contextmanager
 def reference_kernels() -> Iterator[None]:
     """Build objects with per-draw RNG and region-free chunk kernels."""
-    global _reference
-    previous, _reference = _reference, True
+    global reference
+    previous, reference = reference, True
     try:
         yield
     finally:
-        _reference = previous
+        reference = previous

@@ -12,6 +12,11 @@ stops exporting these symbols fails here, at import (DESIGN.md "Kernels").
 The draws are :class:`BitGen` class attributes named after the methods, so
 ``type(s).random(s)`` draws alike from a ``Generator``, a
 ``BufferedUniformStream`` and a ``BitGen`` (and they check nothing).
+
+:data:`NextUint32` re-wraps a bit generator's own ``next_uint32`` pointer
+(``bit_generator.ctypes.next_uint32``) as a ``PYFUNCTYPE``, so it too keeps
+the GIL held; DCF's backoff runs numpy's bounded-integer rejection over it
+(``DcfMac._maybe_begin``).
 """
 
 from __future__ import annotations
@@ -37,3 +42,7 @@ class BitGen(ctypes.c_void_p):
     standard_normal = _c_draw("random_standard_normal")
     standard_exponential = _c_draw("random_standard_exponential")
     random = _c_draw("random_standard_uniform")
+
+
+#: ``uint32_t next_uint32(void *state)``, called with the GIL held.
+NextUint32 = ctypes.PYFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)

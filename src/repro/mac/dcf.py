@@ -21,10 +21,13 @@ re-arming a timer allocates nothing.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from repro.kernels import backend
+from repro.kernels.cdraws import NextUint32
 from repro.mac.base import MacBase, Packet
 from repro.phy.frames import (
     BROADCAST,
@@ -90,6 +93,8 @@ class DcfMac(MacBase):
         "_retry_limit",
         "_ack_rate",
         "_draw_backoff",
+        "_next_u32",
+        "_u32_state",
         "_cb_difs",
         "_cb_slot",
         "_cb_tx",
@@ -126,9 +131,20 @@ class DcfMac(MacBase):
         self._cw_max = p.cw_max
         self._retry_limit = p.retry_limit
         self._ack_rate = p.ack_rate
-        # Per-node specialized draw: same integers(0, hi) call, with the
-        # generator method bound once instead of per contention round.
+        # The backoff draw: numpy's own bounded-integer rejection for
+        # integers(0, cw + 1), run over the stream's next_uint32 (the words
+        # integers itself reads), so the stream stays bit-identical.
+        # Inside reference_kernels() (or for a window too wide for 32
+        # bits) the Generator method draws instead.
         self._draw_backoff = self.rng.integers
+        self._next_u32 = self._u32_state = None
+        if not backend.reference and max(p.cw_min, p.cw_max) < 0xFFFFFFFF:
+            # The state pointer lives as long as self.rng's bit generator.
+            iface = self.rng.bit_generator.ctypes
+            self._next_u32 = NextUint32(
+                ctypes.cast(iface.next_uint32, ctypes.c_void_p).value
+            )
+            self._u32_state = iface.state_address
         # Timer callbacks bound once so registry re-arms hit the
         # handle-reuse fast path (and allocate no bound methods).
         self._cb_difs = self._difs_elapsed
@@ -158,7 +174,22 @@ class DcfMac(MacBase):
         self._state = _State.CONTEND
         if self._backoff_slots is None:
             if self._need_post_backoff or self._retries > 0:
-                self._backoff_slots = int(self._draw_backoff(0, self._cw + 1))
+                cw = self._cw
+                next_u32 = self._next_u32
+                if next_u32 is None:
+                    self._backoff_slots = int(self._draw_backoff(0, cw + 1))
+                elif cw == 0:
+                    self._backoff_slots = 0
+                else:
+                    # Lemire: scale a 32-bit word by the window; reject
+                    # the few low words that would bias it.
+                    n = cw + 1
+                    m = next_u32(self._u32_state) * n
+                    if m & 0xFFFFFFFF < n:
+                        floor = (0xFFFFFFFF - cw) % n
+                        while m & 0xFFFFFFFF < floor:
+                            m = next_u32(self._u32_state) * n
+                    self._backoff_slots = m >> 32
             else:
                 self._backoff_slots = 0
         if self._cs:

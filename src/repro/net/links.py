@@ -19,12 +19,33 @@ without adding information. In-run delivery remains stochastic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 import numpy as np
 
 from repro.phy.modulation import ErrorModel, Rate, RATE_6M, isolated_prr
 from repro.phy.propagation import RssMatrix
+
+
+@dataclass(frozen=True)
+class Neighbours:
+    """One node's row of the §5.1 predicate index.
+
+    The tuples list peers in ``LinkTable.node_ids`` order, so a scan over
+    them visits candidates in the same order as a scan over all nodes that
+    tests the predicate; the sets answer membership.
+    """
+
+    #: Peers ``b`` with ``potential_tx_link(a, b)``.
+    tx: Tuple[int, ...]
+    tx_set: FrozenSet[int]
+    #: Peers ``b`` with ``in_range(a, b)``.
+    in_range: Tuple[int, ...]
+    #: Peers ``b`` with ``out_of_range(a, b)``.
+    out_of_range: Tuple[int, ...]
+    #: Peers ``b`` with ``strong_signal(a, b)`` / ``weak_signal(a, b)``.
+    strong: FrozenSet[int]
+    weak: FrozenSet[int]
 
 
 @dataclass(frozen=True)
@@ -85,6 +106,7 @@ class LinkTable:
             float(np.percentile(connected, 90)) if connected else -200.0
         )
         self._connectivity_floor = connectivity_floor_prr
+        self._index: Dict[int, Neighbours] = {}
 
     # ------------------------------------------------------------------
     # Raw accessors
@@ -136,6 +158,30 @@ class LinkTable:
     def weak_signal(self, a: int, b: int) -> bool:
         """Signal a->b below the 90th percentile threshold."""
         return self.rss(a, b) < self.signal_p90_dbm
+
+    def neighbours(self, a: int) -> Neighbours:
+        """Node ``a``'s row of the predicate index (built on first use).
+
+        A row is the predicates above evaluated once from ``a`` to every
+        other node, so a search that reads it sees exactly what calling
+        them would return, without calling them per candidate.
+        """
+        row = self._index.get(a)
+        if row is None:
+            row = self._index[a] = self._index_row(a)
+        return row
+
+    def _index_row(self, a: int) -> Neighbours:
+        peers = [b for b in self.node_ids if b != a]
+        tx = tuple(b for b in peers if self.potential_tx_link(a, b))
+        return Neighbours(
+            tx=tx,
+            tx_set=frozenset(tx),
+            in_range=tuple(b for b in peers if self.in_range(a, b)),
+            out_of_range=tuple(b for b in peers if self.out_of_range(a, b)),
+            strong=frozenset(b for b in peers if self.strong_signal(a, b)),
+            weak=frozenset(b for b in peers if self.weak_signal(a, b)),
+        )
 
     # ------------------------------------------------------------------
     # Census (paper §5.1 testbed characterisation)

@@ -24,7 +24,12 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.kernels.cdraws import BitGen
-from repro.phy.modulation import ErrorModel, Rate
+from repro.phy.modulation import (
+    STATIC_QUADRATURE,
+    ErrorModel,
+    FadeQuadrature,
+    Rate,
+)
 from repro.util.rng import stable_hash
 from repro.util.units import sinr_db as _sinr_db
 
@@ -100,7 +105,7 @@ class NoFading(FadingModel):
 
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
         s = _sinr_db(rss_dbm, -400.0, noise_dbm)
-        return error_model.frame_success(s, rate, size_bytes)
+        return STATIC_QUADRATURE.total(s, rate, size_bytes, error_model)
 
 
 class GaussianBlockFading(FadingModel):
@@ -113,7 +118,10 @@ class GaussianBlockFading(FadingModel):
         # A zero-sigma model degenerates to the static channel: samplers
         # return 0.0 without touching the stream (see pair_sampler).
         self.RNG_FREE = sigma_db == 0.0
-        self._nodes, self._weights = _gaussian_grid()
+        nodes, weights = _gaussian_grid()
+        self._quadrature = FadeQuadrature(
+            [sigma_db * float(x) for x in nodes], weights
+        )
 
     def draw_db(self, rng: np.random.Generator, a: int, b: int) -> float:
         if self.sigma_db == 0.0:
@@ -132,12 +140,7 @@ class GaussianBlockFading(FadingModel):
 
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
         s = _sinr_db(rss_dbm, -400.0, noise_dbm)
-        total = 0.0
-        for x, w in zip(self._nodes, self._weights):
-            total += w * error_model.frame_success(
-                s + self.sigma_db * float(x), rate, size_bytes
-            )
-        return float(total)
+        return self._quadrature.total(s, rate, size_bytes, error_model)
 
 
 class LosNlosMixtureFading(FadingModel):
@@ -161,9 +164,17 @@ class LosNlosMixtureFading(FadingModel):
         # Quadratures: dense Gaussian grid for LOS; for the NLOS exponential
         # power gain a dense grid over quantiles (exact inverse-CDF samples)
         # is likewise more robust on the steep PER sigmoid than Laguerre.
-        self._h_nodes, self._h_weights = _gaussian_grid()
+        # The offsets ascend (for a non-negative sigma), as the evaluator's
+        # zero-prefix bisection needs.
+        nodes, weights = _gaussian_grid()
+        self._los = FadeQuadrature([los_sigma_db * float(x) for x in nodes], weights)
         qs = (np.arange(200) + 0.5) / 200.0
-        self._nlos_gains = -np.log1p(-qs)  # Exp(1) quantiles
+        gains = -np.log1p(-qs)  # Exp(1) quantiles
+        # Equal weights of 1.0: the sum of the terms, divided afterwards.
+        self._nlos = FadeQuadrature(
+            [max(_FADE_FLOOR_DB, 10.0 * math.log10(float(g))) for g in gains],
+            [1.0] * len(gains),
+        )
 
     # ------------------------------------------------------------------
     def is_los(self, a: int, b: int) -> bool:
@@ -210,14 +221,7 @@ class LosNlosMixtureFading(FadingModel):
     def mean_prr(self, rss_dbm, noise_dbm, rate, size_bytes, error_model, a, b):
         s = _sinr_db(rss_dbm, -400.0, noise_dbm)
         if self.is_los(a, b):
-            total = 0.0
-            for x, w in zip(self._h_nodes, self._h_weights):
-                total += w * error_model.frame_success(
-                    s + self.los_sigma_db * float(x), rate, size_bytes
-                )
-            return float(total)
-        total = 0.0
-        for g in self._nlos_gains:
-            fade = max(_FADE_FLOOR_DB, 10.0 * math.log10(float(g)))
-            total += error_model.frame_success(s + fade, rate, size_bytes)
-        return float(min(1.0, total / len(self._nlos_gains)))
+            return self._los.total(s, rate, size_bytes, error_model)
+        nlos = self._nlos
+        total = nlos.total(s, rate, size_bytes, error_model)
+        return min(1.0, total / len(nlos.offsets))

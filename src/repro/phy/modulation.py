@@ -16,6 +16,7 @@ opportunities shrink at higher bit-rates (§5.8).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -104,6 +105,15 @@ class Phy80211a:
 
 class ErrorModel:
     """Interface: map (SINR, rate, bits) to delivery probability."""
+
+    def __getstate__(self):
+        # The per-rate kernel caches (the reception scorer's, and
+        # frame_kernel's) hold closures, which do not pickle; they are
+        # rebuilt on first use.
+        state = dict(self.__dict__)
+        state.pop("_chunk_cache", None)
+        state.pop("_frame_kernels", None)
+        return state
 
     def ber(self, sinr_db: float, rate: Rate) -> float:
         """Bit error rate at ``sinr_db`` for ``rate``."""
@@ -229,19 +239,84 @@ class SinrThresholdErrorModel(ErrorModel):
         return 0.0 if sinr_db >= rate.sinr50_1400_db else 0.5
 
 
-#: Gauss-Hermite quadrature (17 nodes) for averaging over Gaussian fading.
-_GH_NODES, _GH_WEIGHTS = None, None
+class FadeQuadrature:
+    """Exact fading-averaged frame success over fixed fade offsets.
+
+    ``total(sinr_db, ...)`` is ``Σ_i weights[i] * frame_success(sinr_db +
+    offsets[i])``, summed in index order: the per-point quadrature loop
+    every analytic PRR used to run, bit for bit. It runs on the rate's
+    :class:`~repro.kernels.chunkgrid.ChunkKernel` (the grid exactness rule,
+    DESIGN.md "Kernels"): with ascending offsets it bisects past the prefix
+    whose SINR is at or below ``sinr_zero_db`` (each such term is ``w *
+    0.0`` and leaves the sum unchanged), adds ``w`` itself at or above
+    ``sinr_one_db`` (where ``w * 1.0 == w``), and calls the fused chunk
+    closure only inside the waterfall. A region-free kernel (non-NIST
+    models, or built inside ``reference_kernels()``) has ±inf bounds, so
+    the same code is the plain loop.
+    """
+
+    __slots__ = ("offsets", "weights", "_ascending")
+
+    def __init__(self, offsets, weights):
+        self.offsets = tuple(float(x) for x in offsets)
+        self.weights = tuple(float(w) for w in weights)
+        if len(self.offsets) != len(self.weights):
+            raise ValueError("one weight per offset")
+        #: The zero-prefix bisection needs ascending offsets; any other
+        #: order still scores every point through the region checks.
+        self._ascending = all(
+            a <= b for a, b in zip(self.offsets, self.offsets[1:])
+        )
+
+    def total(
+        self, sinr_db: float, rate: Rate, size_bytes: int, error_model: ErrorModel
+    ) -> float:
+        kernel = frame_kernel(error_model, rate)
+        bits = 8.0 * size_bytes
+        zero = kernel.sinr_zero_db if bits > 0.0 and self._ascending else -math.inf
+        one = kernel.sinr_one_db if 0.0 <= bits <= kernel.bits_safe else math.inf
+        offsets, weights = self.offsets, self.weights
+        lo, hi = 0, len(offsets)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sinr_db + offsets[mid] <= zero:
+                lo = mid + 1
+            else:
+                hi = mid
+        chunk = kernel.chunk
+        total = 0.0
+        for i in range(lo, len(offsets)):
+            s = sinr_db + offsets[i]
+            if s >= one:
+                total += weights[i]
+            else:
+                total += weights[i] * chunk(s, bits)
+        return total
 
 
-def _gauss_hermite():
-    global _GH_NODES, _GH_WEIGHTS
-    if _GH_NODES is None:
-        import numpy as np
+def frame_kernel(error_model: ErrorModel, rate: Rate):
+    """``error_model.chunk_kernel(rate)``, built on the model's first use of
+    ``rate`` (like the reception scorer's, so a model built inside
+    ``reference_kernels()`` keeps its region-free kernels)."""
+    cache = error_model.__dict__.setdefault("_frame_kernels", {})
+    kernel = cache.get(rate)
+    if kernel is None:
+        kernel = cache[rate] = error_model.chunk_kernel(rate)
+    return kernel
 
-        nodes, weights = np.polynomial.hermite_e.hermegauss(17)
-        _GH_NODES = nodes
-        _GH_WEIGHTS = weights / weights.sum()
-    return _GH_NODES, _GH_WEIGHTS
+
+#: A static channel: one point, no fade.
+STATIC_QUADRATURE = FadeQuadrature((0.0,), (1.0,))
+
+@functools.lru_cache(maxsize=8)
+def _gauss_hermite(sigma_db: float) -> FadeQuadrature:
+    """17-node Gauss-Hermite quadrature over Gaussian fading of ``sigma_db``."""
+    import numpy as np
+
+    nodes, weights = np.polynomial.hermite_e.hermegauss(17)
+    return FadeQuadrature(
+        [sigma_db * float(x) for x in nodes], weights / weights.sum()
+    )
 
 
 def isolated_prr(
@@ -264,14 +339,8 @@ def isolated_prr(
 
     s = _sinr(rss_dbm, -400.0, noise_dbm)
     if fading_sigma_db <= 0.0:
-        return error_model.frame_success(s, rate, size_bytes)
-    nodes, weights = _gauss_hermite()
-    total = 0.0
-    for x, w in zip(nodes, weights):
-        total += w * error_model.frame_success(
-            s + fading_sigma_db * float(x), rate, size_bytes
-        )
-    return float(total)
+        return STATIC_QUADRATURE.total(s, rate, size_bytes, error_model)
+    return _gauss_hermite(fading_sigma_db).total(s, rate, size_bytes, error_model)
 
 
 def expected_links_classification(prr: float) -> Tuple[bool, bool]:

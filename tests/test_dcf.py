@@ -1,5 +1,6 @@
 """Tests for the 802.11 DCF baseline MAC."""
 
+import numpy as np
 import pytest
 
 from repro.mac.base import Packet
@@ -173,3 +174,63 @@ class TestBackoffEscalation:
         macs[0].start()
         sim.run(until=3.0)
         assert macs[0]._cw <= 255
+
+
+class TestBackoffDraw:
+    """The backoff draw replays numpy's bounded-integer rejection over the
+    stream's next_uint32: lockstep with ``Generator.integers(0, cw + 1)``
+    on a twin stream, also when other kinds of draw interleave."""
+
+    CWS = (0, 1, 15, 1023, 2, 2**31)  # 2**31: about half the words reject
+
+    @staticmethod
+    def _draw(mac, cw):
+        """Run one contention start of ``mac`` with window ``cw``."""
+        from repro.mac.dcf import _State
+
+        mac._state = _State.IDLE
+        mac._current = Packet(dst=1, size_bytes=100)
+        mac._backoff_slots = None
+        mac._need_post_backoff = True
+        mac._cw = cw
+        mac._maybe_begin()
+        return mac._backoff_slots
+
+    @staticmethod
+    def _mac(rng):
+        sim = Simulator()
+        rss = RssMatrix(LogDistance(exponent=3.3), {0: Position(0, 0)}, 18.0)
+        medium = Medium(sim, rss)
+        radio = Radio(
+            sim, 0, RadioConfig(error_model=SinrThresholdErrorModel(), fading=None),
+            np.random.default_rng(0),
+        )
+        medium.attach(radio)
+        mac = DcfMac(sim, 0, radio, rng)
+        mac._started = True
+        return mac
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lockstep_with_generator_integers(self, seed):
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        mac = self._mac(rng)
+        assert mac._next_u32 is not None
+        for i in range(3000):
+            cw = self.CWS[i % len(self.CWS)]
+            assert self._draw(mac, cw) == int(twin.integers(0, cw + 1)), i
+            if i % 3 == 0:
+                assert rng.random() == twin.random()
+            if i % 5 == 0:
+                assert rng.standard_normal() == twin.standard_normal()
+        assert rng.integers(0, 2**40) == twin.integers(0, 2**40)
+
+    def test_reference_kernels_keep_generator_integers(self):
+        from repro.kernels.backend import reference_kernels
+
+        with reference_kernels():
+            mac = self._mac(np.random.default_rng(3))
+        assert mac._next_u32 is None
+        twin = np.random.default_rng(3)
+        for cw in self.CWS:
+            assert self._draw(mac, cw) == int(twin.integers(0, cw + 1))

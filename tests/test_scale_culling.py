@@ -256,3 +256,40 @@ class TestCullingAcrossEpochs:
         medium.attach(radios[2])
         medium._build_tx_fanout(0)
         assert medium.fanout_census()[0] == (1, 1)
+
+
+class TestIdleNodes:
+    def test_non_endpoints_never_transmit(self):
+        """A scale-sweep node outside every flow only listens: DCF sends
+        nothing unprompted, and a CMAP interferer list fills only from data
+        addressed to its node (``two_hop_ilist`` is off), so it has nothing
+        to gossip either."""
+        from unittest import mock
+
+        from repro.experiments import executor
+        from repro.experiments.runners import build_scale_sweep
+        from repro.network import Network
+
+        nets = []
+
+        class Recording(Network):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nets.append(self)
+
+        _topo, testbed, spec = build_scale_sweep(
+            ExperimentScale(duration=0.3, warmup=0.1, trials_per_n=1),
+            1,
+            ns=(16,),
+            topologies=("uniform",),
+        )[0]
+        assert [t.mac.protocol for t in spec.trials] == ["dcf", "cmap"]
+        with mock.patch.object(executor, "Network", Recording):
+            for trial in spec.trials:
+                run_trial(testbed, trial)
+        for net, trial in zip(nets, spec.trials):
+            endpoints = {n for flow in trial.flows for n in flow}
+            idle = set(net.nodes) - endpoints
+            assert len(idle) == 16 - len(endpoints) > 0
+            assert all(net.nodes[n].radio.stats.tx_frames == 0 for n in idle)
+            assert all(net.nodes[s].radio.stats.tx_frames > 0 for s, _ in trial.flows)
