@@ -9,8 +9,9 @@ topologies while leaving exposed ones roughly alone.
 from conftest import run_once
 
 from repro.core.params import CmapParams
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import find_hidden_terminal_configs
 from repro.network import cmap_factory
 
@@ -21,14 +22,10 @@ def _sweep(testbed, scale):
         "cmap": cmap_factory(CmapParams()),
         "cmap_no_backoff": cmap_factory(CmapParams(l_backoff=1.0)),
     }
-    return run_pair_cdf_experiment(
-        "ablation_backoff",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "ablation_backoff", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_ablation_backoff_hidden_terminals(benchmark, testbed, scale):

@@ -13,8 +13,9 @@ Run on in-range pairs where the conflict map actually matters.
 from conftest import run_once
 
 from repro.core.params import CmapParams
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import find_inrange_configs
 from repro.network import cmap_factory
 
@@ -27,14 +28,10 @@ def _sweep(testbed, scale):
         "piggyback": cmap_factory(CmapParams(piggyback_ilist=True)),
         "two_hop": cmap_factory(CmapParams(two_hop_ilist=True)),
     }
-    return run_pair_cdf_experiment(
-        "ablation_extensions",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "ablation_extensions", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_ablation_extensions(benchmark, testbed, scale):

@@ -8,8 +8,9 @@ virtual packets without losing throughput; the software profile cannot.
 from conftest import run_once
 
 from repro.core.params import CmapParams, LatencyProfile
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import find_exposed_terminal_configs
 from repro.network import cmap_factory
 
@@ -30,14 +31,10 @@ def _sweep(testbed, scale):
             CmapParams(nvpkt=4, latency=LatencyProfile.hardware(), t_ackwait=1e-3)
         ),
     }
-    return run_pair_cdf_experiment(
-        "ablation_latency",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "ablation_latency", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_ablation_latency_profile(benchmark, testbed, scale):

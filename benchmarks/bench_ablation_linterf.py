@@ -10,8 +10,9 @@ exposed configurations).
 from conftest import run_once
 
 from repro.core.params import CmapParams
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import find_inrange_configs
 from repro.network import cmap_factory
 
@@ -22,14 +23,10 @@ def _sweep(testbed, scale):
         f"cmap_li{int(t * 100):02d}": cmap_factory(CmapParams(l_interf=t))
         for t in (0.1, 0.5, 0.9)
     }
-    return run_pair_cdf_experiment(
-        "ablation_linterf",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "ablation_linterf", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_ablation_l_interf(benchmark, testbed, scale):

@@ -7,8 +7,9 @@ terminal gain from ~2x to ~1.5x. We sweep N_window in {1, 2, 4, 8}.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import find_exposed_terminal_configs
 from repro.experiments.spec import MacSpec
 
@@ -16,15 +17,10 @@ from repro.experiments.spec import MacSpec
 def _sweep(testbed, scale, backend):
     configs = find_exposed_terminal_configs(testbed, scale.configs)
     protocols = {f"cmap_w{w}": MacSpec.of("cmap", nwindow=w) for w in (1, 2, 4, 8)}
-    return run_pair_cdf_experiment(
-        "ablation_window",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
-        backend=backend,
+    spec = build_pair_cdf_experiment(
+        "ablation_window", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed, backend=backend)
 
 
 def test_ablation_window_size(benchmark, testbed, scale, backend):

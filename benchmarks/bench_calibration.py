@@ -6,14 +6,14 @@ makes the software MAC comparable to hardware 802.11.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_calibration
-from repro.experiments.runners import run_single_link_calibration
+from repro.experiments.runners import build_single_link_calibration
 
 
 def test_single_link_calibration(benchmark, testbed, scale, backend):
-    result = run_once(
-        benchmark, run_single_link_calibration, testbed, scale, backend=backend
-    )
+    spec = build_single_link_calibration(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_calibration(result))
     benchmark.extra_info["cmap_mbps"] = round(result.cmap_mbps, 3)

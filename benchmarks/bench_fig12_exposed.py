@@ -7,17 +7,19 @@ virtual packet drops the gain to ~1.5x.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_exposed_terminals
+from repro.experiments.runners import build_exposed_terminals
 
 
 def test_fig12_exposed_terminals(benchmark, testbed, scale, backend):
-    result = run_once(benchmark, run_exposed_terminals, testbed, scale, backend=backend)
+    spec = build_exposed_terminals(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
-    print(render_pair_cdf(result, "Fig. 12 — exposed terminals"))
+    print(render_pair_cdf(result))
     gain = result.gain_over("cmap", "cs_on")
     win1_gain = result.gain_over("cmap_win1", "cs_on")
-    conc = sum(result.cmap_concurrency) / len(result.cmap_concurrency)
+    conc = sum(result.concurrency["cmap"]) / len(result.concurrency["cmap"])
     benchmark.extra_info.update(
         cmap_gain=round(gain, 2),
         cmap_win1_gain=round(win1_gain, 2),

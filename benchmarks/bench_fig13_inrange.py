@@ -8,14 +8,16 @@ fragile to ACK loss.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_inrange_senders
+from repro.experiments.runners import build_inrange_senders
 
 
 def test_fig13_inrange_senders(benchmark, testbed, scale, backend):
-    result = run_once(benchmark, run_inrange_senders, testbed, scale, backend=backend)
+    spec = build_inrange_senders(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
-    print(render_pair_cdf(result, "Fig. 13 — senders in range"))
+    print(render_pair_cdf(result))
     benchmark.extra_info["cmap_median"] = round(result.median("cmap"), 2)
     benchmark.extra_info["cs_on_median"] = round(result.median("cs_on"), 2)
     # CMAP must not fall below the status quo in aggregate...

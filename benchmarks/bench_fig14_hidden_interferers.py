@@ -8,14 +8,14 @@ i.e. ~10 % expected damage.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_hidden_interferer
-from repro.experiments.runners import run_hidden_interferer_scatter
+from repro.experiments.runners import build_hidden_interferer_scatter
 
 
 def test_fig14_hidden_interferers(benchmark, testbed, scale, backend):
-    result = run_once(
-        benchmark, run_hidden_interferer_scatter, testbed, scale, backend=backend
-    )
+    spec = build_hidden_interferer_scatter(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_hidden_interferer(result))
     benchmark.extra_info.update(

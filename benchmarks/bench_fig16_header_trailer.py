@@ -9,14 +9,14 @@ persistently; for in-range equal-size packets the either-probability is ~1.
 from conftest import run_once
 
 from repro.analysis.stats import summarize
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_ht_cdf
-from repro.experiments.runners import run_header_trailer_cdf
+from repro.experiments.runners import build_header_trailer_cdf
 
 
 def test_fig16_header_or_trailer(benchmark, testbed, scale, backend):
-    result = run_once(
-        benchmark, run_header_trailer_cdf, testbed, scale, backend=backend
-    )
+    spec = build_header_trailer_cdf(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_ht_cdf(result))
     either_med = summarize(result.inrange_either).median

@@ -9,15 +9,17 @@ terminals.
 from conftest import run_once
 
 from repro.analysis.stats import Cdf
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_ap
-from repro.experiments.runners import run_ap_topology
+from repro.experiments.runners import build_ap_topology
 
 _cache = {}
 
 
 def _ap_result(testbed, scale, backend):
     if "result" not in _cache:
-        _cache["result"] = run_ap_topology(testbed, scale, backend=backend)
+        spec = build_ap_topology(testbed, scale)
+        _cache["result"] = run_experiment(spec, testbed, backend=backend)
     return _cache["result"]
 
 

@@ -8,14 +8,14 @@ fraction of receivers cannot maintain the conflict map under load.
 from conftest import run_once
 
 from repro.analysis.stats import summarize
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_ht_density
-from repro.experiments.runners import run_header_trailer_density
+from repro.experiments.runners import build_header_trailer_density
 
 
 def test_fig19_ht_density(benchmark, testbed, scale, backend):
-    result = run_once(
-        benchmark, run_header_trailer_density, testbed, scale, backend=backend
-    )
+    spec = build_header_trailer_density(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_ht_density(result))
     medians = {n: summarize(v).median for n, v in result.rates_by_n.items() if v}

@@ -7,12 +7,14 @@ decode rises (control frames always go at the base rate).
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_bitrate_sweep
-from repro.experiments.runners import run_bitrate_sweep
+from repro.experiments.runners import build_bitrate_sweep
 
 
 def test_fig20_bitrate_sweep(benchmark, testbed, scale, backend):
-    result = run_once(benchmark, run_bitrate_sweep, testbed, scale, backend=backend)
+    spec = build_bitrate_sweep(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_bitrate_sweep(result))
     gains = {

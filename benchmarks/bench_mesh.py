@@ -7,19 +7,14 @@ during the concurrent A_i -> B_i transfers.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_mesh
-from repro.experiments.runners import run_mesh_dissemination
+from repro.experiments.runners import build_mesh_dissemination
 
 
 def test_mesh_dissemination(benchmark, testbed, scale, backend):
-    result = run_once(
-        benchmark,
-        run_mesh_dissemination,
-        testbed,
-        scale,
-        include_extensions=True,
-        backend=backend,
-    )
+    spec = build_mesh_dissemination(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_mesh(result))
     gain = result.gain("cmap", "cs_on")

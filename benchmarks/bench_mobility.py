@@ -8,12 +8,14 @@ doubles as a regression anchor: it runs the exact static fast path.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_churn, render_mobility
-from repro.experiments.runners import run_churn_sweep, run_mobility_sweep
+from repro.experiments.runners import build_churn_sweep, build_mobility_sweep
 
 
 def test_mobility_sweep(benchmark, testbed, scale, backend):
-    result = run_once(benchmark, run_mobility_sweep, testbed, scale, backend=backend)
+    spec = build_mobility_sweep(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_mobility(result))
     static_cmap = result.median(result.speeds[0], "cmap")
@@ -28,7 +30,8 @@ def test_mobility_sweep(benchmark, testbed, scale, backend):
 
 
 def test_churn_sweep(benchmark, testbed, scale, backend):
-    result = run_once(benchmark, run_churn_sweep, testbed, scale, backend=backend)
+    spec = build_churn_sweep(testbed, scale)
+    result = run_once(benchmark, run_experiment, spec, testbed, backend=backend)
     print()
     print(render_churn(result))
     no_churn = result.median(result.periods[0], "cmap")

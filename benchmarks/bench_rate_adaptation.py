@@ -17,8 +17,9 @@ collapses relative to fixed-rate CMAP.
 from conftest import run_once
 
 from repro.core.params import CmapParams
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import (
     filter_configs_by_rate,
     find_inrange_configs,
@@ -49,14 +50,10 @@ def _sweep(testbed, scale):
             )
         ),
     }
-    return run_pair_cdf_experiment(
-        "rate_adaptation",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "rate_adaptation", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_rate_adaptation(benchmark, testbed, scale):

@@ -17,8 +17,9 @@ lead this table.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import find_exposed_terminal_configs
 from repro.mac.cs_tuning import CsTuningParams, cs_tuning_factory
 from repro.mac.ecsma import ecsma_factory
@@ -37,14 +38,10 @@ def _lineup(testbed, scale):
         "cs_tuning": cs_tuning_factory(CsTuningParams(epoch=0.3)),
         "cmap": cmap_factory(),
     }
-    return run_pair_cdf_experiment(
-        "related_work",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "related_work", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_related_work_lineup(benchmark, testbed, scale):

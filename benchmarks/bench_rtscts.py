@@ -9,8 +9,9 @@ exposed pairs and match it on hidden pairs.
 
 from conftest import run_once
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.report import render_pair_cdf
-from repro.experiments.runners import run_pair_cdf_experiment
+from repro.experiments.runners import build_pair_cdf_experiment
 from repro.experiments.scenarios import (
     find_exposed_terminal_configs,
     find_hidden_terminal_configs,
@@ -26,14 +27,10 @@ def _exposed(testbed, scale):
         "rts_cts": rtscts_factory(),
         "cmap": cmap_factory(),
     }
-    return run_pair_cdf_experiment(
-        "rtscts_exposed",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "rtscts_exposed", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def _hidden(testbed, scale):
@@ -43,14 +40,10 @@ def _hidden(testbed, scale):
         "rts_cts": rtscts_factory(),
         "cmap": cmap_factory(),
     }
-    return run_pair_cdf_experiment(
-        "rtscts_hidden",
-        testbed,
-        configs,
-        protocols,
-        scale,
-        track_cmap_concurrency=False,
+    spec = build_pair_cdf_experiment(
+        "rtscts_hidden", configs, protocols, scale, track_cmap_concurrency=False
     )
+    return run_experiment(spec, testbed)
 
 
 def test_rtscts_exposed_terminals(benchmark, testbed, scale):

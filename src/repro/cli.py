@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.cli fig12 --scale smoke
-    python -m repro.cli fig17 --scale quick --seed 3
+    python -m repro.cli fig17 --scale quick --seed 2
     python -m repro.cli fig12 --scale paper --jobs 8 --out fig12.json
     python -m repro.cli fig12 --scale paper --jobs 8 --out fig12.json --resume
     python -m repro.cli census
@@ -31,28 +31,32 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict
 
 from repro import perf
 from repro.experiments import report
-from repro.experiments.executor import ResultStore, SerialBackend, make_backend
-from repro.experiments.runners import (
-    ExperimentScale,
-    run_ap_topology,
-    run_bitrate_sweep,
-    run_churn_sweep,
-    run_exposed_terminals,
-    run_header_trailer_cdf,
-    run_header_trailer_density,
-    run_hidden_interferer_scatter,
-    run_hidden_terminals,
-    run_inrange_senders,
-    run_mesh_dissemination,
-    run_mobility_sweep,
-    run_scale_sweep,
-    run_single_link_calibration,
+from repro.experiments.executor import (
+    ResultStore,
+    SerialBackend,
+    make_backend,
+    run_experiment,
 )
+from repro.experiments.runners import (
+    SWEEP_BUILDERS,
+    ExperimentScale,
+    run_scale_sweep,
+)
+from repro.experiments.scenarios import ScenarioError
 from repro.net.testbed import Testbed
+
+#: CLI-only names for a registered figure: Fig. 18 is the per-sender view
+#: the fig17 run prints.
+ALIASES = {"fig18": "fig17"}
+
+#: Every figure ``all`` runs: the registry plus the scale sweep, which
+#: builds one testbed per generated world and so stays on
+#: :func:`run_scale_sweep`, outside the registry.
+FIGURES = sorted([*SWEEP_BUILDERS, "scale"])
+FIGURE_TARGETS = sorted([*FIGURES, *ALIASES])
 
 
 def _scale(name: str) -> ExperimentScale:
@@ -62,105 +66,26 @@ def _scale(name: str) -> ExperimentScale:
         raise SystemExit(str(exc.args[0]))
 
 
-def _figures() -> Dict[str, Callable]:
-    """Figure id -> callable producing the printed report.
+def run_figure(name, testbed, scale, backend, store) -> str:
+    """Run one figure and return its printed report.
 
-    Every callable takes (testbed, scale, backend, store); the backend and
-    store thread straight through to the shared trial executor.
+    The testbed's seed also seeds the configurations drawn on it, as
+    ``submit --seed`` and ``POST /jobs`` do.
     """
-
-    def calibration(tb, scale, backend, store):
-        return report.render_calibration(
-            run_single_link_calibration(tb, scale, backend=backend, store=store)
-        )
-
-    def fig12(tb, scale, backend, store):
-        return report.render_pair_cdf(
-            run_exposed_terminals(tb, scale, backend=backend, store=store),
-            "Fig. 12 — exposed terminals",
-        )
-
-    def fig13(tb, scale, backend, store):
-        return report.render_pair_cdf(
-            run_inrange_senders(tb, scale, backend=backend, store=store),
-            "Fig. 13 — senders in range",
-        )
-
-    def fig14(tb, scale, backend, store):
-        return report.render_hidden_interferer(
-            run_hidden_interferer_scatter(tb, scale, backend=backend, store=store)
-        )
-
-    def fig15(tb, scale, backend, store):
-        return report.render_pair_cdf(
-            run_hidden_terminals(tb, scale, backend=backend, store=store),
-            "Fig. 15 — hidden terminals",
-        )
-
-    def fig16(tb, scale, backend, store):
-        return report.render_ht_cdf(
-            run_header_trailer_cdf(tb, scale, backend=backend, store=store)
-        )
-
-    def fig17(tb, scale, backend, store):
-        return report.render_ap(
-            run_ap_topology(tb, scale, backend=backend, store=store)
-        )
-
-    def fig19(tb, scale, backend, store):
-        return report.render_ht_density(
-            run_header_trailer_density(tb, scale, backend=backend, store=store)
-        )
-
-    def fig20(tb, scale, backend, store):
-        return report.render_bitrate_sweep(
-            run_bitrate_sweep(tb, scale, backend=backend, store=store)
-        )
-
-    def mesh(tb, scale, backend, store):
-        return report.render_mesh(
-            run_mesh_dissemination(
-                tb, scale, include_extensions=True, backend=backend, store=store
-            )
-        )
-
-    def mobility(tb, scale, backend, store):
-        return report.render_mobility(
-            run_mobility_sweep(tb, scale, backend=backend, store=store)
-        )
-
-    def churn(tb, scale, backend, store):
-        return report.render_churn(
-            run_churn_sweep(tb, scale, backend=backend, store=store)
-        )
-
-    def scale_sweep(tb, scale, backend, store):
-        # Generates its own constant-density worlds (one per topology x N);
-        # only the seed is taken from the shared testbed.
-        return report.render_scale(
-            run_scale_sweep(scale=scale, seed=tb.seed, backend=backend,
-                            store=store)
-        )
-
-    return {
-        "calibration": calibration,
-        "fig12": fig12,
-        "fig13": fig13,
-        "fig14": fig14,
-        "fig15": fig15,
-        "fig16": fig16,
-        "fig17": fig17,
-        "fig18": fig17,  # same runner; Fig. 18 is the per-sender view
-        "fig19": fig19,
-        "fig20": fig20,
-        "mesh": mesh,
-        "mobility": mobility,
-        "churn": churn,
-        "scale": scale_sweep,
-    }
+    name = ALIASES.get(name, name)
+    seed = testbed.seed
+    try:
+        if name == "scale":
+            result = run_scale_sweep(scale, seed, backend=backend, store=store)
+        else:
+            spec = SWEEP_BUILDERS[name](testbed, scale, seed=seed)
+            result = run_experiment(spec, testbed, backend=backend, store=store)
+    except ScenarioError as exc:
+        raise SystemExit(f"builder {name!r} found no scenario: {exc}")
+    return report.render(result)
 
 
-def run_profile(args, figures) -> int:
+def run_profile(args) -> int:
     """cProfile figure regenerations and print a per-layer breakdown.
 
     Always the serial backend: worker processes would execute their events
@@ -171,12 +96,12 @@ def run_profile(args, figures) -> int:
     names = [f.strip() for f in args.figures.split(",") if f.strip()]
     if not names:
         raise SystemExit(
-            f"--figures named no figures; pick from {sorted(figures)}"
+            f"--figures named no figures; pick from {FIGURE_TARGETS}"
         )
     for name in names:
-        if name not in figures:
+        if name not in FIGURE_TARGETS:
             raise SystemExit(
-                f"unknown figure {name!r}; pick from {sorted(figures)}"
+                f"unknown figure {name!r}; pick from {FIGURE_TARGETS}"
             )
     testbed = Testbed(seed=args.seed)
     testbed.links  # setup cost, not attributed to the profiled figure
@@ -187,7 +112,7 @@ def run_profile(args, figures) -> int:
         print(f"=== profile {name} (scale={args.scale}, seed={args.seed}) ===")
         profile = perf.profile_figure(
             name,
-            lambda n=name: figures[n](testbed, scale, backend, None),
+            lambda n=name: run_figure(n, testbed, scale, backend, None),
         )
         print(perf.format_profile_table(profile))
     return 0
@@ -205,14 +130,13 @@ def main(argv=None) -> int:
         from repro.service.cli import main as service_main
 
         return service_main(argv)
-    figures = _figures()
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "target",
-        choices=sorted(figures) + ["census", "map", "all", "profile"],
+        choices=FIGURE_TARGETS + ["census", "map", "all", "profile"],
         help="figure to regenerate, census/map/all, or profile "
              "(serve/submit/tail/runs/chaos dispatch to the sweep "
              "service CLI)",
@@ -220,7 +144,8 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", default="smoke",
                         help="smoke | quick | paper (default smoke)")
     parser.add_argument("--seed", type=int, default=1,
-                        help="testbed seed (default 1)")
+                        help="seed of the testbed and of the configurations "
+                             "drawn on it (default 1)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for trial execution "
                              "(default 1 = serial; output is identical)")
@@ -236,7 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.target == "profile":
-        return run_profile(args, figures)
+        return run_profile(args)
 
     testbed = Testbed(seed=args.seed)
 
@@ -275,12 +200,12 @@ def main(argv=None) -> int:
         if args.resume and len(store):
             print(f"[resuming from {args.out}: {len(store)} trials cached]")
 
-    targets = sorted(figures) if args.target == "all" else [args.target]
+    targets = FIGURES if args.target == "all" else [args.target]
     for name in targets:
         t0 = time.time()
         print(f"=== {name} (scale={args.scale}, seed={args.seed}, "
               f"jobs={args.jobs}) ===")
-        print(figures[name](testbed, scale, backend, store))
+        print(run_figure(name, testbed, scale, backend, store))
         print(f"[{time.time() - t0:.1f}s]\n")
     return 0
 

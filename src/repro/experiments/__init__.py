@@ -1,9 +1,10 @@
 """Experiment harness: scenario selection, declarative specs, and reporting.
 
-One builder + runner per table/figure of the paper's evaluation (§5); see
-DESIGN.md for the spec/executor architecture and EXPERIMENTS.md for the
-paper-vs-measured record. ``benchmarks/`` holds the entry points that
-regenerate each figure's rows/series.
+One builder per table/figure of the paper's evaluation (§5), named in the
+:data:`SWEEP_BUILDERS` registry and run through :func:`run_experiment`;
+the scale sweep, which builds one testbed per generated world, runs through
+:func:`run_scale_sweep`. See DESIGN.md for the spec/executor architecture
+and EXPERIMENTS.md for the paper-vs-measured record.
 """
 
 from repro.experiments.scenarios import (
@@ -57,17 +58,6 @@ from repro.experiments.runners import (
     build_mesh_dissemination,
     build_bitrate_sweep,
     build_pair_cdf_experiment,
-    run_single_link_calibration,
-    run_exposed_terminals,
-    run_inrange_senders,
-    run_hidden_terminals,
-    run_hidden_interferer_scatter,
-    run_ap_topology,
-    run_header_trailer_cdf,
-    run_header_trailer_density,
-    run_mesh_dissemination,
-    run_bitrate_sweep,
-    run_pair_cdf_experiment,
 )
 
 __all__ = [
@@ -107,17 +97,6 @@ __all__ = [
     "build_mesh_dissemination",
     "build_bitrate_sweep",
     "build_pair_cdf_experiment",
-    "run_single_link_calibration",
-    "run_exposed_terminals",
-    "run_inrange_senders",
-    "run_hidden_terminals",
-    "run_hidden_interferer_scatter",
-    "run_ap_topology",
-    "run_header_trailer_cdf",
-    "run_header_trailer_density",
-    "run_mesh_dissemination",
-    "run_bitrate_sweep",
-    "run_pair_cdf_experiment",
     "TOPOLOGIES",
     "TopologySpec",
     "build_topology",

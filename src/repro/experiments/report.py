@@ -1,13 +1,15 @@
 """Text rendering of experiment results, shaped like the paper's figures.
 
-Benchmarks call these to print the same rows/series the paper reports, so a
-reader can diff our measured shape against the published one (recorded in
-EXPERIMENTS.md).
+:func:`render` picks the renderer by the result's type, so any
+:data:`~repro.experiments.runners.SWEEP_BUILDERS` entry run through the
+executor prints without naming its renderer. The CLI and the benchmarks
+print the same rows/series the paper reports, so a reader can diff our
+measured shape against the published one (recorded in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.analysis.stats import Cdf, summarize
 from repro.experiments.runners import (
@@ -47,16 +49,30 @@ def render_calibration(result: CalibrationResult) -> str:
     )
 
 
-def render_pair_cdf(result: PairCdfResult, title: str) -> str:
+#: Titles of the paper's two-pair CDF figures; any other figure is titled
+#: by its name.
+_PAIR_CDF_TITLES = {
+    "fig12": "Fig. 12 — exposed terminals",
+    "fig13": "Fig. 13 — senders in range",
+    "fig15": "Fig. 15 — hidden terminals",
+}
+
+
+def render_pair_cdf(result: PairCdfResult, title: Optional[str] = None) -> str:
+    """One CDF figure; ``title`` defaults to the figure's own."""
+    if title is None:
+        title = _PAIR_CDF_TITLES.get(result.figure, result.figure)
     lines = [title, _cdf_table(result.totals)]
     if "cmap" in result.totals and "cs_on" in result.totals:
         lines.append(
             f"median gain CMAP / CS-on: {result.gain_over('cmap', 'cs_on'):.2f}x"
         )
-    if result.cmap_concurrency:
-        s = summarize(result.cmap_concurrency)
+    # One line per curve: the CMAP headline never pools another curve in.
+    for name, values in result.concurrency.items():
+        s = summarize(values)
+        label = "CMAP" if name == "cmap" else name
         lines.append(
-            f"CMAP concurrency fraction: mean {s.mean:.2f}, median {s.median:.2f}"
+            f"{label} concurrency fraction: mean {s.mean:.2f}, median {s.median:.2f}"
         )
     return "\n".join(lines)
 
@@ -227,3 +243,27 @@ def render_bitrate_sweep(result: BitrateSweepResult) -> str:
             f"median gain CMAP / CS-on: {sub.gain_over('cmap', 'cs_on'):.2f}x"
         )
     return "\n".join(lines)
+
+
+_RENDERERS = {
+    CalibrationResult: render_calibration,
+    PairCdfResult: render_pair_cdf,
+    HiddenInterfererResult: render_hidden_interferer,
+    ApResult: render_ap,
+    HeaderTrailerCdfResult: render_ht_cdf,
+    HtDensityResult: render_ht_density,
+    MeshResult: render_mesh,
+    MobilitySweepResult: render_mobility,
+    ChurnSweepResult: render_churn,
+    ScaleSweepResult: render_scale,
+    BitrateSweepResult: render_bitrate_sweep,
+}
+
+
+def render(result) -> str:
+    """Render any experiment's result with the renderer for its type."""
+    try:
+        renderer = _RENDERERS[type(result)]
+    except KeyError:
+        raise TypeError(f"no renderer for {type(result).__name__}") from None
+    return renderer(result)

@@ -1,15 +1,18 @@
-"""Per-figure experiment builders and runners (paper §5).
+"""Per-figure experiment builders (paper §5) and their registry.
 
 Each figure is expressed declaratively: a ``build_*`` function turns a
-testbed + :class:`ExperimentScale` into an
+testbed + :class:`ExperimentScale` + seed into an
 :class:`~repro.experiments.spec.ExperimentSpec` — a flat list of independent
 :class:`~repro.experiments.spec.TrialSpec`s plus a pure reduction to the
-figure's result dataclass. The matching ``run_*`` function executes the spec
-through :func:`repro.experiments.executor.run_experiment`, which accepts a
-pluggable backend (serial or process-pool) and an optional
-:class:`~repro.experiments.executor.ResultStore` for persistence/resume.
+figure's result dataclass. :data:`SWEEP_BUILDERS` names them; the CLI, the
+sweep service and the tests all run a spec the same way, through
+:func:`repro.experiments.executor.run_experiment` (pluggable serial or
+process-pool backend, optional
+:class:`~repro.experiments.executor.ResultStore` for persistence/resume).
+The scale sweep is the one experiment outside the registry: it builds one
+testbed per generated world, so :func:`run_scale_sweep` runs it.
 
-All runners accept an :class:`ExperimentScale`; the default is a reduced
+All builders accept an :class:`ExperimentScale`; the default is a reduced
 scale that preserves the papers' *shapes* in seconds-to-minutes of wall time.
 ``ExperimentScale.paper()`` matches the paper's sample sizes (50 configs per
 CDF, 500 triples, 10 trials per N, 100 s runs).
@@ -25,7 +28,6 @@ from repro.experiments.executor import ResultStore, run_experiment
 from repro.experiments.scenarios import (
     ApTopology,
     InterfererTriple,
-    MeshTopology,
     PairConfig,
     find_ap_topology,
     find_disjoint_flows,
@@ -167,17 +169,6 @@ def build_single_link_calibration(
     return ExperimentSpec("calibration", trials, reduce)
 
 
-def run_single_link_calibration(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> CalibrationResult:
-    spec = build_single_link_calibration(testbed, scale, seed)
-    return run_experiment(spec, testbed, backend=backend, store=store)
-
-
 # ======================================================================
 # Figs. 12 / 13 / 15 / 20: two-pair CDF experiments
 # ======================================================================
@@ -191,8 +182,9 @@ class PairCdfResult:
     totals: Dict[str, List[float]]
     #: protocol label -> per-flow throughput pairs per configuration.
     per_flow: Dict[str, List[Tuple[float, float]]]
-    #: CMAP concurrency fraction per configuration (when measured).
-    cmap_concurrency: List[float] = field(default_factory=list)
+    #: CMAP curve label -> concurrency fraction per configuration (the
+    #: curves that measured it: ``cmap``, ``cmap_win1``, ...).
+    concurrency: Dict[str, List[float]] = field(default_factory=dict)
 
     def median(self, protocol: str) -> float:
         return sample_median(self.totals[protocol])
@@ -240,7 +232,7 @@ def _reduce_pair_cdf(
     per_flow: Dict[str, List[Tuple[float, float]]] = {
         name: [] for name in protocol_names
     }
-    concurrency: List[float] = []
+    concurrency: Dict[str, List[float]] = {}
     it = iter(results)
     for config in configs:
         for name in protocol_names:
@@ -250,7 +242,7 @@ def _reduce_pair_cdf(
             totals[name].append(f1 + f2)
             per_flow[name].append((f1, f2))
             if "concurrency" in res.metrics:
-                concurrency.append(res.metrics["concurrency"])
+                concurrency.setdefault(name, []).append(res.metrics["concurrency"])
     return PairCdfResult(figure, configs, totals, per_flow, concurrency)
 
 
@@ -275,23 +267,6 @@ def build_pair_cdf_experiment(
     return ExperimentSpec(figure, trials, reduce)
 
 
-def run_pair_cdf_experiment(
-    figure: str,
-    testbed: Testbed,
-    configs: List[PairConfig],
-    protocols: Dict[str, object],
-    scale: ExperimentScale,
-    track_cmap_concurrency: bool = True,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> PairCdfResult:
-    """Public entry for custom two-pair CDF experiments (ablations)."""
-    spec = build_pair_cdf_experiment(
-        figure, configs, protocols, scale, track_cmap_concurrency
-    )
-    return run_experiment(spec, testbed, backend=backend, store=store)
-
-
 def build_exposed_terminals(
     testbed: Testbed,
     scale: Optional[ExperimentScale] = None,
@@ -312,18 +287,6 @@ def build_exposed_terminals(
     return build_pair_cdf_experiment("fig12", configs, protocols, scale)
 
 
-def run_exposed_terminals(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    include_win1: bool = True,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> PairCdfResult:
-    spec = build_exposed_terminals(testbed, scale, seed, include_win1)
-    return run_experiment(spec, testbed, backend=backend, store=store)
-
-
 def build_inrange_senders(
     testbed: Testbed,
     scale: Optional[ExperimentScale] = None,
@@ -341,17 +304,6 @@ def build_inrange_senders(
     return build_pair_cdf_experiment("fig13", configs, protocols, scale)
 
 
-def run_inrange_senders(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> PairCdfResult:
-    spec = build_inrange_senders(testbed, scale, seed)
-    return run_experiment(spec, testbed, backend=backend, store=store)
-
-
 def build_hidden_terminals(
     testbed: Testbed,
     scale: Optional[ExperimentScale] = None,
@@ -366,17 +318,6 @@ def build_hidden_terminals(
         "cmap": MacSpec.of("cmap"),
     }
     return build_pair_cdf_experiment("fig15", configs, protocols, scale)
-
-
-def run_hidden_terminals(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> PairCdfResult:
-    spec = build_hidden_terminals(testbed, scale, seed)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 @dataclass
@@ -426,18 +367,6 @@ def build_bitrate_sweep(
 
     all_trials = [t for _, _, trials in groups for t in trials]
     return ExperimentSpec("fig20", all_trials, reduce)
-
-
-def run_bitrate_sweep(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    rates: Sequence[int] = (6, 12, 18),
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> BitrateSweepResult:
-    spec = build_bitrate_sweep(testbed, scale, seed, rates)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 # ======================================================================
@@ -518,18 +447,6 @@ def build_mobility_sweep(
         return MobilitySweepResult(tuple(speeds), totals, configs)
 
     return ExperimentSpec("mobility", trials, reduce)
-
-
-def run_mobility_sweep(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    speeds: Sequence[float] = (0.0, 0.5, 1.5, 3.0),
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> MobilitySweepResult:
-    spec = build_mobility_sweep(testbed, scale, seed, speeds)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 @dataclass
@@ -622,19 +539,6 @@ def build_churn_sweep(
         return ChurnSweepResult(tuple(periods), totals)
 
     return ExperimentSpec("churn", trials, reduce)
-
-
-def run_churn_sweep(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    periods: Sequence[float] = (0.0, 4.0, 2.0),
-    flows_n: int = 3,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> ChurnSweepResult:
-    spec = build_churn_sweep(testbed, scale, seed, periods, flows_n)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 # ======================================================================
@@ -740,17 +644,6 @@ def build_hidden_interferer_scatter(
     return ExperimentSpec("fig14", trials, reduce)
 
 
-def run_hidden_interferer_scatter(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> HiddenInterfererResult:
-    spec = build_hidden_interferer_scatter(testbed, scale, seed)
-    return run_experiment(spec, testbed, backend=backend, store=store)
-
-
 # ======================================================================
 # Figs. 17 / 18: access-point topologies (§5.6)
 # ======================================================================
@@ -771,7 +664,15 @@ def build_ap_topology(
     scale: Optional[ExperimentScale] = None,
     n_values: Sequence[int] = (3, 4, 5, 6),
     protocols: Optional[Dict[str, object]] = None,
+    seed: int = 0,
 ) -> ExperimentSpec:
+    """Figs. 17 / 18: one AP per §5.6 floor region, N concurrent flows.
+
+    ``seed`` is accepted for the registry's uniform signature and unused:
+    APs are fixed per testbed and each trial's clients are drawn from its
+    own (N, trial) seed, so AP topologies do not move with the
+    configuration seed.
+    """
     scale = scale or ExperimentScale()
     if protocols is None:
         protocols = {
@@ -818,18 +719,6 @@ def build_ap_topology(
         return ApResult(aggregate, per_sender, ht_rates)
 
     return ExperimentSpec("fig17", trials, reduce)
-
-
-def run_ap_topology(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    n_values: Sequence[int] = (3, 4, 5, 6),
-    protocols: Optional[Dict[str, object]] = None,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> ApResult:
-    spec = build_ap_topology(testbed, scale, n_values, protocols)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 # ======================================================================
@@ -889,17 +778,6 @@ def build_header_trailer_cdf(
         )
 
     return ExperimentSpec("fig16", trials, reduce)
-
-
-def run_header_trailer_cdf(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> HeaderTrailerCdfResult:
-    spec = build_header_trailer_cdf(testbed, scale, seed)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 @dataclass
@@ -966,18 +844,6 @@ def build_header_trailer_density(
     return ExperimentSpec("fig19", trials, reduce)
 
 
-def run_header_trailer_density(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    n_values: Sequence[int] = (2, 3, 4, 5, 6, 7),
-    seed: int = 0,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> HtDensityResult:
-    spec = build_header_trailer_density(testbed, scale, n_values, seed)
-    return run_experiment(spec, testbed, backend=backend, store=store)
-
-
 # ======================================================================
 # §5.7: two-hop content dissemination mesh
 # ======================================================================
@@ -1002,25 +868,23 @@ def build_mesh_dissemination(
     scale: Optional[ExperimentScale] = None,
     seed: int = 0,
     fanout: int = 3,
-    include_extensions: bool = False,
 ) -> ExperimentSpec:
     """§5.7: S broadcasts a batch to the A_i (phase 1), then the A_i forward
     to their B_i concurrently (phase 2). Per-leaf throughput is the min of
     its two hops; the aggregate sums over leaves (the paper reports CMAP
     beating carrier sense by 52 % on this aggregate, driven by exposed
-    terminals among the A_i -> B_i transfers)."""
+    terminals among the A_i -> B_i transfers). The ``cmap_ext`` curve adds
+    §5.6's robustness fix and ACK-piggybacked interferer lists, which help
+    most on conflict-heavy topologies where deaf senders miss headers."""
     scale = scale or ExperimentScale()
     topologies = find_mesh_topologies(testbed, scale.mesh_topologies, fanout, seed)
-    protocols: Dict[str, MacSpec] = {
+    protocols = {
         "cs_on": MacSpec.of("dcf", carrier_sense=True, acks=True),
         "cmap": MacSpec.of("cmap"),
-    }
-    if include_extensions:
-        # §5.6's robustness fix + ACK-piggybacked interferer lists: helps
-        # most on conflict-heavy topologies where deaf senders miss headers.
-        protocols["cmap_ext"] = MacSpec.of(
+        "cmap_ext": MacSpec.of(
             "cmap", replicate_ht_in_data=True, piggyback_ilist=True
-        )
+        ),
+    }
     trials: List[TrialSpec] = []
     for idx, topo in enumerate(topologies):
         for name, mac in protocols.items():
@@ -1064,20 +928,6 @@ def build_mesh_dissemination(
         return MeshResult(aggregate)
 
     return ExperimentSpec("mesh", trials, reduce)
-
-
-def run_mesh_dissemination(
-    testbed: Testbed,
-    scale: Optional[ExperimentScale] = None,
-    seed: int = 0,
-    fanout: int = 3,
-    include_extensions: bool = False,
-    backend=None,
-    store: Optional[ResultStore] = None,
-) -> MeshResult:
-    spec = build_mesh_dissemination(testbed, scale, seed, fanout,
-                                    include_extensions)
-    return run_experiment(spec, testbed, backend=backend, store=store)
 
 
 # ======================================================================
@@ -1256,24 +1106,18 @@ def run_scale_sweep(
 
 
 # ======================================================================
-# Named sweep-builder registry
+# The experiment registry
 # ======================================================================
-def _build_ap_topology_seeded(testbed, scale=None, seed=0, **params):
-    # build_ap_topology derives trial seeds from (n, trial) internally; the
-    # registry's uniform (testbed, scale, seed, **params) signature swallows
-    # the unused seed so remote submits need no per-builder knowledge.
-    return build_ap_topology(testbed, scale, **params)
-
-
 #: figure/sweep name -> builder with the uniform signature
 #: ``builder(testbed, scale=None, seed=0, **params) -> ExperimentSpec``.
-#: This is the contract of the service's HTTP submit-by-name path: the
-#: server resolves the name, builds the spec against its own testbed, and
-#: queues the trials. Every entry's specs must survive the wire round trip
-#: (``TrialSpec.to_wire``/``from_wire``) equal and fingerprint-identical —
-#: enforced by tests/test_spec_wire.py. The scale sweep is absent by
-#: design: it builds one testbed per generated world, so it cannot run
-#: against the service's single shared testbed.
+#: The one registry: ``repro.cli <name> --seed s`` and the service's
+#: submit-by-name path both run ``SWEEP_BUILDERS[name](Testbed(s), scale,
+#: seed=s)``, so the same name and seed queue the same trials everywhere
+#: (tests/test_service_http.py holds the two to it). Every entry's specs
+#: must survive the wire round trip (``TrialSpec.to_wire``/``from_wire``)
+#: equal and fingerprint-identical — enforced by tests/test_spec_wire.py.
+#: The scale sweep is absent by design: it builds one testbed per generated
+#: world, so it cannot run against the service's single shared testbed.
 SWEEP_BUILDERS: Dict[str, "Callable[..., ExperimentSpec]"] = {
     "calibration": build_single_link_calibration,
     "fig12": build_exposed_terminals,
@@ -1281,7 +1125,7 @@ SWEEP_BUILDERS: Dict[str, "Callable[..., ExperimentSpec]"] = {
     "fig14": build_hidden_interferer_scatter,
     "fig15": build_hidden_terminals,
     "fig16": build_header_trailer_cdf,
-    "fig17": _build_ap_topology_seeded,
+    "fig17": build_ap_topology,
     "fig19": build_header_trailer_density,
     "fig20": build_bitrate_sweep,
     "mesh": build_mesh_dissemination,

@@ -11,10 +11,11 @@ not just the protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional
 
-from repro.experiments.runners import ExperimentScale, run_exposed_terminals
+from repro.experiments.executor import run_experiment
+from repro.experiments.runners import ExperimentScale, build_exposed_terminals
 from repro.experiments.scenarios import ScenarioError
 from repro.net.testbed import Testbed, TestbedConfig
 
@@ -59,9 +60,8 @@ def sweep_testbed_parameters(
         config = replace(base, **overrides)
         testbed = Testbed(seed=seed, config=config)
         try:
-            result = run_exposed_terminals(
-                testbed, scale, include_win1=False
-            )
+            spec = build_exposed_terminals(testbed, scale, include_win1=False)
+            result = run_experiment(spec, testbed)
             points.append(
                 SweepPoint(
                     overrides=overrides,

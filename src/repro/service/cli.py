@@ -179,6 +179,7 @@ def cmd_chaos(args) -> int:
     from repro.errors import SimulatedCrash
     from repro.experiments.executor import SerialBackend
     from repro.experiments.runners import SWEEP_BUILDERS, ExperimentScale
+    from repro.experiments.scenarios import ScenarioError
     from repro.net.testbed import Testbed
     from repro.service.coordinator import Coordinator
     from repro.service.faults import build_soak_plan, describe
@@ -189,7 +190,10 @@ def cmd_chaos(args) -> int:
                          f"{sorted(SWEEP_BUILDERS)}")
     scale = ExperimentScale.preset(args.scale)
     testbed = Testbed(seed=args.seed)
-    spec = builder(testbed, scale=scale, seed=args.seed)
+    try:
+        spec = builder(testbed, scale=scale, seed=args.seed)
+    except ScenarioError as exc:
+        raise SystemExit(f"builder {args.builder!r} found no scenario: {exc}")
     data_dir = args.data_dir or tempfile.mkdtemp(prefix="repro-chaos-")
 
     print(f"[chaos: {spec.name} x{len(spec.trials)} trials, data in "
@@ -434,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--scale", default="smoke",
                        help="smoke | quick | paper (default smoke)")
     chaos.add_argument("--seed", type=int, default=1,
-                       help="testbed seed (default 1)")
+                       help="seed of the testbed and of the configurations "
+                            "drawn on it (default 1)")
     chaos.add_argument("--fault-seed", type=int, default=0,
                        help="derives the hang victim (default 0)")
     chaos.add_argument("--data-dir", default=None,
@@ -458,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--scale", default="smoke",
                         help="smoke | quick | paper (default smoke)")
     submit.add_argument("--seed", type=int, default=1,
-                        help="testbed seed (default 1)")
+                        help="seed of the testbed and, with --builder, of "
+                             "the configurations drawn on it (default 1)")
     submit.add_argument("--priority", type=int, default=0,
                         help="higher runs first (default 0)")
     submit.add_argument("--param", action="append", default=[],

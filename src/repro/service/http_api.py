@@ -73,6 +73,7 @@ from typing import (
 
 from repro.errors import StaleTokenError
 from repro.experiments.runners import SWEEP_BUILDERS, ExperimentScale
+from repro.experiments.scenarios import ScenarioError
 from repro.experiments.spec import TrialResult, experiment_from_wire
 from repro.service.coordinator import Coordinator
 from repro.service.jobs import TERMINAL_STATES, new_job
@@ -380,6 +381,10 @@ class _Handler(BaseHTTPRequestHandler):
                 spec = builder(co.testbed(seed), scale=scale, seed=seed, **params)
             except (TypeError, KeyError, ValueError) as exc:
                 raise ApiError(400, f"builder {name!r} rejected params: {exc}")
+            except ScenarioError as exc:
+                # This testbed holds no scenario the builder's constraints
+                # accept: the request's seed is at fault, not the server.
+                raise ApiError(400, f"builder {name!r} found no scenario: {exc}")
         elif "experiment" in body:
             try:
                 spec = experiment_from_wire(body["experiment"])

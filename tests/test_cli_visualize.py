@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main, _figures, _scale
+from repro.cli import ALIASES, FIGURE_TARGETS, FIGURES, main, _scale
+from repro.experiments.runners import SWEEP_BUILDERS
 from repro.net.testbed import Testbed, TestbedConfig
 from repro.net.topology import FloorPlan
 from repro.net.visualize import render_floor, render_link
@@ -60,10 +61,26 @@ class TestCli:
         assert _scale("paper").configs == 50
 
     def test_every_paper_figure_has_a_target(self):
-        figures = set(_figures())
+        # The CLI's figures are the registry plus the scale sweep; fig18 is
+        # an alias of fig17 that ``all`` does not run twice.
+        assert FIGURES == sorted(sorted(SWEEP_BUILDERS) + ["scale"])
+        assert ALIASES == {"fig18": "fig17"}
+        assert FIGURE_TARGETS == sorted(FIGURES + ["fig18"])
         for fig in ("calibration", "fig12", "fig13", "fig14", "fig15",
-                    "fig16", "fig17", "fig18", "fig19", "fig20", "mesh"):
-            assert fig in figures
+                    "fig16", "fig17", "fig19", "fig20", "mesh"):
+            assert fig in SWEEP_BUILDERS
+
+    @pytest.mark.parametrize("target", [
+        ["fig17"],
+        ["chaos", "--builder", "fig17", "--scale", "smoke"],
+    ])
+    def test_builder_without_a_scenario_exits_one_line(self, target):
+        # Testbed 3's §5.6 regions hold no AP layout (HTTP: a 400).
+        with pytest.raises(SystemExit) as exc:
+            main(target + ["--seed", "3"])
+        message = str(exc.value.code)
+        assert message.startswith("builder 'fig17' found no scenario: ")
+        assert "\n" not in message
 
     def test_calibration_target_end_to_end(self, capsys):
         assert main(["calibration", "--scale", "smoke"]) == 0

@@ -32,9 +32,6 @@ from repro.experiments.runners import (
     build_hidden_terminals,
     build_inrange_senders,
     build_single_link_calibration,
-    run_exposed_terminals,
-    run_hidden_terminals,
-    run_inrange_senders,
 )
 from repro.experiments.scenarios import InterfererTriple
 from repro.experiments.spec import (
@@ -66,10 +63,10 @@ GOLDEN_FIG12_TOTALS = {
     "cmap": [5.2672, 10.8704, 8.9824],
     "cmap_win1": [4.144, 9.5168, 6.2784],
 }
-GOLDEN_FIG12_CONC = [
-    0.20485622971853207, 0.3437460583736443, 0.9025309282763259,
-    0.793616902784254, 0.8847614202965389, 0.6150589333251846,
-]
+GOLDEN_FIG12_CONC = {
+    "cmap": [0.20485622971853207, 0.9025309282763259, 0.8847614202965389],
+    "cmap_win1": [0.3437460583736443, 0.793616902784254, 0.6150589333251846],
+}
 GOLDEN_FIG13_TOTALS = {
     "cs_on": [5.4239999999999995, 5.1776, 5.0048],
     "cs_off_acks": [5.1744, 1.6128, 5.014399999999999],
@@ -81,6 +78,12 @@ GOLDEN_FIG15_TOTALS = {
     "cs_off_acks": [4.912, 1.2288000000000001, 1.1456],
     "cmap": [5.4719999999999995, 3.4976000000000003, 2.6879999999999997],
 }
+
+
+def run_fig(build, testbed, scale, **kwargs):
+    """Build a figure's spec on ``testbed`` and run it there; ``backend``
+    and ``store`` pass through to the executor."""
+    return run_experiment(build(testbed, scale), testbed, **kwargs)
 
 
 class CountingBackend:
@@ -116,29 +119,29 @@ class TestGoldenEquivalence:
     """Serial spec execution == pre-refactor hand-rolled runners."""
 
     def test_fig12_bit_identical(self, testbed, smoke):
-        r = run_exposed_terminals(testbed, smoke)
+        r = run_fig(build_exposed_terminals, testbed, smoke)
         assert r.totals == GOLDEN_FIG12_TOTALS
-        assert r.cmap_concurrency == GOLDEN_FIG12_CONC
+        assert r.concurrency == GOLDEN_FIG12_CONC
 
     def test_fig13_bit_identical(self, testbed, smoke):
-        r = run_inrange_senders(testbed, smoke)
+        r = run_fig(build_inrange_senders, testbed, smoke)
         assert r.totals == GOLDEN_FIG13_TOTALS
 
     def test_fig15_bit_identical(self, testbed, smoke):
-        r = run_hidden_terminals(testbed, smoke)
+        r = run_fig(build_hidden_terminals, testbed, smoke)
         assert r.totals == GOLDEN_FIG15_TOTALS
 
 
 class TestProcessPool:
     def test_fig12_pool_matches_serial_goldens(self, testbed, smoke):
-        r = run_exposed_terminals(testbed, smoke,
-                                  backend=ProcessPoolBackend(jobs=2))
+        r = run_fig(build_exposed_terminals, testbed, smoke,
+                    backend=ProcessPoolBackend(jobs=2))
         assert r.totals == GOLDEN_FIG12_TOTALS
-        assert r.cmap_concurrency == GOLDEN_FIG12_CONC
+        assert r.concurrency == GOLDEN_FIG12_CONC
 
     def test_fig13_pool_matches_serial_goldens(self, testbed, smoke):
-        r = run_inrange_senders(testbed, smoke,
-                                backend=ProcessPoolBackend(jobs=2))
+        r = run_fig(build_inrange_senders, testbed, smoke,
+                    backend=ProcessPoolBackend(jobs=2))
         assert r.totals == GOLDEN_FIG13_TOTALS
 
     def test_make_backend(self):
@@ -195,27 +198,30 @@ class TestResultStore:
         path = str(tmp_path / "results.json")
         store = ResultStore(path, testbed_seed=1)
         first = CountingBackend()
-        r1 = run_inrange_senders(testbed, smoke, backend=first, store=store)
+        r1 = run_fig(build_inrange_senders, testbed, smoke,
+                     backend=first, store=store)
         assert first.executed == len(build_inrange_senders(testbed, smoke).trials)
 
         resumed = ResultStore(path, testbed_seed=1)
         second = CountingBackend()
-        r2 = run_inrange_senders(testbed, smoke, backend=second, store=resumed)
+        r2 = run_fig(build_inrange_senders, testbed, smoke,
+                     backend=second, store=resumed)
         assert second.executed == 0
         assert r2.totals == r1.totals
         assert r2.per_flow == r1.per_flow
-        assert r2.cmap_concurrency == r1.cmap_concurrency
+        assert r2.concurrency == r1.concurrency
 
     def test_fingerprint_mismatch_reruns(self, testbed, tmp_path):
         path = str(tmp_path / "results.json")
         tiny = ExperimentScale(configs=1, duration=4.0, warmup=1.5)
         store = ResultStore(path, testbed_seed=1)
-        run_inrange_senders(testbed, tiny, backend=CountingBackend(), store=store)
+        run_fig(build_inrange_senders, testbed, tiny,
+                backend=CountingBackend(), store=store)
 
         longer = ExperimentScale(configs=1, duration=5.0, warmup=1.5)
         backend = CountingBackend()
-        run_inrange_senders(testbed, longer, backend=backend,
-                            store=ResultStore(path, testbed_seed=1))
+        run_fig(build_inrange_senders, testbed, longer, backend=backend,
+                store=ResultStore(path, testbed_seed=1))
         assert backend.executed == len(
             build_inrange_senders(testbed, longer).trials
         )
@@ -226,21 +232,22 @@ class TestResultStore:
         total = len(build_inrange_senders(testbed, tiny).trials)
         survive = 3
         with pytest.raises(RuntimeError):
-            run_inrange_senders(testbed, tiny, backend=DyingBackend(survive),
-                                store=ResultStore(path, testbed_seed=1))
+            run_fig(build_inrange_senders, testbed, tiny,
+                    backend=DyingBackend(survive),
+                    store=ResultStore(path, testbed_seed=1))
         # The crash must not lose the trials that finished before it.
         assert len(ResultStore(path, testbed_seed=1)) == survive
 
         backend = CountingBackend()
-        run_inrange_senders(testbed, tiny, backend=backend,
-                            store=ResultStore(path, testbed_seed=1))
+        run_fig(build_inrange_senders, testbed, tiny, backend=backend,
+                store=ResultStore(path, testbed_seed=1))
         assert backend.executed == total - survive
 
     def test_seed_mismatch_rejected(self, testbed, tmp_path):
         path = str(tmp_path / "results.json")
         tiny = ExperimentScale(configs=1, duration=4.0, warmup=1.5)
         store = ResultStore(path, testbed_seed=1)
-        run_inrange_senders(testbed, tiny, store=store)
+        run_fig(build_inrange_senders, testbed, tiny, store=store)
         with pytest.raises(ValueError):
             ResultStore(path, testbed_seed=2)
 
@@ -250,11 +257,11 @@ class TestResultStore:
         path = str(tmp_path / "results.json")
         tiny = ExperimentScale(configs=1, duration=4.0, warmup=1.5)
         store = ResultStore(path)
-        run_inrange_senders(testbed, tiny, store=store)
+        run_fig(build_inrange_senders, testbed, tiny, store=store)
         assert store.testbed_seed == testbed.seed
         other = Testbed(seed=2)
         with pytest.raises(ValueError):
-            run_inrange_senders(other, tiny, store=store)
+            run_fig(build_inrange_senders, other, tiny, store=store)
 
 
 class RudeBackend:
@@ -342,8 +349,9 @@ class TestCrashSafety:
         tiny = ExperimentScale(configs=2, duration=4.0, warmup=1.5)
         store = ResultStore(path, testbed_seed=1)
         with pytest.raises(RuntimeError):
-            run_inrange_senders(
-                testbed, tiny, backend=RudeBackend(store, survive=2),
+            run_fig(
+                build_inrange_senders, testbed, tiny,
+                backend=RudeBackend(store, survive=2),
                 store=store,
             )
         assert len(ResultStore(path, testbed_seed=1)) == 2

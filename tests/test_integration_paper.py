@@ -7,11 +7,12 @@ benchmark harness (``benchmarks/``) regenerates each figure at larger scale.
 
 import pytest
 
+from repro.experiments.executor import run_experiment
 from repro.experiments.runners import (
     ExperimentScale,
-    run_exposed_terminals,
-    run_hidden_terminals,
-    run_inrange_senders,
+    build_exposed_terminals,
+    build_hidden_terminals,
+    build_inrange_senders,
 )
 from repro.net.testbed import Testbed
 from repro.network import Network, cmap_factory
@@ -27,7 +28,8 @@ SCALE = ExperimentScale(configs=6, duration=10.0, warmup=4.0)
 
 @pytest.fixture(scope="module")
 def exposed(testbed):
-    return run_exposed_terminals(testbed, SCALE, include_win1=True)
+    spec = build_exposed_terminals(testbed, SCALE, include_win1=True)
+    return run_experiment(spec, testbed)
 
 
 class TestExposedTerminalHeadline:
@@ -48,7 +50,8 @@ class TestExposedTerminalHeadline:
 
     def test_concurrency_majority_of_airtime(self, exposed):
         """§5.2: CMAP transmits concurrently ~82 % of the time."""
-        mean_conc = sum(exposed.cmap_concurrency) / len(exposed.cmap_concurrency)
+        cmap = exposed.concurrency["cmap"]  # window-1 is its own curve
+        mean_conc = sum(cmap) / len(cmap)
         assert mean_conc > 0.5
 
     def test_windowed_arq_beats_window_of_one(self, exposed):
@@ -61,7 +64,7 @@ class TestInrangeSendersHeadline:
 
     @pytest.fixture(scope="class")
     def result(self, testbed):
-        return run_inrange_senders(testbed, SCALE)
+        return run_experiment(build_inrange_senders(testbed, SCALE), testbed)
 
     def test_cmap_at_least_csma(self, result):
         # CMAP should track the better of CS-on / blast per configuration;
@@ -81,7 +84,7 @@ class TestHiddenTerminalHeadline:
 
     @pytest.fixture(scope="class")
     def result(self, testbed):
-        return run_hidden_terminals(testbed, SCALE)
+        return run_experiment(build_hidden_terminals(testbed, SCALE), testbed)
 
     def test_no_degradation_vs_status_quo(self, result):
         assert result.median("cmap") > 0.8 * result.median("cs_on")

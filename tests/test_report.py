@@ -23,7 +23,7 @@ def make_pair_result(**kw):
         configs=[PairConfig(0, 1, 2, 3)],
         totals={"cs_on": [5.0, 5.2, 5.1], "cmap": [9.8, 10.1, 9.9]},
         per_flow={"cs_on": [(2.5, 2.5)] * 3, "cmap": [(5.0, 4.9)] * 3},
-        cmap_concurrency=[0.9, 0.85, 0.92],
+        concurrency={"cmap": [0.9, 0.85, 0.92]},
     )
     defaults.update(kw)
     return PairCdfResult(**defaults)
@@ -36,6 +36,19 @@ class TestPairCdfRendering:
         assert "cs_on" in text and "cmap" in text
         assert "1.9" in text  # median gain ~1.94x
         assert "concurrency" in text
+
+    def test_concurrency_one_line_per_curve(self):
+        r = make_pair_result(
+            concurrency={"cmap": [0.8, 0.9, 1.0], "cmap_win1": [0.1, 0.2, 0.3]}
+        )
+        lines = report.render_pair_cdf(r).splitlines()
+        assert "CMAP concurrency fraction: mean 0.90, median 0.90" in lines
+        assert "cmap_win1 concurrency fraction: mean 0.20, median 0.20" in lines
+
+    def test_title_defaults_to_the_figure(self):
+        assert report.render_pair_cdf(make_pair_result()).startswith("figX\n")
+        fig12 = make_pair_result(figure="fig12")
+        assert report.render_pair_cdf(fig12).startswith("Fig. 12 — exposed")
 
     def test_median_and_gain_helpers(self):
         r = make_pair_result()
@@ -85,6 +98,18 @@ class TestOtherRenderers:
         r = BitrateSweepResult({6: make_pair_result(figure="fig20@6")})
         text = report.render_bitrate_sweep(r)
         assert "6 Mb/s" in text
+
+
+class TestRenderDispatch:
+    def test_picks_the_renderer_by_type(self):
+        pair = make_pair_result(figure="fig15")
+        assert report.render(pair) == report.render_pair_cdf(pair)
+        cal = CalibrationResult(5.04, 5.07, (0, 1))
+        assert report.render(cal) == report.render_calibration(cal)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            report.render(object())
 
 
 class TestScatterPoint:

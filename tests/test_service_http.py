@@ -17,7 +17,12 @@ import urllib.error
 import pytest
 
 from repro.analysis import stats
-from repro.experiments.runners import ExperimentScale, build_single_link_calibration
+from repro.cli import main as cli_main
+from repro.experiments.runners import (
+    SWEEP_BUILDERS,
+    ExperimentScale,
+    build_single_link_calibration,
+)
 from repro.experiments.spec import (
     ExperimentSpec,
     MacSpec,
@@ -65,12 +70,24 @@ def testbed():
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory, testbed):
+    yield from _live_service(str(tmp_path_factory.mktemp("svc")),
+                             testbed_factory=lambda seed: testbed)
+
+
+@pytest.fixture(scope="module")
+def seeded_service(tmp_path_factory):
+    """Like ``service``, but each submit's seed builds its own testbed, as
+    under ``cli serve``."""
+    yield from _live_service(str(tmp_path_factory.mktemp("seeded")))
+
+
+def _live_service(data_dir, testbed_factory=None):
     mp = pytest.MonkeyPatch()
     mp.setattr("repro.service.coordinator.run_trial", _ScriptedRunTrial())
     co = Coordinator(
-        str(tmp_path_factory.mktemp("svc")),
+        data_dir,
         sleep=lambda s: None,
-        testbed_factory=lambda seed: testbed,
+        testbed_factory=testbed_factory,
     )
     co.start(workers=1)
     server = make_server(co)
@@ -193,6 +210,46 @@ class TestSubmitAndTail:
         for q in (10, 50, 90):
             assert summary["percentiles"][str(float(q))] == \
                 stats.percentile(values, q)
+
+
+class TestRegistryContract:
+    """``repro.cli <name> --seed s`` and ``POST /jobs {"builder": name,
+    "seed": s}`` resolve the one registry the same way: same testbed, same
+    configuration seed, so the same trials."""
+
+    class Captured(Exception):
+        """The stub backend has seen the CLI's trials; stop there."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_BUILDERS))
+    def test_cli_builds_the_trials_submit_queues(
+        self, name, seeded_service, monkeypatch
+    ):
+        co, client = seeded_service
+        built = []
+
+        class CapturingBackend:
+            def run(backend, testbed, trials, on_result=None):
+                built.extend((t.trial_id, t.fingerprint()) for t in trials)
+                raise self.Captured
+
+        monkeypatch.setattr("repro.cli.make_backend",
+                            lambda jobs: CapturingBackend())
+        with pytest.raises(self.Captured):
+            cli_main([name, "--scale", "smoke", "--seed", "2"])
+
+        reply = client.submit_builder(name, scale="smoke", seed=2)
+        queued = co.runtable.get_job(reply["job_id"]).trials
+        assert [(t.trial_id, t.fingerprint()) for t in queued] == built
+        _tail_to_terminal(client, reply["job_id"])
+
+    def test_builder_without_a_scenario_is_400(self, seeded_service):
+        """Testbed 3's §5.6 regions hold no AP layout: the seed is at fault,
+        so the builder's ScenarioError is a client error, not a 500."""
+        _, client = seeded_service
+        with pytest.raises(ApiError) as err:
+            client.submit_builder("fig17", scale="smoke", seed=3)
+        assert err.value.status == 400
+        assert "no AP candidate" in str(err.value)
 
 
 class TestCancel:
