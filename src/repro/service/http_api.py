@@ -42,13 +42,15 @@ the round trip is fingerprint-identical, so results are bit-identical to
 running the same spec in-process and land in the same resume caches.
 
 Client: :class:`ServiceClient` wraps the endpoints over ``http.client``,
-one kept-alive connection per calling thread — the CLI's
+one kept-alive connection per calling thread, each request a send phase
+and a :class:`Reply` read later or at once — the CLI's
 ``submit``/``tail``/``runs``/``work`` targets and the CI smoke check drive
 the service exclusively through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import random
@@ -495,6 +497,9 @@ class ServiceClient:
     ``fault_hook`` fires site ``client.request`` per attempt (actions
     ``drop`` — fail before the bytes leave — and ``truncate`` — the
     server processes the request but the response is lost).
+
+    Every verb is a send phase and a :class:`Reply`; ``send_upload`` and
+    ``send_quarantine`` return it, so a worker reads it a trial later.
     """
 
     def __init__(
@@ -659,22 +664,32 @@ class ServiceClient:
             idempotent=True,
         )
 
-    def upload_result(
+    def upload_result(self, *args, **kwargs) -> dict:
+        """``send_upload`` and its reply."""
+        return self.send_upload(*args, **kwargs).result()
+
+    def send_upload(
         self,
         job_id: str,
         worker_id: str,
         token: int,
         result_wire: dict,
         wall: Optional[float] = None,
-    ) -> dict:
-        return self._request(
+    ) -> "Reply":
+        """``upload_result``'s send phase (the worker reads the reply one
+        trial later)."""
+        return self._send(
             "POST", "/workers/upload",
             {"job_id": job_id, "worker_id": worker_id, "token": token,
              "result": result_wire, "wall": wall},
             idempotent=True,
         )
 
-    def quarantine_trial(
+    def quarantine_trial(self, *args, **kwargs) -> dict:
+        """``send_quarantine`` and its reply."""
+        return self.send_quarantine(*args, **kwargs).result()
+
+    def send_quarantine(
         self,
         job_id: str,
         worker_id: str,
@@ -683,8 +698,9 @@ class ServiceClient:
         fingerprint: str,
         error: str,
         error_class_name: str,
-    ) -> dict:
-        return self._request(
+    ) -> "Reply":
+        """``quarantine_trial``'s send phase."""
+        return self._send(
             "POST", "/workers/quarantine",
             {"job_id": job_id, "worker_id": worker_id, "token": token,
              "trial_id": trial_id, "fingerprint": fingerprint,
@@ -730,30 +746,96 @@ class ServiceClient:
         return self._request("GET", f"/runs/summary?{query}")
 
     # ------------------------------------------------------------------
-    def _request(
+    def _request(self, *args, **kwargs) -> dict:
+        """A request sent and its reply read at once."""
+        return self._send(*args, **kwargs).result()
+
+    def _send(
         self,
         method: str,
         path: str,
         body: Optional[dict] = None,
         timeout: Optional[float] = None,
         idempotent: Optional[bool] = None,
-    ) -> dict:
+    ) -> "Reply":
+        """A request's send phase: its reply is read by ``result()``."""
         if idempotent is None:
             idempotent = method == "GET"
         data = None if body is None else json.dumps(body).encode("utf-8")
-        attempts = self.retries + 1 if idempotent else 1
+        return Reply(self, method, path, data, timeout or self.timeout, idempotent)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's kept-alive connection."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(self._host, self._port)
+            self._local.conn = conn
+            with self._connections_lock:
+                self._connections.add(conn)
+        return conn
+
+
+class Reply:
+    """A request on the wire whose reply has not been read yet.
+
+    It went out on the sending thread's kept connection: call
+    :meth:`result` on that thread, before its next request. A send never
+    sleeps or raises a transport error; a failed send is kept, and every
+    recovery happens in :meth:`result`. A kept connection the server had
+    closed meanwhile (idle timeout, restart) is replayed once on a fresh
+    one; any other transport failure of an idempotent request is resent
+    with the client's retry policy.
+    """
+
+    def __init__(self, client: ServiceClient, method, path, data, timeout, idempotent):
+        self._client = client
+        self._path = path
+        self._args = (method, client._prefix + path, data, timeout)
+        self._idempotent = idempotent
+        self._send()
+
+    def _send(self) -> None:
+        client = self._client
+        self._conn = conn = client._connection()
+        if not self._idempotent:
+            # Resending could act twice (a second lease), so never gamble
+            # on a kept socket the server may have closed.
+            conn.close()
+        self._reused = conn.sock is not None
+        self._error: Optional[OSError] = None
+        self._rule = None
+        try:
+            if client.fault_hook is not None:
+                self._rule = client.fault_hook("client.request", self._path)
+            if self._rule is not None and self._rule.action == "drop":
+                raise urllib.error.URLError("injected: request dropped before send")
+            _write(conn, *self._args)
+        except OSError as exc:
+            self._error = exc
+
+    def _receive(self) -> Tuple[int, str, bytes]:
+        try:
+            if self._error is not None:
+                raise self._error
+            return _read(self._conn)
+        except ConnectionError:
+            if not self._reused:
+                raise
+        # The server closed the kept connection: say it again on a fresh
+        # one. Not a retry of the budget — nothing was wrong with the
+        # network — and only idempotent requests reuse a connection.
+        _write(self._conn, *self._args)
+        return _read(self._conn)
+
+    def result(self) -> dict:
+        """Read the reply; raises :class:`ApiError` on a non-2xx status."""
+        client = self._client
+        attempts = client.retries + 1 if self._idempotent else 1
         for attempt in range(attempts):
             try:
-                rule = None
-                if self.fault_hook is not None:
-                    rule = self.fault_hook("client.request", path)
-                if rule is not None and rule.action == "drop":
-                    raise urllib.error.URLError(
-                        "injected: request dropped before send"
-                    )
-                status, reason, raw = self._round_trip(
-                    method, path, data, timeout or self.timeout, idempotent
-                )
+                if attempt:
+                    self._send()
+                status, reason, raw = self._receive()
                 if not 200 <= status < 300:
                     # The server answered: not a transport failure, no retry.
                     code = None
@@ -763,16 +845,12 @@ class ServiceClient:
                         code = payload.get("code")
                     except Exception:
                         message = reason
-                    raise ApiError(
-                        status, message or f"HTTP {status}", code=code
-                    )
+                    raise ApiError(status, message or f"HTTP {status}", code=code)
                 payload = json.loads(raw.decode("utf-8"))
-                if rule is not None and rule.action == "truncate":
+                if self._rule is not None and self._rule.action == "truncate":
                     # The server handled the request; the response is lost
                     # on the wire — the retry must deduplicate server-side.
-                    raise urllib.error.URLError(
-                        "injected: response truncated"
-                    )
+                    raise urllib.error.URLError("injected: response truncated")
                 return payload
             except (OSError, json.JSONDecodeError):
                 # Refused/reset connections, socket timeouts, a reply cut
@@ -780,77 +858,39 @@ class ServiceClient:
                 # been processed.
                 if attempt == attempts - 1:
                     raise
-                self._sleep(
-                    self.backoff_s * (2 ** attempt)
-                    * (0.5 + 0.5 * self._rng.random())
+                client._sleep(
+                    client.backoff_s * (2**attempt) * (0.5 + 0.5 * client._rng.random())
                 )
         raise AssertionError("unreachable")  # pragma: no cover
 
-    # ------------------------------------------------------------------
-    # Transport: one kept-alive connection per calling thread
-    # ------------------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._connection_class(self._host, self._port)
-            self._local.conn = conn
-            with self._connections_lock:
-                self._connections.add(conn)
-        return conn
 
-    def _round_trip(
-        self,
-        method: str,
-        path: str,
-        data: Optional[bytes],
-        timeout: float,
-        idempotent: bool,
-    ) -> Tuple[int, str, bytes]:
-        """One request and its whole reply: (status, reason, body)."""
-        conn = self._connection()
-        if not idempotent:
-            # Resending could act twice (a second lease), so never gamble
-            # on a kept socket the server may have closed.
-            conn.close()
-        reused = conn.sock is not None
-        try:
-            return self._exchange(conn, method, path, data, timeout)
-        except ConnectionError:
-            if not reused:
-                raise
-        # The server closed the kept connection (idle timeout, restart):
-        # say it again on a fresh one. Not a retry of the budget — nothing
-        # was wrong with the network — and only idempotent requests reuse.
-        return self._exchange(conn, method, path, data, timeout)
+def _write(conn: http.client.HTTPConnection, method, url, data, timeout) -> None:
+    # Per-request timeout (long-polls outlast the default): used by
+    # connect() on a fresh socket, set directly on a kept one.
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    with _closed_on_error(conn):
+        conn.request(method, url, body=data, headers=_JSON_HEADERS)
 
-    def _exchange(
-        self,
-        conn: http.client.HTTPConnection,
-        method: str,
-        path: str,
-        data: Optional[bytes],
-        timeout: float,
-    ) -> Tuple[int, str, bytes]:
-        # Per-request timeout (long-polls outlast the default): used by
-        # connect() on a fresh socket, set directly on a kept one.
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
-        try:
-            conn.request(
-                method, self._prefix + path, body=data, headers=_JSON_HEADERS
-            )
-            resp = conn.getresponse()
-            return resp.status, resp.reason, resp.read()
-        except BaseException as exc:
-            # Half-sent request or half-read reply: the socket cannot
-            # carry another request. The next one reconnects.
-            conn.close()
-            if isinstance(exc, http.client.HTTPException) and not isinstance(
-                exc, OSError
-            ):
-                # IncompleteRead, BadStatusLine: a reply cut short or
-                # garbled is a transport failure like a reset, and callers
-                # tell those by OSError.
-                raise OSError(f"malformed reply: {exc!r}") from exc
-            raise
+
+def _read(conn: http.client.HTTPConnection) -> Tuple[int, str, bytes]:
+    with _closed_on_error(conn):
+        resp = conn.getresponse()
+        return resp.status, resp.reason, resp.read()
+
+
+@contextlib.contextmanager
+def _closed_on_error(conn: http.client.HTTPConnection) -> Iterator[None]:
+    """A half-sent request or half-read reply leaves a socket that cannot
+    carry another request: close it, and the next request reconnects."""
+    try:
+        yield
+    except BaseException as exc:
+        conn.close()
+        if isinstance(exc, http.client.HTTPException) and not isinstance(exc, OSError):
+            # IncompleteRead, BadStatusLine: a reply cut short or garbled
+            # is a transport failure like a reset, and callers tell those
+            # by OSError.
+            raise OSError(f"malformed reply: {exc!r}") from exc
+        raise

@@ -3,32 +3,26 @@
 One :class:`Worker` is the client half of the lease protocol the
 coordinator serves (``/workers/*`` in ``http_api.py``)::
 
-    trial thread      register ──> lease ──> run trial ──> hand over ──┐
-                                     ^          ^──────────────│───────┘
-                                     │           (per pending  │ outbox,
-                                     │            trial)       v depth 1
-    uploader thread                  │                upload, or quarantine
-                                     │                (permanent failure)
-                                     │
-    trial thread                     └── ack (all trials walked) / requeue
-                                         (draining) / abandon (lease lost)
-                                         <── join uploader
+    caller thread   register ─> lease ─> run trial n ─> read reply n-1 ─┐
+                                  ^         ^    send verb n (upload, or │
+                                  │         │    quarantine) ────────────┘
+                                  │         └─── per pending trial
+                                  └── read the last reply; ack (all trials
+                                      walked) / requeue (draining) /
+                                      abandon (lease lost)
 
-    heartbeat thread  ───────────────── (background, every lease_s/3)
+    heartbeat thread  ───── (background, every min(lease_s, worker_ttl_s)/3)
 
-The loop is a one-deep pipeline: the trial thread hands each finished
-trial to the job's single uploader thread and starts the next one, so the
-upload of trial *n* (a round trip, the server's fsync and sqlite commits)
-overlaps the compute of *n+1* instead of idling the worker. In flight at
-any moment: at most one trial being computed and one verb being sent —
-the hand-over waits until the previous verb has been answered. Verbs go
-out in trial order over the uploader's one kept-alive connection. A
-killed worker therefore loses at most two trials' work (the one being
-computed, the one not yet answered); both are re-executed bit-identically
-by the next lease holder. The trial loop still changes course only at
-trial boundaries, and the job's outcome is decided only after the
-uploader has been joined: ``ack`` is sent after every upload was answered
-``recorded``, ``requeue`` after every finished trial was uploaded.
+The loop is a one-deep pipeline on one thread: the worker sends trial
+*n*'s verb, computes *n+1* while the server records *n*, then reads *n*'s
+reply and sends *n+1*'s. Sends never wait or retry; every retry and
+backoff happens when a reply is read. In flight at any moment: at most one
+trial being computed and one verb unanswered, in trial order on one
+kept-alive connection — so a killed worker loses at most two trials, both
+re-executed bit-identically by the next lease holder. The loop changes
+course only at trial boundaries, and the job's outcome is decided only
+after the last reply was read: ``ack`` follows every upload answered
+``recorded``, ``requeue`` follows every finished trial uploaded.
 
 Safety rests on three server-side properties, so the worker itself can be
 dumb and stateless:
@@ -36,16 +30,16 @@ dumb and stateless:
 * every lease carries a **fencing token**; the worker attaches it to every
   verb, and the first 409 reply (``lease_lost`` / ``stale_token``) means
   the lease was reaped during a partition — the worker *abandons* the job
-  on the spot: the uploader sends nothing further, not even a result
-  already handed over (the new holder owns the job);
+  on the spot and sends nothing further (the new holder owns the job);
 * uploads are **idempotent**: the coordinator dedups by (trial_id,
-  fingerprint) under the token, so the worker retries transport failures
-  freely — a truncated response or a duplicated send lands one row;
+  fingerprint) under the token, so the worker resends on transport
+  failures freely — a truncated response or a duplicated send lands one
+  row, and a reply read one trial late is as good as one read at once;
 * the terminal state is computed by the server from verified uploads at
   ``ack`` — a worker cannot claim progress it did not upload, and
-  because ``ack`` follows the join, never progress still in flight.
+  because ``ack`` follows the last reply, never progress still in flight.
 
-The transport wrapper :meth:`Worker._call` fires the fault sites
+The fault wrapper :meth:`Worker._send` fires the fault sites
 ``worker.request`` / ``worker.upload`` / ``worker.heartbeat`` (actions
 ``drop``, ``delay``, ``truncate``, ``duplicate`` — see
 ``repro.service.faults``), which is how CI injects partitions, slow
@@ -59,35 +53,37 @@ bit-identical to ``SerialBackend`` by construction.
 from __future__ import annotations
 
 import os
-import queue
 import socket
 import threading
 import time
 import uuid
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import error_class
 from repro.experiments.executor import run_trial, run_with_retries
-from repro.experiments.spec import TrialResult, TrialSpec
+from repro.experiments.spec import TrialSpec
 from repro.net.testbed import Testbed
 from repro.service.faults import FaultPlan
 from repro.service.http_api import ApiError, ServiceClient
 from repro.service.jobs import SweepJob
 
-#: Trial results handed to the uploader thread and not yet answered. A
-#: constant, not a knob: an upload (~1 ms) is an order of magnitude shorter
-#: than the shortest trial the service runs (~7 ms), so a deeper window buys
-#: nothing and only widens the work a kill loses.
-UPLOAD_DEPTH = 1
-
-#: What the trial thread hands over: (trial id, stats counter, the call).
-_Verb = Tuple[str, str, Callable[[], Any]]
+#: What reads a sent verb's reply (``Reply.result``).
+_Reader = Callable[[], Any]
+#: What puts a verb's request on the wire and returns its reader.
+_Sender = Callable[[], _Reader]
+#: A per-trial verb: (trial id, stats counter, sender).
+_Verb = Tuple[str, str, _Sender]
 
 #: Outcomes of Worker.run_one (also its return values).
 IDLE = None            # nothing leased
 ACKED = "acked"        # walked every trial, server finalized the job
 ABANDONED = "abandoned"  # lease lost (or server unreachable): backed away
 REQUEUED = "requeued"  # graceful give-back while draining
+
+
+def _answered(out: Any) -> _Reader:
+    """What reads the reply of a verb that was answered at once."""
+    return lambda: out
 
 
 def default_worker_id() -> str:
@@ -127,6 +123,7 @@ class Worker:
         self._testbeds: Dict[int, Testbed] = {}
         #: Filled by the register handshake.
         self.lease_s: float = 60.0
+        self.worker_ttl_s: float = 60.0
         self.trial_timeout_s: Optional[float] = None
         self.stop_event = threading.Event()
         #: Counters for the daemon's exit report (and tests).
@@ -136,33 +133,44 @@ class Worker:
     # ------------------------------------------------------------------
     # Transport wrapper: where the worker.* fault sites live
     # ------------------------------------------------------------------
-    def _call(self, site: str, key: Optional[str], fn: Callable[[], Any]) -> Any:
-        """Run one HTTP call through the fault plan.
+    def _send(self, site: str, key: Optional[str], send: _Sender) -> _Reader:
+        """Send one HTTP verb through the fault plan; returns what reads
+        its reply.
 
-        ``delay`` already slept inside ``fire``; ``drop`` fails before the
-        bytes leave (a partition); ``truncate`` performs the call but loses
-        the response; ``duplicate`` performs it twice and returns the
-        *second* reply — the replayed request is the one whose answer the
-        caller sees, exactly the retransmission case the fenced,
-        idempotent server must absorb."""
-        rule = None
-        if self._fault_hook is not None:
-            rule = self._fault_hook(site, key)
-        if rule is not None and rule.action == "drop":
-            raise OSError(f"injected: {site} dropped before send")
-        out = fn()
-        if rule is not None and rule.action == "truncate":
-            raise OSError(f"injected: {site} response truncated")
-        if rule is not None and rule.action == "duplicate":
-            out = fn()
-        return out
+        ``delay`` already slept inside ``fire``, before the send; ``drop``
+        fails before the bytes leave (a partition), raised when the reply
+        is read; ``truncate`` reads the reply and loses it; ``duplicate``
+        sends again once the first reply is in and returns the *second*
+        reply — the replayed request is the one whose answer the caller
+        sees, exactly the retransmission case the fenced, idempotent
+        server must absorb."""
+        rule = None if self._fault_hook is None else self._fault_hook(site, key)
+        action = None if rule is None else rule.action
+        receive = None if action == "drop" else send()
+
+        def result() -> Any:
+            if receive is None:
+                raise OSError(f"injected: {site} dropped before send")
+            out = receive()
+            if action == "truncate":
+                raise OSError(f"injected: {site} response truncated")
+            if action == "duplicate":
+                out = send()()
+            return out
+
+        return result
+
+    def _call(self, site: str, key: Optional[str], fn: Callable[[], Any]) -> Any:
+        """One verb sent and answered at once (all but the per-trial ones)."""
+        return self._send(site, key, lambda: _answered(fn()))()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def register(self, retries: int = 5) -> dict:
         """Handshake: announce this worker, adopt the server's lease
-        length (drives heartbeat cadence) and trial watchdog budget."""
+        length and worker ttl (together they drive the heartbeat cadence)
+        and its trial watchdog budget."""
         last: Optional[Exception] = None
         for attempt in range(retries):
             try:
@@ -171,10 +179,9 @@ class Worker:
                     lambda: self.client.register_worker(self.worker_id),
                 )
                 self.lease_s = float(cfg.get("lease_s", self.lease_s))
+                self.worker_ttl_s = float(cfg.get("worker_ttl_s", self.worker_ttl_s))
                 timeout = cfg.get("trial_timeout_s")
-                self.trial_timeout_s = (
-                    None if timeout is None else float(timeout)
-                )
+                self.trial_timeout_s = None if timeout is None else float(timeout)
                 return cfg
             except OSError as exc:
                 last = exc
@@ -254,21 +261,14 @@ class Worker:
             name=f"hb-{job.job_id}",
             daemon=True,
         )
-        outbox: "queue.Queue" = queue.Queue(maxsize=UPLOAD_DEPTH)
-        errors: List[BaseException] = []
-        uploader = threading.Thread(
-            target=self._upload_loop,
-            args=(outbox, lost, errors),
-            name=f"up-{job.job_id}",
-            daemon=True,
-        )
         hb.start()
-        uploader.start()
         draining = False
+        # The previous trial's verb and what reads its reply: unanswered.
+        inflight: Optional[Tuple[_Verb, _Reader]] = None
         try:
             for trial in pending:
                 # Trial boundary: the only places a worker changes course.
-                if lost.is_set() or errors:
+                if lost.is_set():
                     break
                 if self.stop_event.is_set():
                     draining = True
@@ -282,55 +282,31 @@ class Worker:
                     sleep=self._sleep, timeout_s=self.trial_timeout_s,
                 )
                 self.stats["trials"] += 1
-                if result is not None:
-                    verb = self._upload_verb(job.job_id, token, result, wall)
-                else:
-                    verb = self._quarantine_verb(job.job_id, token, trial, exc)
-                # Depth 1: wait until the previous trial's verb has been
-                # answered, so a kill loses this trial and the one being
-                # computed, never more.
-                outbox.join()
-                outbox.put(verb)
+                if inflight is not None:
+                    # Depth 1: the previous verb is answered before this one
+                    # leaves, so a kill loses at most two trials.
+                    self._deliver(*inflight, lost)
+                    inflight = None
+                    if lost.is_set():
+                        break
+                verb = self._verb(job.job_id, token, trial, result, wall, exc)
+                inflight = verb, self._send("worker.upload", verb[0], verb[2])
+            if inflight is not None and not lost.is_set():
+                self._deliver(*inflight, lost)
+                inflight = None
         finally:
-            outbox.put(None)
-            uploader.join()
+            if inflight is not None:
+                # A reply nobody will read: the socket can carry no other.
+                self.client.disconnect()
             stop_hb.set()
             hb.join(timeout=5.0)
-        # Every verb handed over has now been answered (or dropped because
-        # the lease was lost): only here is the job's outcome decided.
-        if errors:
-            raise errors[0]
+        # Every verb sent has now been answered (or the lease was lost):
+        # only here is the job's outcome decided.
         if lost.is_set():
             return ABANDONED
         if draining:
             return self._requeue(job.job_id, token)
         return self._ack(job.job_id, token)
-
-    def _upload_loop(
-        self,
-        outbox: "queue.Queue",
-        lost: threading.Event,
-        errors: List[BaseException],
-    ) -> None:
-        """The uploader thread: send each handed-over verb, in order, while
-        the trial thread computes the next trial. After the first 409 (or
-        an error) it sends nothing more but keeps emptying the outbox, so
-        the trial thread never blocks on a full queue; ``None`` ends it."""
-        try:
-            while True:
-                verb = outbox.get()
-                try:
-                    if verb is None:
-                        return
-                    if not lost.is_set() and not errors:
-                        self._deliver(verb, lost)
-                except BaseException as exc:
-                    # Re-raised on the trial thread once this one is joined.
-                    errors.append(exc)
-                finally:
-                    outbox.task_done()
-        finally:
-            self.client.disconnect()
 
     def _heartbeat_loop(
         self,
@@ -339,20 +315,19 @@ class Worker:
         lost: threading.Event,
         stop: threading.Event,
     ) -> None:
-        """Extend the lease every ``lease_s / 3``. A 409 sets ``lost`` —
-        the back-away signal the trial loop checks at every boundary. A
-        transport failure (dropped beat) is absorbed: the lease outlives
-        a few missed beats, and a partition long enough to matter ends in
-        the reap + 409 this loop exists to detect."""
-        interval = max(0.1, self.lease_s / 3.0)
+        """Extend the lease, and stay in the server's registry of live
+        workers, three times per ``min(lease_s, worker_ttl_s)``. A 409 sets
+        ``lost`` — the back-away signal the trial loop checks at every
+        boundary. A transport failure (dropped beat) is absorbed: the lease
+        outlives a few missed beats, and a partition long enough to matter
+        ends in the reap + 409 this loop exists to detect."""
+        interval = max(0.1, min(self.lease_s, self.worker_ttl_s) / 3.0)
         try:
             while not stop.wait(interval):
                 try:
                     self._call(
                         "worker.heartbeat", job_id,
-                        lambda: self.client.heartbeat(
-                            job_id, self.worker_id, token
-                        ),
+                        lambda: self.client.heartbeat(job_id, self.worker_id, token),
                     )
                 except ApiError as exc:
                     if exc.status == 409:
@@ -366,43 +341,29 @@ class Worker:
     # ------------------------------------------------------------------
     # The fenced verbs
     # ------------------------------------------------------------------
-    def _upload_verb(
-        self,
-        job_id: str,
-        token: int,
-        result: TrialResult,
-        wall: Optional[float],
-    ) -> _Verb:
-        wire = result.to_json()
-        return result.trial_id, "uploaded", lambda: self.client.upload_result(
-            job_id, self.worker_id, token, wire, wall=wall
-        )
-
-    def _quarantine_verb(
-        self,
-        job_id: str,
-        token: int,
-        trial: TrialSpec,
-        exc: Optional[BaseException],
-    ) -> _Verb:
+    def _verb(self, job_id, token, trial, result, wall, exc) -> _Verb:
+        """The trial's fenced verb: upload its result, or quarantine it."""
+        if result is not None:
+            wire = result.to_json()
+            return trial.trial_id, "uploaded", lambda: self.client.send_upload(
+                job_id, self.worker_id, token, wire, wall=wall
+            ).result
         exc = exc if exc is not None else RuntimeError("unknown error")
-        return trial.trial_id, "quarantined", lambda: (
-            self.client.quarantine_trial(
-                job_id, self.worker_id, token,
-                trial.trial_id, trial.fingerprint(),
-                str(exc), error_class(exc),
-            )
-        )
+        return trial.trial_id, "quarantined", lambda: self.client.send_quarantine(
+            job_id, self.worker_id, token, trial.trial_id, trial.fingerprint(),
+            str(exc), error_class(exc),
+        ).result
 
-    def _deliver(self, verb: _Verb, lost: threading.Event) -> None:
-        """One fenced, idempotent per-trial verb (upload or quarantine)
-        with transport retries. Sets ``lost`` to back away: on a 409, or
-        when the server is unreachable past the retry budget — the lease
-        will be reaped, and re-sending later would be fenced."""
+    def _deliver(self, verb: _Verb, receive: _Reader, lost: threading.Event) -> None:
+        """Read the reply of one fenced, idempotent per-trial verb (upload
+        or quarantine), resending it on transport failures. Sets ``lost``
+        to back away: on a 409, or when the server is unreachable past the
+        retry budget — the lease will be reaped, and re-sending later
+        would be fenced. A non-409 :class:`ApiError` is raised."""
         trial_id, stat, send = verb
         for attempt in range(self.upload_retries + 1):
             try:
-                self._call("worker.upload", trial_id, send)
+                receive()
                 self.stats[stat] += 1
                 return
             except ApiError as exc:
@@ -411,10 +372,11 @@ class Worker:
                 lost.set()
                 return
             except OSError:
-                if attempt == self.upload_retries:
+                if attempt == self.upload_retries or lost.is_set():
                     lost.set()
                     return
                 self._sleep(min(2.0, 0.2 * (2 ** attempt)))
+                receive = self._send("worker.upload", trial_id, send)
 
     def _ack(self, job_id: str, token: int) -> str:
         try:
@@ -434,9 +396,7 @@ class Worker:
         try:
             self._call(
                 "worker.request", "requeue",
-                lambda: self.client.requeue_job(
-                    job_id, self.worker_id, token
-                ),
+                lambda: self.client.requeue_job(job_id, self.worker_id, token),
             )
             return REQUEUED
         except (ApiError, OSError):

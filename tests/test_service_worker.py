@@ -19,6 +19,7 @@ import pytest
 from repro.errors import StaleTokenError
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
 from repro.service.coordinator import Coordinator
+from repro.service import http_api
 from repro.service.faults import FaultPlan, FaultRule, canned_plan
 from repro.service.http_api import (
     MAX_BODY_BYTES,
@@ -345,8 +346,8 @@ def _log_verbs(worker):
 
         setattr(client, name, logged)
 
-    wrap("upload_result", lambda args: args[3]["trial_id"])
-    wrap("quarantine_trial", lambda args: args[3])
+    wrap("send_upload", lambda args: args[3]["trial_id"])
+    wrap("send_quarantine", lambda args: args[3])
     wrap("ack_job", lambda args: None)
     wrap("requeue_job", lambda args: None)
     return log
@@ -372,15 +373,90 @@ def _run_one_bounded(worker, timeout=30.0):
     return box[0]
 
 
-class TestPipelinedUploads:
-    """The one-deep upload pipeline keeps the synchronous loop's protocol:
-    trial order, nothing after the first 409, outcome decided only after
-    every hand-over was answered."""
+class _RecordingTransport:
+    """A stand-in for ``ServiceClient``: leases one job, answers every
+    verb at once, and logs when each per-trial verb is sent and when its
+    reply is read."""
 
-    #: A slow link on every upload, so uploads really are still in flight
-    #: while the next trial computes (the scripted trials are instant).
+    def __init__(self, job, log):
+        self.job = job
+        self.log = log
+        self.leased = False
+
+    def lease_job(self, worker_id, timeout=0.0):
+        if self.leased:
+            return {"job": None}
+        self.leased = True
+        return {"job": self.job.to_wire(), "token": 1,
+                "pending": [t.to_wire() for t in self.job.trials]}
+
+    def heartbeat(self, job_id, worker_id, token):
+        return {"ok": True}
+
+    def send_upload(self, job_id, worker_id, token, wire, wall=None):
+        trial_id = wire["trial_id"]
+        self.log.append(("send", trial_id))
+
+        class _Reply:
+            def result(reply):
+                self.log.append(("read", trial_id))
+                return {"recorded": True}
+
+        return _Reply()
+
+    def ack_job(self, job_id, worker_id, token):
+        self.log.append(("ack", None))
+        return {"state": "done"}
+
+    def disconnect(self):
+        pass
+
+    close = disconnect
+
+
+class TestPipelinedUploads:
+    """The one-deep pipeline on the caller's thread keeps the synchronous
+    loop's protocol: trial order, nothing after the first 409, outcome
+    decided only after every sent verb was answered."""
+
+    #: A slow link on every send: the ``delay`` action on the deferred path.
     SLOW_LINK = FaultRule(site="worker.upload", action="delay",
                           hang_s=0.03, times=0)
+
+    def test_verb_n_leaves_before_trial_n_plus_1_and_is_read_after_it(
+        self, monkeypatch
+    ):
+        """The structure itself, on a recording transport: for every n,
+        send(n) precedes the start of trial n+1 and read(n) follows its
+        end; while the job runs, the worker has no thread but the caller
+        and its heartbeat."""
+        log = []
+        extra_threads = []
+        baseline = set(threading.enumerate())
+        fake = _ScriptedRunTrial()
+
+        def run_trial(testbed, trial, **kwargs):
+            log.append(("start", trial.trial_id))
+            extra_threads.append(set(threading.enumerate()) - baseline)
+            out = fake(testbed, trial, **kwargs)
+            log.append(("end", trial.trial_id))
+            return out
+
+        monkeypatch.setattr("repro.service.worker.run_trial", run_trial)
+        job = new_job("sweep", _trials(5, prefix="sweep"))
+        w = Worker(_RecordingTransport(job, log), worker_id="wA",
+                   testbed_factory=lambda seed: None, sleep=lambda s: None)
+        assert w.run_one() == ACKED
+        ids = [t.trial_id for t in job.trials]
+        for this, after in zip(ids, ids[1:]):
+            assert log.index(("end", this)) < log.index(("send", this))
+            assert log.index(("send", this)) < log.index(("start", after))
+            assert log.index(("end", after)) < log.index(("read", this))
+            assert log.index(("read", this)) < log.index(("send", after))
+        assert log[-2:] == [("read", ids[-1]), ("ack", None)]
+        assert w.stats["uploaded"] == 5
+        for threads in extra_threads:
+            assert [t.name for t in threads] == [f"hb-{job.job_id}"]
 
     def test_409_on_upload_n_sends_nothing_after_it(self, tmp_path,
                                                      scripted):
@@ -389,21 +465,21 @@ class TestPipelinedUploads:
             job = _submit(service, n=6)
             w = _worker(service, "wA", plan=FaultPlan([self.SLOW_LINK]))
             w.register()
-            real_upload = w.client.upload_result
+            real_send = w.client.send_upload
 
-            def upload(job_id, worker_id, token, wire, **kw):
+            def send_upload(job_id, worker_id, token, wire, **kw):
                 if wire["trial_id"] == "sweep/2":
                     # The lease is reaped just as upload 2 goes out.
                     service.co.queue.force_expire(job_id)
-                return real_upload(job_id, worker_id, token, wire, **kw)
+                return real_send(job_id, worker_id, token, wire, **kw)
 
-            w.client.upload_result = upload
+            w.client.send_upload = send_upload
             log = _log_verbs(w)
             outcome, error = _run_one_bounded(w)
             assert error is None and outcome == ABANDONED
-            assert log == [("upload_result", f"sweep/{i}") for i in range(3)]
+            assert log == [("send_upload", f"sweep/{i}") for i in range(3)]
             assert w.stats["uploaded"] == 2
-            # Trial 3 ran while upload 2 was in flight; trial 4 never did.
+            # Trial 3 ran before upload 2's reply was read; trial 4 never did.
             assert scripted.calls == [f"sweep/{i}" for i in range(4)]
             rows = service.co.runtable.recent_runs(limit=100)
             assert sorted(r["trial_id"] for r in rows) == [
@@ -431,7 +507,7 @@ class TestPipelinedUploads:
             log = _log_verbs(w)
             outcome, error = _run_one_bounded(w)
             assert error is None and outcome == REQUEUED
-            assert log == [("upload_result", f"sweep/{i}")
+            assert log == [("send_upload", f"sweep/{i}")
                            for i in range(3)] + [("requeue_job", None)]
             leased = service.client.lease_job("wB")
             assert leased["job"]["job_id"] == job.job_id
@@ -444,8 +520,8 @@ class TestPipelinedUploads:
         self, tmp_path, scripted
     ):
         plan = FaultPlan([
-            # Uneven link: every third upload is slow, one reply is lost
-            # (retried), one send is duplicated.
+            # Uneven link: two sends are slow, one reply is lost
+            # (resent), one send is duplicated.
             FaultRule(site="worker.upload", action="delay", hang_s=0.05,
                       key="sweep/0"),
             FaultRule(site="worker.upload", action="delay", hang_s=0.05,
@@ -463,7 +539,7 @@ class TestPipelinedUploads:
             log = _log_verbs(w)
             outcome, error = _run_one_bounded(w)
             assert error is None and outcome == ACKED
-            sent = [trial for verb, trial in log if verb == "upload_result"]
+            sent = [trial for verb, trial in log if verb == "send_upload"]
             assert sent == sorted(sent)  # resends sit next to the original
             assert sent.count("sweep/4") == 2 and sent.count("sweep/5") == 2
             assert log[-1] == ("ack_job", None)
@@ -481,8 +557,8 @@ class TestPipelinedUploads:
     def test_unreachable_server_abandons_without_deadlock(self, tmp_path,
                                                           scripted):
         """Every upload dies before the bytes leave, past the retry
-        budget: the uploader gives up and keeps emptying the outbox, so
-        the trial thread's next hand-over cannot block on it."""
+        budget: reading trial 0's reply after trial 1 gives up, and the
+        worker abandons without computing anything further."""
         plan = FaultPlan([
             FaultRule(site="worker.upload", action="drop", times=0),
         ])
@@ -496,7 +572,7 @@ class TestPipelinedUploads:
             assert error is None and outcome == ABANDONED
             assert log == []  # dropped before send; and no ack
             assert w.stats["uploaded"] == 0
-            # Trial 1 ran while trial 0's upload was failing; no more.
+            # Trial 1 ran before trial 0's reply was read; no more.
             assert scripted.calls == ["sweep/0", "sweep/1"]
             assert service.co.runtable.trial_count() == 0
         finally:
@@ -506,27 +582,27 @@ class TestPipelinedUploads:
         self, tmp_path, scripted
     ):
         """A server bug (500) on an upload is not a back-away signal: it
-        surfaces from ``run_one`` as the synchronous upload raised it,
-        after which nothing further was sent."""
+        surfaces from ``run_one`` when the reply is read, after which
+        nothing further was sent."""
         service = _Service(tmp_path)
         try:
             _submit(service, n=6)
             w = _worker(service, "wA", plan=FaultPlan([self.SLOW_LINK]))
             w.register()
-            real_upload = w.client.upload_result
+            real_record = service.co.record_remote_result
 
-            def upload(job_id, worker_id, token, wire, **kw):
-                if wire["trial_id"] == "sweep/1":
-                    raise ApiError(500, "RuntimeError: boom")
-                return real_upload(job_id, worker_id, token, wire, **kw)
+            def record(job_id, worker_id, token, result, **kw):
+                if result.trial_id == "sweep/1":
+                    raise RuntimeError("boom")
+                return real_record(job_id, worker_id, token, result, **kw)
 
-            w.client.upload_result = upload
+            service.co.record_remote_result = record
             log = _log_verbs(w)
             outcome, error = _run_one_bounded(w)
             assert outcome is None
             assert isinstance(error, ApiError) and error.status == 500
-            assert log == [("upload_result", "sweep/0"),
-                           ("upload_result", "sweep/1")]
+            assert log == [("send_upload", "sweep/0"),
+                           ("send_upload", "sweep/1")]
             assert scripted.calls == ["sweep/0", "sweep/1", "sweep/2"]
         finally:
             service.close()
@@ -550,9 +626,9 @@ class TestPipelinedUploads:
             outcome, error = _run_one_bounded(w)
             assert error is None and outcome == ACKED
             assert log == [
-                ("upload_result", "sweep/0"),
-                ("quarantine_trial", "sweep/1"),
-                ("upload_result", "sweep/2"),
+                ("send_upload", "sweep/0"),
+                ("send_quarantine", "sweep/1"),
+                ("send_upload", "sweep/2"),
                 ("ack_job", None),
             ]
             assert w.stats["uploaded"] == 2 and w.stats["quarantined"] == 1
@@ -566,8 +642,9 @@ class TestPipelinedUploads:
         self, tmp_path, scripted
     ):
         """Stress: more workers than cores, the interpreter switching
-        threads every 10 us, every upload duplicated — a lost update in
-        the hand-over would show as a missing or doubled row."""
+        threads every 10 us, every upload duplicated — a reply read on the
+        wrong connection or a lost update would show as a missing or
+        doubled row."""
         service = _Service(tmp_path)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -603,6 +680,42 @@ class TestPipelinedUploads:
                 assert progress["completed"] == 12
         finally:
             sys.setswitchinterval(interval)
+            service.close()
+
+    def test_uploads_on_connections_the_server_closed_are_replayed(
+        self, tmp_path, monkeypatch
+    ):
+        """Each trial outlasts the server's socket idle timeout, so the
+        server closes the worker's kept connection while it computes: an
+        upload goes into a dead socket, and reading its reply replays it
+        on a fresh one — one row per trial, no leaked socket."""
+        monkeypatch.setattr("repro.service.http_api._Handler.timeout", 0.2)
+        n = 3
+        fake = _ScriptedRunTrial(
+            slow_once=[f"sweep/{i}" for i in range(n)], slow_s=0.5)
+        monkeypatch.setattr("repro.service.worker.run_trial", fake)
+        written = []
+        real_write = http_api._write
+
+        def write(conn, method, url, *args):
+            written.append(url)
+            return real_write(conn, method, url, *args)
+
+        monkeypatch.setattr("repro.service.http_api._write", write)
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=n)
+            w = _worker(service, "wA")
+            w.register()
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == ACKED
+            assert w.stats["uploaded"] == n
+            assert written.count("/workers/upload") > n  # replayed sends
+            rows = service.co.runtable.recent_runs(limit=100)
+            ids = [r["trial_id"] for r in rows]
+            assert len(ids) == len(set(ids)) == n
+            assert service.client.job(job.job_id)["state"] == "done"
+        finally:
             service.close()
 
 
@@ -814,6 +927,35 @@ class TestDegradation:
             assert co.remote_workers_active()  # ...wait: touch refreshes
         finally:
             co.runtable.close()
+
+    def test_a_trial_longer_than_the_ttl_keeps_the_worker_live(
+        self, tmp_path, monkeypatch
+    ):
+        """The heartbeat also keeps the worker in the registry: with a
+        lease far longer than the ttl, a trial that outlasts the ttl must
+        not let the fleet go stale (the local threads would start
+        leasing beside a live worker)."""
+        fake = _ScriptedRunTrial(slow_once=("sweep/0",), slow_s=1.5)
+        monkeypatch.setattr("repro.service.worker.run_trial", fake)
+        service = _Service(tmp_path, lease_s=30.0, worker_ttl_s=0.5)
+        try:
+            _submit(service, n=1)
+            w = _worker(service, "wA")
+            w.register()
+            box, samples = [], []
+            thread = threading.Thread(
+                target=lambda: box.append(_run_one_bounded(w)))
+            thread.start()
+            while not fake.calls:
+                time.sleep(0.01)
+            for _ in range(10):
+                time.sleep(0.1)
+                samples.append(service.co.remote_workers_active())
+            thread.join(timeout=30.0)
+            assert box == [(ACKED, None)]
+            assert samples == [True] * 10
+        finally:
+            service.close()
 
     def test_stale_fleet_falls_back_to_local_execution(self, tmp_path,
                                                        scripted):
