@@ -13,6 +13,7 @@ Usage::
     python -m repro.cli churn --scale smoke
     python -m repro.cli scale --scale smoke --jobs 2
     python -m repro.cli profile --scale smoke
+    python -m repro.cli claims --seed 1
     python -m repro.cli serve --port 8642 --data-dir sweep-data
     python -m repro.cli submit --builder fig12 --scale smoke --tail
     python -m repro.cli tail <job-id>
@@ -23,6 +24,9 @@ for the side-by-side record). ``--scale`` trades fidelity for wall time;
 ``--jobs N`` fans independent trials out over N worker processes (results
 are bit-identical to serial); ``--out``/``--resume`` persist completed
 trials to JSON so an interrupted sweep picks up where it left off.
+``claims`` checks every row of the paper-claims table
+(:mod:`repro.experiments.claims`) at its one fixed scale and exits 1 if
+any row fails.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import sys
 import time
 
 from repro import perf
-from repro.experiments import report
+from repro.experiments import claims, report
 from repro.experiments.executor import (
     ResultStore,
     SerialBackend,
@@ -118,6 +122,22 @@ def run_profile(args) -> int:
     return 0
 
 
+def run_claims(args) -> int:
+    """Check every claims-table row; exit status 1 if any fails."""
+    if (args.scale, args.jobs, args.out) != (None, None, None) or args.resume:
+        raise SystemExit("claims takes only --seed: its bands hold at "
+                         "CLAIMS_SCALE, serially, with nothing stored")
+    testbed = Testbed(seed=args.seed)
+    failed = 0
+    try:
+        for claim, value in claims.evaluate(claims.CLAIMS, testbed, args.seed):
+            failed += not claim.holds(value)
+            print(claims.format_row(claim, value), flush=True)
+    except ScenarioError as exc:
+        raise SystemExit(f"claims found no scenario: {exc}")
+    return 1 if failed else 0
+
+
 #: Targets served by the sweep service CLI (repro.service.cli), which has
 #: its own argument surface; dispatched before the figure parser runs.
 SERVICE_TARGETS = ("serve", "work", "submit", "tail", "runs", "chaos")
@@ -136,17 +156,17 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "target",
-        choices=FIGURE_TARGETS + ["census", "map", "all", "profile"],
-        help="figure to regenerate, census/map/all, or profile "
+        choices=FIGURE_TARGETS + ["census", "map", "all", "profile", "claims"],
+        help="figure to regenerate, census/map/all, profile, or claims "
              "(serve/submit/tail/runs/chaos dispatch to the sweep "
              "service CLI)",
     )
-    parser.add_argument("--scale", default="smoke",
+    parser.add_argument("--scale",
                         help="smoke | quick | paper (default smoke)")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the testbed and of the configurations "
                              "drawn on it (default 1)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=int,
                         help="worker processes for trial execution "
                              "(default 1 = serial; output is identical)")
     parser.add_argument("--out", metavar="PATH",
@@ -159,6 +179,13 @@ def main(argv=None) -> int:
                         help="with 'profile': comma-separated figures to "
                              "profile (default fig12)")
     args = parser.parse_args(argv)
+
+    if args.target == "claims":
+        return run_claims(args)
+    if args.scale is None:
+        args.scale = "smoke"
+    if args.jobs is None:
+        args.jobs = 1
 
     if args.target == "profile":
         return run_profile(args)

@@ -2,16 +2,18 @@
 
 :func:`render` picks the renderer by the result's type, so any
 :data:`~repro.experiments.runners.SWEEP_BUILDERS` entry run through the
-executor prints without naming its renderer. The CLI and the benchmarks
-print the same rows/series the paper reports, so a reader can diff our
-measured shape against the published one (recorded in EXPERIMENTS.md).
+executor prints without naming its renderer. The CLI prints the same
+rows/series the paper reports, so a reader can diff our measured shape
+against the published one (recorded in EXPERIMENTS.md); the paper values
+quoted in titles come from the rows of :data:`repro.experiments.claims.CLAIMS`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.stats import Cdf, summarize
+from repro.experiments.claims import paper
 from repro.experiments.runners import (
     ApResult,
     BitrateSweepResult,
@@ -42,8 +44,10 @@ def _cdf_table(curves: Dict[str, Sequence[float]], unit: str = "Mb/s") -> str:
 
 
 def render_calibration(result: CalibrationResult) -> str:
+    cmap = paper("calibration", "CMAP single-link Mb/s")
+    dcf = paper("calibration", "802.11 single-link Mb/s")
     return (
-        "single-link calibration (paper §4.2: CMAP 5.04, 802.11 5.07 Mb/s)\n"
+        f"single-link calibration (paper §4.2: CMAP {cmap}, 802.11 {dcf} Mb/s)\n"
         f"  CMAP  : {result.cmap_mbps:.2f} Mb/s\n"
         f"  802.11: {result.dcf_mbps:.2f} Mb/s  (pair {result.pair})"
     )
@@ -58,10 +62,9 @@ _PAIR_CDF_TITLES = {
 }
 
 
-def render_pair_cdf(result: PairCdfResult, title: Optional[str] = None) -> str:
-    """One CDF figure; ``title`` defaults to the figure's own."""
-    if title is None:
-        title = _PAIR_CDF_TITLES.get(result.figure, result.figure)
+def render_pair_cdf(result: PairCdfResult) -> str:
+    """One CDF figure, titled as the paper's or by its name."""
+    title = _PAIR_CDF_TITLES.get(result.figure, result.figure)
     lines = [title, _cdf_table(result.totals)]
     if "cmap" in result.totals and "cs_on" in result.totals:
         lines.append(
@@ -82,9 +85,10 @@ def render_hidden_interferer(result: HiddenInterfererResult) -> str:
         "hidden interferers (paper §5.4, Fig. 14)",
         f"  points: {len(result.points)}",
         f"  bottom-left quadrant fraction: {result.bottom_left_fraction:.3f}"
-        "  (paper: 0.08)",
+        f"  (paper: {paper('fig14', 'bottom-left fraction')})",
         f"  expected CMAP normalized throughput: "
-        f"{result.expected_cmap_throughput:.3f}  (paper: 0.896)",
+        f"{result.expected_cmap_throughput:.3f}"
+        f"  (paper: {paper('fig14', 'expected CMAP')})",
     ]
     return "\n".join(lines)
 
@@ -105,7 +109,9 @@ def render_ap(result: ApResult) -> str:
         row += f"{gain:>12.2f}x"
         lines.append(row)
     lines.append("")
-    lines.append("per-sender throughput CDF (paper Fig. 18; median 2.5 vs 4.6)")
+    cs_on = paper("fig17", "CS-on per-sender median Mb/s")
+    cmap = paper("fig17", "CMAP per-sender median Mb/s")
+    lines.append(f"per-sender throughput CDF (paper Fig. 18; median {cs_on} vs {cmap})")
     lines.append(_cdf_table(result.per_sender))
     return "\n".join(lines)
 
@@ -141,7 +147,8 @@ def render_ht_density(result: HtDensityResult) -> str:
 
 
 def render_mesh(result: MeshResult) -> str:
-    lines = ["two-hop mesh dissemination (paper §5.7: CMAP +52 % over CS)"]
+    pct = (paper("mesh", "aggregate gain CMAP / CS-on") - 1) * 100
+    lines = [f"two-hop mesh dissemination (paper §5.7: CMAP {pct:+.0f} % over CS)"]
     for name, vals in result.aggregate.items():
         mean = sum(vals) / len(vals) if vals else 0.0
         lines.append(f"  {name:<8} mean aggregate {mean:.2f} Mb/s over {len(vals)} topologies")

@@ -5,7 +5,8 @@ terminals — the CTS warns interferers near the receiver — but makes the
 *exposed*-terminal problem strictly worse: an exposed sender that overhears
 an RTS or CTS sets its NAV and stays silent for the whole announced exchange
 even though its own transmission would have succeeded. This MAC exists to
-reproduce that argument quantitatively (see ``benchmarks/bench_rtscts.py``).
+reproduce that argument quantitatively (the ``rtscts_exposed`` and
+``rtscts_hidden`` rows of :data:`repro.experiments.claims.CLAIMS`).
 
 Implementation: standard DCF contention from :class:`repro.mac.dcf.DcfMac`
 (which this class extends), with the data exchange replaced by

@@ -29,6 +29,7 @@ running server over HTTP.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -305,13 +306,31 @@ def _tail(client, job_id: str) -> int:
     return 0 if final and final["state"] == "done" else 1
 
 
-def cmd_submit(args) -> int:
-    from repro.service.http_api import ServiceClient
+@contextlib.contextmanager
+def _client(url: str):
+    """A :class:`ServiceClient` whose failures end the command with one
+    line and exit status 1: the server's error reply, or why the server
+    could not be reached."""
+    from repro.service.http_api import ApiError, ServiceClient
 
-    with ServiceClient(args.url) as client:
-        if args.spec_json:
-            with open(args.spec_json) as f:
-                wire = json.load(f)
+    try:
+        with ServiceClient(url) as client:
+            yield client
+    except ApiError as exc:
+        raise SystemExit(f"HTTP {exc.status}: {exc}")
+    except BrokenPipeError:
+        raise  # stdout was closed (``cli runs | head``): not the server
+    except OSError as exc:
+        raise SystemExit(f"cannot reach {url}: {exc}")
+
+
+def cmd_submit(args) -> int:
+    wire = None
+    if args.spec_json:
+        with open(args.spec_json) as f:
+            wire = json.load(f)
+    with _client(args.url) as client:
+        if wire is not None:
             reply = client.submit_experiment(wire, testbed_seed=args.seed,
                                              priority=args.priority)
         else:
@@ -331,16 +350,12 @@ def cmd_submit(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    from repro.service.http_api import ServiceClient
-
-    with ServiceClient(args.url) as client:
+    with _client(args.url) as client:
         return _tail(client, args.job_id)
 
 
 def cmd_runs(args) -> int:
-    from repro.service.http_api import ServiceClient
-
-    with ServiceClient(args.url) as client:
+    with _client(args.url) as client:
         return _runs(client, args)
 
 

@@ -71,6 +71,7 @@ class TestSubmoduleImports:
             "repro.experiments.runners",
             "repro.experiments.report",
             "repro.experiments.sweeps",
+            "repro.experiments.claims",
         ],
     )
     def test_module_imports(self, module):

@@ -31,8 +31,7 @@ def make_pair_result(**kw):
 
 class TestPairCdfRendering:
     def test_contains_curves_and_gain(self):
-        text = report.render_pair_cdf(make_pair_result(), "title")
-        assert "title" in text
+        text = report.render_pair_cdf(make_pair_result())
         assert "cs_on" in text and "cmap" in text
         assert "1.9" in text  # median gain ~1.94x
         assert "concurrency" in text

@@ -252,6 +252,47 @@ class TestRegistryContract:
         assert "no AP candidate" in str(err.value)
 
 
+class TestClientCommandErrors:
+    """``submit`` / ``tail`` / ``runs`` end a server error, or an
+    unreachable server, with one line and exit status 1."""
+
+    @staticmethod
+    def _one_line(argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("argv, prefix, needle", [
+        (["submit", "--builder", "nope"], "HTTP 400: ", "nope"),
+        (["submit", "--builder", "fig17", "--seed", "3"], "HTTP 400: ",
+         "found no scenario"),
+        (["tail", "nosuchjob"], "HTTP 404: ", "nosuchjob"),
+    ], ids=["unknown_builder", "no_scenario", "unknown_job"])
+    def test_server_error(self, argv, prefix, needle, seeded_service):
+        _, client = seeded_service
+        message = self._one_line([*argv, "--url", client.base_url])
+        assert message.startswith(prefix) and needle in message
+
+    def test_unreachable_server(self):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{s.getsockname()[1]}"
+        message = self._one_line(["runs", "--url", url])
+        assert message.startswith(f"cannot reach {url}: ")
+
+    def test_closed_stdout_is_not_the_server(self, seeded_service, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        _, client = seeded_service
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            cli_main(["runs", "--url", client.base_url])
+
+
 class TestCancel:
     def test_cancel_over_http(self, service):
         _, client = service
