@@ -17,9 +17,8 @@ With ``--chaos`` the same sweep runs under the canned ``smoke-chaos``
 fault plan (see :func:`repro.service.faults.canned_plan`) and the gate
 additionally proves the failure story: the client's first submit response
 is truncated on the wire and the idempotent retry deduplicates
-server-side (one job, not two); an injected worker kill breaks and
-replaces the process pool; a store-write failure and a sqlite busy burst
-are absorbed by retries; an injected ``os._exit`` kills the server
+server-side (one job, not two); a store-write failure and a sqlite busy
+burst are absorbed by retries; an injected ``os._exit`` kills the server
 mid-job and a restarted server resumes the job to ``done`` — with the
 final rows still bit-identical to the serial reference.
 
@@ -220,13 +219,11 @@ def run_chaos(args, env) -> int:
     1. the client's first submit response is truncated on the wire; the
        jittered retry carries the same idempotency key and the server
        hands back the job the first attempt created (``deduplicated``);
-    2. a worker kill breaks the process pool once; the chunk requeues
-       into a fresh pool;
-    3. a store-write OSError and a sqlite busy burst are absorbed by the
+    2. a store-write OSError and a sqlite busy burst are absorbed by the
        retry layers;
-    4. an injected ``os._exit`` kills the server mid-job (observed here
+    3. an injected ``os._exit`` kills the server mid-job (observed here
        as exit code :data:`~repro.service.faults.KILL_EXIT_CODE`);
-    5. a restarted server on the same data dir resumes the job to
+    4. a restarted server on the same data dir resumes the job to
        ``done`` — and the rows must still be bit-identical to serial.
     """
     from repro.service.faults import KILL_EXIT_CODE, FaultPlan, FaultRule
@@ -234,7 +231,7 @@ def run_chaos(args, env) -> int:
     port = free_port()
     failures = []
     with tempfile.TemporaryDirectory() as data_dir:
-        serve_args = ("--fault-plan", "smoke-chaos", "--trial-jobs", "2")
+        serve_args = ("--fault-plan", "smoke-chaos")
         proc = start_serve(port, data_dir, env, serve_args)
         second = None
         try:

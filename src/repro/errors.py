@@ -12,7 +12,8 @@ succeeds.
 
 :func:`classify` encodes that split for arbitrary exceptions, and the
 :class:`ReproError` hierarchy lets our own code state its class
-explicitly. The coordinator's policy (see ``repro.service.coordinator``):
+explicitly. The sweep service's policy (the coordinator sets it, every
+worker applies it — see ``repro.service.worker``):
 
 * transient → retry with capped backoff, against a per-job retry budget;
 * permanent (or transient with the budget exhausted) → **quarantine** the
@@ -65,13 +66,9 @@ class WorkerCrashError(TransientError):
     Transient *once*: worker death is usually environmental (OOM kill,
     container eviction), so the chunk is requeued into a fresh pool one
     time. A trial that kills its worker **twice** is treated as the cause
-    and quarantined — the coordinator must never run it in-process, where
-    the same crash would take the whole service down.
+    and written off. Only the ``cli <figure> --jobs`` process pool raises
+    this; the sweep service runs trials serially in its workers.
     """
-
-
-class StoreCorruptionError(PermanentError):
-    """A persistence file failed its integrity check and was quarantined."""
 
 
 class StaleTokenError(PermanentError):
@@ -86,11 +83,6 @@ class StaleTokenError(PermanentError):
     as the last line of defense behind the queue's lease check (the two
     can disagree only in the window between reap and re-grant).
     """
-
-
-class RetryBudgetExhausted(PermanentError):
-    """A job spent its whole transient-retry budget; further transient
-    failures quarantine immediately instead of retrying."""
 
 
 class SimulatedCrash(ReproError):

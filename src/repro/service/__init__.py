@@ -11,13 +11,14 @@ that absorbs concurrent experiment requests:
   in-memory implementation is single-host, but the interface is
   multi-host-shaped: a worker that dies mid-lease has its job requeued
   when the lease expires.
-* :mod:`repro.service.coordinator` — drains the queue through the
-  executor backends, streams TrialResults into the per-job ResultStore and
-  the run-table as they complete, retries *transient* failures with
-  capped backoff against a per-job budget, quarantines permanent ones,
-  honors priorities/cancellation between trials, deduplicates submits by
-  idempotency key, and crash-resumes open jobs from the fingerprinted
-  store on restart.
+* :mod:`repro.service.coordinator` — serves the lease verbs: streams
+  TrialResults into the per-job ResultStore and the run-table as they
+  complete, tells each holder to cancel or yield to a higher priority,
+  fails a job whose store breaks, deduplicates submits by idempotency
+  key, and crash-resumes open jobs from the fingerprinted store.
+* :mod:`repro.service.worker` — the one trial loop, run over HTTP (``cli
+  work``) or in-process (the coordinator's threads): transient failures
+  retry on the coordinator's policy, permanent ones are quarantined.
 * :mod:`repro.service.runtable` — the sqlite run-table (WAL,
   integrity-checked at open, rebuildable from the flat stores): every
   trial row indexed by (experiment, trial id, fingerprint, seed, wall

@@ -19,11 +19,12 @@ resumes any jobs a previous process left open, and drains gracefully on
 SIGTERM/SIGINT: workers finish their current trial, jobs requeue durably,
 and the run-table is checkpointed before exit. ``work`` runs a remote
 worker daemon against a serve URL: it leases jobs over HTTP, executes
-them locally, and streams fenced, idempotent uploads back — start one per
-core or host for a fleet (see EXPERIMENTS.md "Remote workers"). ``chaos``
-runs a deterministic fault-injection soak in-process and exits non-zero
-if the stack mishandled any injected fault. Everything else talks to a
-running server over HTTP.
+them locally, and streams fenced, idempotent uploads back — the trial
+loop ``serve``'s in-process workers run too. Start one per core or host
+for a fleet, the service's unit of parallelism (see EXPERIMENTS.md
+"Remote workers"). ``chaos`` runs a deterministic fault-injection soak
+in-process and exits non-zero if the stack mishandled any injected
+fault. Everything else talks to a running server over HTTP.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ def cmd_serve(args) -> int:
         print(f"[fault plan: {describe(fault_plan)}]", flush=True)
     coordinator = Coordinator(
         args.data_dir,
-        trial_jobs=args.trial_jobs,
         trial_timeout_s=args.trial_timeout,
         fault_plan=fault_plan,
         lease_s=args.lease,
@@ -87,8 +87,7 @@ def cmd_serve(args) -> int:
                          verbose=args.verbose)
     host, port = server.server_address[:2]
     print(f"[sweep service on http://{host}:{port} — data in {args.data_dir}; "
-          f"{args.workers} worker(s) x {args.trial_jobs} trial job(s)]",
-          flush=True)
+          f"{args.workers} in-process worker(s)]", flush=True)
 
     draining = threading.Event()
 
@@ -128,7 +127,7 @@ def cmd_work(args) -> int:
     import signal
 
     from repro.service.faults import describe, load_plan
-    from repro.service.http_api import ServiceClient
+    from repro.service.http_api import ApiError, ServiceClient
     from repro.service.worker import Worker, default_worker_id
 
     fault_plan = None
@@ -156,6 +155,8 @@ def cmd_work(args) -> int:
     try:
         taken = worker.run(max_jobs=args.max_jobs,
                            idle_exit_s=args.idle_exit)
+    except ApiError as exc:
+        raise SystemExit(f"HTTP {exc.status}: {exc}")
     except OSError as exc:
         print(f"[worker {worker_id} giving up: {exc}]", flush=True)
         return 1
@@ -219,7 +220,6 @@ def cmd_chaos(args) -> int:
     while True:
         co = Coordinator(
             data_dir,
-            trial_jobs=args.trial_jobs,
             trial_timeout_s=args.trial_timeout,
             fault_plan=plan,
             backoff_base_s=0.01,
@@ -403,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--data-dir", default="sweep-data",
                        help="run-table + per-job stores (default sweep-data)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="concurrent jobs (default 1)")
-    serve.add_argument("--trial-jobs", type=int, default=1,
-                       help="worker processes per job's trials (default 1)")
+                       help="in-process workers = concurrent jobs (default 1)")
     serve.add_argument("--no-resume", dest="resume", action="store_false",
                        help="do not re-queue jobs left open by a crash")
     serve.add_argument("--trial-timeout", type=float, default=None,
@@ -459,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derives the hang victim (default 0)")
     chaos.add_argument("--data-dir", default=None,
                        help="default: a fresh temp dir")
-    chaos.add_argument("--trial-jobs", type=int, default=1,
-                       help="worker processes per job's trials (default 1)")
     chaos.add_argument("--trial-timeout", type=float, default=1.0,
                        metavar="S",
                        help="watchdog budget; must be < --hang-s "

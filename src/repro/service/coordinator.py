@@ -1,4 +1,4 @@
-"""The coordinator: drains the job queue through the executor backends.
+"""The coordinator: the job queue, the lease verbs, and the worker threads.
 
 One coordinator owns a data directory::
 
@@ -6,65 +6,36 @@ One coordinator owns a data directory::
     <data_dir>/stores/<job>.json  per-job fingerprinted ResultStores
     <data_dir>/faults/            exactly-once tokens for fault plans
 
-One lease protocol serves both execution paths. A remote worker drives
-it over HTTP (``service/worker.py``); a local worker thread is a
-synchronous in-process client of the very same verbs: it leases the best
-job, is granted its pending trials (``_grant``: cached results and
-quarantined trials are settled first), records each trial through the
-token-fenced ``record_remote_result`` / ``record_remote_quarantine``, and
-ends with ``remote_ack``, which computes the terminal state. Only the
-policy at trial boundaries is local: the heartbeat, then a stop request
-or a strictly-higher-priority arrival requeues the job (its progress
-already persisted, so nothing is lost) and a cancel finalizes it. A
-holder whose lease was reaped gets :class:`LeaseLost` (or, in the reap
-window, :class:`~repro.errors.StaleTokenError`) from its next verb and
-backs away; its in-flight result is discarded and re-executed
-bit-identically by the new holder. Completed trials stream into both the
-job's ResultStore (the fingerprinted resume source of truth) and the
-run-table (the query side) as they finish.
-
-Failure policy (see ``repro.errors`` and DESIGN.md "Failure domains"):
-only *transient* failures retry, with capped exponential backoff, against
-a per-job retry budget. Permanent failures — and transient ones once the
-budget is gone, and trials that hang past the watchdog or kill their pool
-worker twice — are **quarantined**: recorded in the run-table with status
-``quarantined`` and their error class, counted on the job, and skipped.
-The job finishes ``done_partial``; one poisoned trial never stalls or
-fails a whole sweep.
-
-Crash-resume: every state transition is upserted into the run-table, so a
-coordinator that died mid-job leaves a ``running`` row behind.
-:meth:`Coordinator.resume_open_jobs` re-queues those on startup; when the
-job runs again, trials whose (id, fingerprint) already sit in its
-ResultStore are served from cache — bit-identical, and never re-executed —
-and trials a previous incarnation quarantined are skipped by their
-run-table row instead of hanging a worker again (both at the grant). If
-the run-table itself failed its integrity check at open, the trial rows
-are rebuilt from the flat stores before anything else runs.
+There is one trial loop, :class:`~repro.service.worker.Worker`: remote
+workers (``cli work``) drive the lease verbs below over HTTP, and each
+local thread runs the same ``Worker`` over ``http_api.LocalClient``, which
+calls them directly. A holder is granted its pending trials
+(:meth:`Coordinator.grant`), records each one through a token-fenced verb
+whose reply carries the :meth:`~Coordinator.verdict`, and ends with
+``remote_ack`` (the server computes the terminal state) or
+``remote_requeue``. A reaped holder gets :class:`LeaseLost` (or
+:class:`~repro.errors.StaleTokenError`) and backs away; an error in the
+grant or a record fails the job (:meth:`Coordinator._failing`). Every
+state transition is upserted into the run-table, so
+:meth:`Coordinator.resume_open_jobs` can re-queue what a dead process
+left open, and the grant serves its finished trials from the job's store.
+DESIGN.md "Service" and "Failure domains" have the whole protocol.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import (
-    SimulatedCrash,
-    StaleTokenError,
-    WorkerCrashError,
-    error_class,
-    is_transient,
-)
-from repro.experiments.executor import (
-    ResultStore,
-    SerialBackend,
-    make_backend,
-    run_trial,
-    run_with_retries,
-)
+from repro.errors import SimulatedCrash, StaleTokenError
+
+# run_trial is not called here: benchmarks/ruler/sweepbench.py wraps it by
+# name in its traced pass.
+from repro.experiments.executor import ResultStore, run_trial  # noqa: F401
 from repro.experiments.spec import ExperimentSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.service.faults import FaultPlan
@@ -76,25 +47,32 @@ from repro.service.jobs import (
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
+    CANCEL,
+    CONTINUE,
+    YIELD,
     SweepJob,
     job_from_experiment,
 )
 from repro.service.queue import InMemoryJobQueue, LeaseLost
 from repro.service.runtable import RunTable
 
+#: The register handshake: the settings every worker adopts — lease length
+#: and worker ttl (its heartbeat cadence), the trial watchdog, and the
+#: transient-retry policy.
+HANDSHAKE = ("lease_s", "worker_ttl_s", "trial_timeout_s", "max_retries",
+             "retry_budget", "backoff_base_s", "backoff_cap_s")
+
 
 class Coordinator:
     """Owns the queue, the run-table, and the worker threads.
 
-    ``trial_jobs`` > 1 fans each job's trials over a process pool in
-    chunks (cancellation/preemption are honored at chunk boundaries);
-    the default 1 runs trials serially with per-trial boundaries.
-    ``trial_timeout_s`` arms the per-trial wall-clock watchdog in whichever
-    backend runs the trial. ``retry_budget`` caps *transient* retries per
-    job; ``max_retries`` caps them per trial. ``fault_plan`` threads a
-    :class:`~repro.service.faults.FaultPlan` through every layer (store,
-    run-table, backends, lease) — None costs nothing. ``sleep`` is
-    injectable so retry-backoff tests need no real waiting.
+    ``max_retries`` caps *transient* retries per trial and
+    ``retry_budget`` per job; they, the backoff bounds and
+    ``trial_timeout_s`` (the per-trial watchdog) are the policy every
+    worker adopts (:data:`HANDSHAKE`). ``fault_plan`` threads a
+    :class:`~repro.service.faults.FaultPlan` through every layer — None
+    costs nothing. ``sleep`` is injectable so retry-backoff tests need no
+    real waiting.
     """
 
     def __init__(
@@ -102,7 +80,6 @@ class Coordinator:
         data_dir: str,
         queue: Optional[InMemoryJobQueue] = None,
         runtable: Optional[RunTable] = None,
-        trial_jobs: int = 1,
         max_retries: int = 2,
         retry_budget: int = 16,
         backoff_base_s: float = 0.1,
@@ -130,13 +107,10 @@ class Coordinator:
             self.runtable.rebuild_from_stores(
                 os.path.join(data_dir, "stores")
             )
-        # Fencing tokens must stay monotonic across process restarts: the
-        # queue's counter is in-memory, but the run-table rows (and their
-        # tokens) are durable. Seed the counter past the largest persisted
-        # token or a resumed job's fresh leases would be "stale" against
-        # its own pre-crash rows.
+        # Fencing tokens must stay monotonic across restarts: seed the
+        # in-memory counter past the largest token the run-table persisted,
+        # or a resumed job's fresh leases would be stale against its rows.
         self.queue.advance_tokens(self.runtable.max_token())
-        self.trial_jobs = trial_jobs
         self.max_retries = max_retries
         self.retry_budget = retry_budget
         self.backoff_base_s = backoff_base_s
@@ -156,7 +130,7 @@ class Coordinator:
         #: heartbeat, upload) is younger than ``worker_ttl_s``.
         self._remote_workers: Dict[str, float] = {}
         #: Per-job lease context, local and remote alike: job_id ->
-        #: {token, store, lock}. Set by _grant, cleared on requeue and
+        #: {token, store, lock}. Set by grant, cleared on requeue and
         #: finalize; a reaped lease leaves a stale entry that the queue's
         #: verify rejects before it is ever used.
         self._leases: Dict[str, dict] = {}
@@ -256,8 +230,8 @@ class Coordinator:
 
     def cancel(self, job_id: str) -> bool:
         """Request cancellation. Queued jobs cancel immediately; running
-        jobs cancel at their next trial boundary. False if unknown or
-        already terminal."""
+        jobs cancel within one trial (the holder reads the verdict). False
+        if unknown or already terminal."""
         with self._cond:
             job = self._jobs.get(job_id)
         if job is None:
@@ -335,180 +309,72 @@ class Coordinator:
                 self._cond.wait(0.5 if remaining is None else min(remaining, 0.5))
 
     # ------------------------------------------------------------------
-    # Execution: local threads are in-process clients of the lease verbs
+    # Execution: local threads run the Worker that ``cli work`` runs
     # ------------------------------------------------------------------
     def run_once(self, worker_id: str = "worker-inline") -> Optional[SweepJob]:
         """Lease and run (at most) one job synchronously — the unit the
         worker threads loop over, exposed for tests and batch drains."""
         self.queue.reap_expired()
         job = self.queue.lease(worker_id, timeout=0, lease_s=self.lease_s)
-        if job is None:
-            return None
-        try:
+        if job is not None:
             self._run_job(worker_id, job)
-        except (LeaseLost, StaleTokenError):
-            pass  # reaped mid-run; whoever re-leased the job owns it now
         return job
 
     def _worker_loop(self, worker_id: str) -> None:
         while not self._stop.is_set():
             self.queue.reap_expired()
             if self.remote_workers_active():
-                # Degradation ladder, top rung: a live remote fleet owns
-                # execution, so local threads stand down to pure reaper
-                # duty. The moment every remote worker goes stale (crash,
-                # partition) this check fails and local execution resumes —
-                # the service degrades to exactly its single-host behavior.
+                # Degradation ladder: a live remote fleet owns execution, so
+                # local threads stand down to reaper duty until it goes stale.
                 self._stop.wait(0.2)
                 continue
             job = self.queue.lease(worker_id, timeout=0.2, lease_s=self.lease_s)
             if job is None:
                 continue
             if self.remote_workers_active():
-                # A remote worker registered while this thread was blocked
-                # inside lease(): the fleet owns execution now, so hand the
-                # job straight back instead of racing the remote lease.
-                try:
+                # A remote worker registered while lease() blocked: hand
+                # the job straight back instead of racing the fleet.
+                with contextlib.suppress(LeaseLost):
                     self.queue.requeue(job.job_id, worker_id)
-                except LeaseLost:
-                    pass
                 continue
-            try:
+            # An error out of the job fails it; the thread lives on.
+            with contextlib.suppress(LeaseLost), self._failing(job, worker_id):
                 self._run_job(worker_id, job)
-            except (LeaseLost, StaleTokenError):
-                continue  # reaped mid-run; the new holder owns the job now
-            except SimulatedCrash:
-                raise  # fault injection: die like a killed coordinator
-            except Exception as exc:  # never kill the worker thread
-                try:
-                    # Ack first: a reaped worker raises LeaseLost instead
-                    # of failing the new holder's run.
-                    self.queue.ack(job.job_id, worker_id)
-                except LeaseLost:
-                    continue
-                job.error = f"coordinator error: {exc}\n{traceback.format_exc()}"
-                self._finalize(job, FAILED)
 
     def _run_job(self, worker_id: str, job: SweepJob) -> None:
-        """Drive one leased job through the lease verbs a remote worker
-        uses: grant, one fenced record per trial, then ack. Only the
-        policy at trial boundaries is local. :class:`LeaseLost` or
-        :class:`StaleTokenError` out of here means "back away"."""
-        token = self.queue.lease_token(job.job_id, worker_id)
-        pending = self._grant(job, worker_id, token)
-        if pending is None:
-            return
-        testbed = self.testbed(job.testbed_seed)
-        backend = make_backend(
-            self.trial_jobs,
-            trial_timeout_s=self.trial_timeout_s,
+        """Run one job ``worker_id`` took from the queue through an
+        in-process :class:`~repro.service.worker.Worker`, whose transport
+        calls the lease verbs below directly. Cancel, preemption, failure
+        and fencing are decided by those verbs, as for a remote worker."""
+        from repro.service.http_api import LocalClient
+        from repro.service.worker import Worker
+
+        worker = Worker(
+            LocalClient(self, job),
+            worker_id=worker_id,
             fault_plan=self._fault_plan,
+            sleep=self._sleep,
+            testbed_factory=self.testbed,
         )
-        serial = isinstance(backend, SerialBackend)
-        chunk_size = 1 if serial else max(2, self.trial_jobs)
-        #: Transient-retry budget shared by every trial of this run.
-        budget = {"left": self.retry_budget}
-        #: Trials already recorded or quarantined (the serial retry path
-        #: below skips the ones the pool settled).
-        settled: set = set()
-
-        def quarantine(trial: TrialSpec, exc: BaseException) -> None:
-            settled.add(trial.trial_id)
-            self.record_remote_quarantine(
-                job.job_id, worker_id, token, trial.trial_id,
-                trial.fingerprint(), str(exc), error_class(exc),
-            )
-
-        def on_result(res: TrialResult) -> None:
-            settled.add(res.trial_id)
-            self.record_remote_result(job.job_id, worker_id, token, res)
-
-        def on_error(trial: TrialSpec, exc: BaseException) -> None:
-            # The pool already applied its own policy: a hung trial
-            # (watchdog/backstop) arrives as TrialHungError, a
-            # twice-crashing chunk as WorkerCrashError — both quarantine
-            # outright (WorkerCrashError is "transient once" and the pool
-            # spent that once; re-running the trial in-process could take
-            # the whole service down). Anything else transient falls
-            # through to the serial retry path below.
-            if isinstance(exc, WorkerCrashError) or not is_transient(exc):
-                quarantine(trial, exc)
-
-        for index in range(0, len(pending), chunk_size):
-            # --- trial/chunk boundary: the scheduling decisions ---------
-            # Heartbeat first: it keeps a job whose trials outlive
-            # ``lease_s`` from being reaped mid-run, and raises LeaseLost
-            # when the lease was already re-granted.
-            self._heartbeat(worker_id, job, token)
-            if self._stop.is_set():
-                self.remote_requeue(job.job_id, worker_id, token)
-                return
-            if job.cancel_requested:
-                self.remote_ack(job.job_id, worker_id, token)
-                return
-            top = self.queue.max_queued_priority()
-            if top is not None and top > job.priority:
-                self.remote_requeue(job.job_id, worker_id, token)
-                return
-            chunk = pending[index:index + chunk_size]
-            if len(chunk) > 1:
-                try:
-                    backend.run(testbed, chunk,
-                                on_result=on_result, on_error=on_error)
-                except (SimulatedCrash, LeaseLost, StaleTokenError):
-                    raise
-                except Exception:
-                    pass  # survivors fall through to the serial retry path
-            for trial in chunk:
-                if trial.trial_id in settled:
-                    continue
-                if len(chunk) > 1:
-                    self._heartbeat(worker_id, job, token)
-                result, wall, exc = run_with_retries(
-                    run_trial, testbed, trial,
-                    max_retries=self.max_retries,
-                    backoff_base_s=self.backoff_base_s,
-                    backoff_cap_s=self.backoff_cap_s,
-                    sleep=self._sleep, budget=budget,
-                    timeout_s=self.trial_timeout_s,
-                    fault_hook=self._fault_hook,
-                )
-                if result is not None:
-                    self.record_remote_result(
-                        job.job_id, worker_id, token, result, wall=wall
-                    )
-                else:
-                    quarantine(trial, exc)
-        self.remote_ack(job.job_id, worker_id, token)
-
-    def _heartbeat(self, worker_id: str, job: SweepJob, token: int) -> None:
-        """Extend this holder's lease; :class:`LeaseLost` means it was
-        reaped (possibly re-granted) and the caller must back away."""
-        if self._fault_hook is not None:
-            rule = self._fault_hook("lease.reap", job.job_id)
-            if rule is not None and rule.action == "reap":
-                # Fault injection: yank the lease out from under the live
-                # worker, exactly as a stalled heartbeat would experience.
-                self.queue.force_expire(job.job_id)
-        self.remote_heartbeat(job.job_id, worker_id, token)
+        worker.stop_event = self._stop  # Coordinator.stop drains it exactly
+        worker.register()
+        worker.run_one()
 
     # ------------------------------------------------------------------
-    # The lease verbs: served over HTTP to remote workers (see
-    # service/worker.py), called directly by the local threads above
+    # The lease verbs: served over HTTP to remote workers and in-process
+    # to the local threads' workers, both through http_api.worker_verb
     # ------------------------------------------------------------------
+    def worker_config(self) -> dict:
+        """The :data:`HANDSHAKE` every worker runs with."""
+        return {key: getattr(self, key) for key in HANDSHAKE}
+
     def register_worker(self, worker_id: str) -> dict:
-        """A remote worker announced itself. Returns the handshake config
-        the worker daemons run with (lease length drives their heartbeat
-        cadence). Registration is soft state: it expires ``worker_ttl_s``
-        after the worker's last contact and costs nothing to repeat."""
+        """A remote worker announced itself: returns :meth:`worker_config`.
+        Registration is soft state: it expires ``worker_ttl_s`` after the
+        worker's last contact and costs nothing to repeat."""
         with self._cond:
             self._remote_workers[worker_id] = time.monotonic()
-        return {
-            "worker_id": worker_id,
-            "lease_s": self.lease_s,
-            "worker_ttl_s": self.worker_ttl_s,
-            "trial_timeout_s": self.trial_timeout_s,
-        }
+        return {"worker_id": worker_id, **self.worker_config()}
 
     def touch_worker(self, worker_id: str) -> None:
         """Refresh a worker's last-seen stamp (every verb calls this)."""
@@ -532,30 +398,31 @@ class Coordinator:
     def remote_workers_active(self) -> bool:
         """True while at least one registered worker is fresh — the switch
         that stands the local execution threads down."""
-        now = time.monotonic()
-        with self._cond:
-            return any(
-                (now - seen) < self.worker_ttl_s
-                for seen in self._remote_workers.values()
-            )
+        return any(w["active"] for w in self.remote_workers())
 
     def lease_for_remote(
         self, worker_id: str, timeout: float = 0.0
     ) -> Optional[dict]:
-        """Lease one job to a remote worker. Returns None when nothing is
-        queued, else ``{"job": SweepJob, "token": int, "pending":
-        [TrialSpec, ...]}`` — see :meth:`_grant` for what ``pending``
-        leaves out."""
+        """Lease the best queued job to a worker and :meth:`grant` it
+        (None: nothing to run)."""
         self.touch_worker(worker_id)
         self.queue.reap_expired()
         job = self.queue.lease(worker_id, timeout=timeout, lease_s=self.lease_s)
+        return None if job is None else self.grant(job, worker_id)
+
+    def verdict(self, job_id: str) -> str:
+        """The server's word on a job, sent with every per-trial reply:
+        ``cancel`` once a cancel was requested (the holder acks), ``yield``
+        while a strictly higher priority is queued (it requeues), else
+        ``continue``."""
+        with self._cond:
+            job = self._jobs.get(job_id)
         if job is None:
-            return None
-        token = self.queue.lease_token(job.job_id, worker_id)
-        pending = self._grant(job, worker_id, token)
-        if pending is None:
-            return None
-        return {"job": job, "token": token, "pending": pending}
+            return CONTINUE
+        if job.cancel_requested:
+            return CANCEL
+        top = self.queue.max_queued_priority()
+        return YIELD if top is not None and top > job.priority else CONTINUE
 
     def remote_heartbeat(self, job_id: str, worker_id: str, token: int) -> None:
         """Extend a lease; :class:`LeaseLost` tells the lease holder its
@@ -584,11 +451,12 @@ class Coordinator:
         duplicated upload returns False without touching counters; (3) the
         run-table insert carries the token, so even a write racing the
         reap window is fenced by :class:`~repro.errors.StaleTokenError`.
-        Returns True when the result was new."""
+        Returns True when the result was new. Any other error fails the
+        job (see :meth:`_failing`)."""
         self.touch_worker(worker_id)
         job, lease = self._held(job_id, worker_id, token)
         store: ResultStore = lease["store"]
-        with lease["lock"]:
+        with self._failing(job, worker_id, token), lease["lock"]:
             if store.has(result.trial_id, result.fingerprint):
                 return False  # duplicated upload: one row, one counter bump
             store.put(result)
@@ -607,16 +475,14 @@ class Coordinator:
         error_class_name: str,
     ) -> None:
         """A lease holder gave up on one trial (permanent failure or
-        exhausted retries). Fenced and verified exactly like a result."""
+        exhausted retries). Fenced, verified and failed exactly like a
+        result."""
         self.touch_worker(worker_id)
         job, lease = self._held(job_id, worker_id, token)
-        with lease["lock"]:
-            # Replay dedup, mirroring the store.has check on the result
-            # path: a duplicated quarantine upload must land exactly one
-            # row *and* exactly one counter bump. The run-table row is the
-            # durable witness that this (trial, fingerprint) was already
-            # counted — _grant excludes quarantined trials from
-            # ``pending``, so a fresh grant never legitimately re-sends one.
+        with self._failing(job, worker_id, token), lease["lock"]:
+            # Replay dedup, as store.has on the result path: the run-table
+            # row witnesses that this (trial, fingerprint) was counted, and
+            # grant keeps quarantined trials out of ``pending``.
             if self.runtable.trial_status(
                     job.name, trial_id, fingerprint) == "quarantined":
                 return
@@ -675,45 +541,47 @@ class Coordinator:
     # ------------------------------------------------------------------
     # The lease bookkeeping behind the verbs
     # ------------------------------------------------------------------
-    def _grant(
-        self, job: SweepJob, worker_id: str, token: int
-    ) -> Optional[List[TrialSpec]]:
-        """Start ``worker_id``'s lease ``token`` on a freshly leased job
-        and return the trials it must execute (None: the job was cancelled
-        while queued, and is finalized here).
-
-        The job's fingerprinted store and the run-table are swept first:
-        cached results are recorded under this grant's token and
-        quarantined trials are counted, so the holder only ever executes
-        trials that actually need it — a resumed job never re-runs what a
-        previous incarnation finished, nor hangs on what it quarantined."""
+    def grant(self, job: SweepJob, worker_id: str) -> Optional[dict]:
+        """Start ``worker_id``'s lease on a job it just took from the
+        queue: ``{"job": SweepJob, "token": int, "pending": [TrialSpec,
+        ...]}``, or None when there is nothing to run (cancelled while
+        queued, or the grant failed). Cached results are recorded under
+        this grant's token and quarantined trials counted first, so a
+        resumed job never re-runs or re-hangs on what a previous
+        incarnation settled."""
+        token = self.queue.lease_token(job.job_id, worker_id)
         if job.cancel_requested:
             self.remote_ack(job.job_id, worker_id, token)
             return None
-        job.state = RUNNING
-        job.started_at = time.time()
-        job.completed = job.failed = job.quarantined = 0
-        self.runtable.upsert_job(job)
-        self._notify()
-        store = ResultStore(
-            self._store_path(job),
-            testbed_seed=job.testbed_seed,
-            experiment=job.name,
-            fault_hook=self._fault_hook,
-        )
         pending: List[TrialSpec] = []
-        for trial in job.trials:
-            cached = store.get(trial)
-            if cached is not None:
-                self._record_ok(job, cached, worker_id, token, replace=False)
-            elif self.runtable.trial_status(
-                job.name, trial.trial_id, trial.fingerprint()
-            ) == "quarantined":
-                job.quarantined += 1
+        try:
+            with self._failing(job, worker_id, token):
+                job.state = RUNNING
+                job.started_at = time.time()
+                job.completed = job.failed = job.quarantined = 0
                 self.runtable.upsert_job(job)
                 self._notify()
-            else:
-                pending.append(trial)
+                store = ResultStore(
+                    self._store_path(job),
+                    testbed_seed=job.testbed_seed,
+                    experiment=job.name,
+                    fault_hook=self._fault_hook,
+                )
+                for trial in job.trials:
+                    cached = store.get(trial)
+                    if cached is not None:
+                        self._record_ok(job, cached, worker_id, token,
+                                        replace=False)
+                    elif self.runtable.trial_status(
+                        job.name, trial.trial_id, trial.fingerprint()
+                    ) == "quarantined":
+                        job.quarantined += 1
+                        self.runtable.upsert_job(job)
+                        self._notify()
+                    else:
+                        pending.append(trial)
+        except LeaseLost:
+            return None
         with self._cond:
             self._leases[job.job_id] = {
                 "token": token, "store": store,
@@ -722,7 +590,28 @@ class Coordinator:
                 # its still-in-flight original on another handler thread.
                 "lock": threading.Lock(),
             }
-        return pending
+        return {"job": job, "token": token, "pending": pending}
+
+    @contextlib.contextmanager
+    def _failing(
+        self, job: SweepJob, worker_id: str, token: Optional[int] = None
+    ) -> Iterator[None]:
+        """The server-side failure rule. An error that outlived a step's
+        own retries (a corrupt store line, a store that would not save)
+        and is neither a back-away (:class:`LeaseLost`,
+        :class:`~repro.errors.StaleTokenError`) nor an injected crash
+        fails ``worker_id``'s job — unless its lease was lost meanwhile —
+        and raises :class:`LeaseLost`: the holder backs away."""
+        try:
+            yield
+        except (LeaseLost, StaleTokenError, SimulatedCrash):
+            raise
+        except Exception as exc:
+            with contextlib.suppress(LeaseLost):
+                self.queue.ack(job.job_id, worker_id, token)
+                job.error = f"coordinator error: {exc}\n{traceback.format_exc()}"
+                self._finalize(job, FAILED)
+            raise LeaseLost(f"job {job.job_id} failed: {exc}") from exc
 
     def _held(self, job_id: str, worker_id: str, token: int) -> Tuple[SweepJob, dict]:
         """The live job and lease context ``worker_id`` holds under

@@ -19,7 +19,6 @@ site                 key                          actions that make sense
 ``trial.run``        trial id                     raise / hang / kill / crash
 ``pool.worker``      trial id                     kill (os._exit in worker)
 ``client.request``   request path                 drop / truncate
-``lease.reap``       job id                       reap (force-expire lease)
 ``coordinator.record`` trial id                   kill / crash
 ``worker.request``   request path                 drop / delay / truncate
 ``worker.upload``    trial id                     drop / delay / truncate / duplicate
@@ -37,7 +36,7 @@ Every hookable object holds an optional ``fault_hook`` that defaults to
 ``None`` and is checked with a single ``is not None`` — production runs
 pay nothing. ``fire(site, key)`` performs raise/hang/kill/crash actions
 itself and *returns* the rule for caller-implemented actions (drop,
-truncate, reap), so call sites stay one line.
+truncate, duplicate), so call sites stay one line.
 
 Actions that must fire **exactly once across processes and restarts**
 (killing a pool worker, killing the coordinator) set ``once=True`` and
@@ -55,7 +54,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import SimulatedCrash
 
@@ -74,8 +73,8 @@ _EXC_FACTORIES = {
 }
 
 _ACTIONS = frozenset(
-    {"raise", "hang", "kill", "crash", "drop", "truncate", "reap",
-     "delay", "duplicate"}
+    {"raise", "hang", "kill", "crash", "drop", "truncate", "delay",
+     "duplicate"}
 )
 
 
@@ -179,7 +178,7 @@ class FaultPlan:
 
         raise/hang/kill/crash are performed here, and so is the sleep half
         of ``delay`` (the caller then proceeds normally — a slow link, not
-        a dead one); drop/truncate/reap/duplicate are returned for the
+        a dead one); drop/truncate/duplicate are returned for the
         caller to implement (first due rule wins).
         """
         due: List[FaultRule] = []
@@ -298,8 +297,7 @@ def canned_plan(name: str, state_dir: Optional[str] = None) -> FaultPlan:
 
     * ``smoke-chaos`` — the subprocess chaos-smoke script: one injected
       store write error (absorbed by the save retry), a sqlite busy burst
-      (absorbed by the busy retry), one killed pool worker (chunk
-      requeued into a fresh pool), and one coordinator ``kill`` after the
+      (absorbed by the busy retry), and one coordinator ``kill`` after the
       second recorded trial (the harness restarts the server, which finds
       the token file and stays up).
     * ``worker-chaos`` — the remote-worker transport script: a delayed
@@ -334,8 +332,6 @@ def canned_plan(name: str, state_dir: Optional[str] = None) -> FaultPlan:
                           exc="sqlite3.OperationalError",
                           message="database is locked (injected)",
                           nth=4, times=2),
-                FaultRule(site="pool.worker", action="kill", nth=1,
-                          once=True),
                 FaultRule(site="coordinator.record", action="kill", nth=2,
                           once=True),
             ],
@@ -376,7 +372,3 @@ __all__ = [
     "describe",
 ]
 
-
-def _counts(plan: FaultPlan) -> Dict[str, Any]:  # pragma: no cover
-    """Debug view of per-rule call counters."""
-    return {f"{r.site}[{r.key or '*'}]": r.calls for r in plan.rules}

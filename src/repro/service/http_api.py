@@ -7,7 +7,7 @@ Server: a :class:`ThreadingHTTPServer` over a :class:`Coordinator`.
 ``POST /jobs``                   submit a sweep (wire spec or named builder)
 ``GET  /jobs``                   newest-first job listing
 ``GET  /jobs/<id>``              progress; ``?wait=S&cursor=N`` long-polls
-``POST /jobs/<id>/cancel``       cancel (honored at the next trial boundary)
+``POST /jobs/<id>/cancel``       cancel (within one trial, on either path)
 ``GET  /runs``                   recent run-table rows + per-experiment counts
 ``GET  /runs/summary``           percentiles/summary of a metric
 ``POST /runs/prune``             retention: drop old rows, checkpoint WAL
@@ -24,7 +24,9 @@ Server: a :class:`ThreadingHTTPServer` over a :class:`Coordinator`.
 The worker verbs (see ``repro.service.worker``) carry ``worker_id`` and
 the lease's **fencing token** in every body; a stale lease maps to HTTP
 409 with ``code`` ``lease_lost`` or ``stale_token`` — the reply that
-tells a zombie worker to back away.
+tells a zombie worker to back away. :func:`worker_verb` answers them, for
+the HTTP handler and for :class:`LocalClient`, the in-process transport
+the coordinator's own threads use.
 
 Submit bodies (JSON)::
 
@@ -78,7 +80,7 @@ from repro.experiments.runners import SWEEP_BUILDERS, ExperimentScale
 from repro.experiments.scenarios import ScenarioError
 from repro.experiments.spec import TrialResult, experiment_from_wire
 from repro.service.coordinator import Coordinator
-from repro.service.jobs import TERMINAL_STATES, new_job
+from repro.service.jobs import TERMINAL_STATES, SweepJob, new_job
 from repro.service.queue import LeaseLost
 
 #: Cap on ?wait= so a stalled client cannot pin a server thread forever.
@@ -122,6 +124,91 @@ def _query_num(query: Dict[str, str], key: str, default, parse):
         )
 
 
+def worker_verb(co: Coordinator, verb: str, body: dict) -> dict:
+    """Answer one ``POST /workers/<verb>``: parse ``body``, call the
+    coordinator's lease verb, build the reply — including the back-away
+    signal, a 409 :class:`ApiError` for :class:`LeaseLost` /
+    :class:`~repro.errors.StaleTokenError`. Upload and quarantine replies
+    carry the job's ``verdict`` (see ``Coordinator.verdict``)."""
+    with _back_away():
+        return _worker_verb(co, verb, body)
+
+
+@contextlib.contextmanager
+def _back_away() -> Iterator[None]:
+    try:
+        yield
+    except LeaseLost as exc:
+        raise ApiError(409, str(exc), code="lease_lost") from exc
+    except StaleTokenError as exc:
+        raise ApiError(409, str(exc), code="stale_token") from exc
+
+
+def _worker_verb(co: Coordinator, verb: str, body: dict) -> dict:
+    worker_id = body.get("worker_id")
+    if not isinstance(worker_id, str) or not worker_id:
+        raise ApiError(400, "body needs a non-empty 'worker_id'")
+
+    if verb == "register":
+        return co.register_worker(worker_id)
+
+    if verb == "lease":
+        timeout = min(float(body.get("timeout", 0.0) or 0.0), MAX_LONG_POLL_S)
+        return _lease_reply(co.lease_for_remote(worker_id, timeout=timeout))
+
+    # Every verb below acts on an existing lease: job_id + token.
+    job_id = body.get("job_id")
+    token = body.get("token")
+    if not isinstance(job_id, str) or not job_id:
+        raise ApiError(400, "body needs a non-empty 'job_id'")
+    if not isinstance(token, int):
+        raise ApiError(400, "body needs an integer fencing 'token'")
+
+    if verb == "heartbeat":
+        co.remote_heartbeat(job_id, worker_id, token)
+        return {"ok": True}
+    if verb == "upload":
+        try:
+            result = TrialResult.from_json(body["result"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ApiError(400, f"bad wire TrialResult: {exc}")
+        wall = body.get("wall")
+        recorded = co.record_remote_result(
+            job_id, worker_id, token, result,
+            wall=None if wall is None else float(wall),
+        )
+        return {"recorded": recorded, "verdict": co.verdict(job_id)}
+    if verb == "quarantine":
+        try:
+            trial_id = str(body["trial_id"])
+            fingerprint = str(body["fingerprint"])
+            error = str(body["error"])
+            error_class_name = str(body.get("error_class", "RuntimeError"))
+        except KeyError as exc:
+            raise ApiError(400, f"quarantine body missing {exc}")
+        co.record_remote_quarantine(
+            job_id, worker_id, token, trial_id, fingerprint,
+            error, error_class_name,
+        )
+        return {"ok": True, "verdict": co.verdict(job_id)}
+    if verb == "ack":
+        return co.remote_ack(job_id, worker_id, token)
+    if verb == "requeue":
+        co.remote_requeue(job_id, worker_id, token)
+        return {"ok": True}
+    raise ApiError(404, f"no worker verb {verb!r}")
+
+
+def _lease_reply(leased: Optional[dict]) -> dict:
+    if leased is None:
+        return {"job": None}
+    return {
+        "job": leased["job"].to_wire(),
+        "token": leased["token"],
+        "pending": [t.to_wire() for t in leased["pending"]],
+    }
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
@@ -153,14 +240,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             payload = self._route(method, parts, query)
         except ApiError as exc:
-            self._send(exc.status, {"error": str(exc)})
-        except LeaseLost as exc:
-            # 409: the caller's lease was reaped (and possibly re-granted).
-            # ``code`` lets a worker distinguish "back away" from a plain
-            # error without parsing the message text.
-            self._send(409, {"error": str(exc), "code": "lease_lost"})
-        except StaleTokenError as exc:
-            self._send(409, {"error": str(exc), "code": "stale_token"})
+            reply = {"error": str(exc)}
+            if exc.code is not None:
+                reply["code"] = exc.code
+            self._send(exc.status, reply)
         except TimeoutError:
             # The connection socket timed out mid-read: the client went
             # away or stalled. Drop the connection; there is nobody to
@@ -179,8 +262,10 @@ class _Handler(BaseHTTPRequestHandler):
             return self._route_jobs(method, parts, query, co)
         if parts[:1] == ["runs"]:
             return self._route_runs(method, parts, query, co)
-        if parts[:1] == ["workers"]:
-            return self._route_workers(method, parts, co)
+        if parts[:1] == ["workers"] and method == "GET" and len(parts) == 1:
+            return {"workers": co.remote_workers()}
+        if parts[:1] == ["workers"] and method == "POST" and len(parts) == 2:
+            return worker_verb(co, parts[1], self._read_body())
         raise ApiError(404, f"no route {method} /{'/'.join(parts)}")
 
     def _route_jobs(self, method, parts, query, co: Coordinator) -> dict:
@@ -259,75 +344,6 @@ class _Handler(BaseHTTPRequestHandler):
         raise ApiError(404, f"no route GET /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------
-    def _route_workers(self, method, parts, co: Coordinator) -> dict:
-        if method == "GET" and len(parts) == 1:
-            return {"workers": co.remote_workers()}
-        if method != "POST" or len(parts) != 2:
-            raise ApiError(404, f"no route {method} /{'/'.join(parts)}")
-        verb = parts[1]
-        body = self._read_body()
-        worker_id = body.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            raise ApiError(400, "body needs a non-empty 'worker_id'")
-
-        if verb == "register":
-            return co.register_worker(worker_id)
-
-        if verb == "lease":
-            timeout = min(
-                float(body.get("timeout", 0.0) or 0.0), MAX_LONG_POLL_S
-            )
-            leased = co.lease_for_remote(worker_id, timeout=timeout)
-            if leased is None:
-                return {"job": None}
-            return {
-                "job": leased["job"].to_wire(),
-                "token": leased["token"],
-                "pending": [t.to_wire() for t in leased["pending"]],
-            }
-
-        # Every verb below acts on an existing lease: job_id + token.
-        job_id = body.get("job_id")
-        token = body.get("token")
-        if not isinstance(job_id, str) or not job_id:
-            raise ApiError(400, "body needs a non-empty 'job_id'")
-        if not isinstance(token, int):
-            raise ApiError(400, "body needs an integer fencing 'token'")
-
-        if verb == "heartbeat":
-            co.remote_heartbeat(job_id, worker_id, token)
-            return {"ok": True}
-        if verb == "upload":
-            try:
-                result = TrialResult.from_json(body["result"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ApiError(400, f"bad wire TrialResult: {exc}")
-            wall = body.get("wall")
-            recorded = co.record_remote_result(
-                job_id, worker_id, token, result,
-                wall=None if wall is None else float(wall),
-            )
-            return {"recorded": recorded}
-        if verb == "quarantine":
-            try:
-                trial_id = str(body["trial_id"])
-                fingerprint = str(body["fingerprint"])
-                error = str(body["error"])
-                error_class_name = str(body.get("error_class", "RuntimeError"))
-            except KeyError as exc:
-                raise ApiError(400, f"quarantine body missing {exc}")
-            co.record_remote_quarantine(
-                job_id, worker_id, token, trial_id, fingerprint,
-                error, error_class_name,
-            )
-            return {"ok": True}
-        if verb == "ack":
-            return co.remote_ack(job_id, worker_id, token)
-        if verb == "requeue":
-            co.remote_requeue(job_id, worker_id, token)
-            return {"ok": True}
-        raise ApiError(404, f"no worker verb {verb!r}")
-
     # ------------------------------------------------------------------
     def _read_body(self) -> dict:
         """Read and parse the JSON request body, bounded by
@@ -894,3 +910,61 @@ def _closed_on_error(conn: http.client.HTTPConnection) -> Iterator[None]:
             # by OSError.
             raise OSError(f"malformed reply: {exc!r}") from exc
         raise
+
+
+class LocalClient:
+    """The in-process transport of the coordinator's own threads: the
+    fleet verbs of :class:`ServiceClient`, their request bodies built by
+    the same code, answered by :func:`worker_verb` on the coordinator
+    directly — no HTTP, no JSON encoding. A verb runs when it is sent;
+    an :class:`ApiError` waits for ``result()``, where the wire raises it.
+
+    ``lease_job`` grants the one job the calling thread already took from
+    the queue. ``register_worker`` returns the handshake config without
+    joining the remote registry, whose live workers stand the local
+    threads down."""
+
+    def __init__(self, coordinator: Coordinator, job: SweepJob):
+        self._co = coordinator
+        self._job: Optional[SweepJob] = job
+
+    def register_worker(self, worker_id: str) -> dict:
+        return {"worker_id": worker_id, **self._co.worker_config()}
+
+    def lease_job(self, worker_id: str, timeout: float = 0.0) -> dict:
+        job, self._job = self._job, None
+        if job is None:
+            return {"job": None}
+        with _back_away():
+            return _lease_reply(self._co.grant(job, worker_id))
+
+    heartbeat = ServiceClient.heartbeat
+    send_upload = ServiceClient.send_upload
+    send_quarantine = ServiceClient.send_quarantine
+    ack_job = ServiceClient.ack_job
+    requeue_job = ServiceClient.requeue_job
+    _request = ServiceClient._request
+
+    def _send(self, method: str, path: str, body: dict, **kwargs) -> "_Answered":
+        verb = path.rsplit("/", 1)[-1]
+        return _Answered(lambda: worker_verb(self._co, verb, body))
+
+    def disconnect(self) -> None:
+        pass  # no connection to close
+
+    close = disconnect
+
+
+class _Answered:
+    """A reply that was ready when its request was sent."""
+
+    def __init__(self, answer: Callable[[], dict]):
+        try:
+            self._reply, self._error = answer(), None
+        except ApiError as exc:
+            self._reply, self._error = None, exc
+
+    def result(self) -> dict:
+        if self._error is not None:
+            raise self._error
+        return self._reply

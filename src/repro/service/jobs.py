@@ -41,6 +41,12 @@ TERMINAL_STATES = frozenset({DONE, DONE_PARTIAL, FAILED, CANCELLED})
 
 ALL_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
 
+#: The server's verdict on a leased job, sent with every per-trial reply
+#: (see ``Coordinator.verdict``): go on, stop and ack, or requeue.
+CONTINUE = "continue"
+CANCEL = "cancel"
+YIELD = "yield"
+
 
 @dataclass
 class SweepJob:
@@ -76,16 +82,12 @@ class SweepJob:
     attempt: int = 0
     error: Optional[str] = None
     idempotency_key: Optional[str] = None
-    #: Set by cancel(); the coordinator honors it at the next trial boundary.
+    #: Set by cancel(); the holder reads it as the ``cancel`` verdict.
     cancel_requested: bool = field(default=False, compare=False)
 
     @property
     def total(self) -> int:
         return len(self.trials)
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
 
     def progress(self) -> dict:
         """The JSON-ready view the HTTP status/tail endpoints serve."""

@@ -1,15 +1,18 @@
-"""Remote worker daemon: leases jobs over HTTP and executes them locally.
+"""The service's one trial loop: a worker leases jobs and runs them.
 
 One :class:`Worker` is the client half of the lease protocol the
-coordinator serves (``/workers/*`` in ``http_api.py``)::
+coordinator serves (``http_api.worker_verb``): ``cli work`` runs it over
+HTTP (:class:`~repro.service.http_api.ServiceClient`), the coordinator's
+own threads over :class:`~repro.service.http_api.LocalClient`, which calls
+the same verbs in-process::
 
     caller thread   register ─> lease ─> run trial n ─> read reply n-1 ─┐
                                   ^         ^    send verb n (upload, or │
                                   │         │    quarantine) ────────────┘
                                   │         └─── per pending trial
                                   └── read the last reply; ack (all trials
-                                      walked) / requeue (draining) /
-                                      abandon (lease lost)
+                                      walked, or cancel) / requeue (yield,
+                                      draining) / abandon (lease lost)
 
     heartbeat thread  ───── (background, every min(lease_s, worker_ttl_s)/3)
 
@@ -20,8 +23,11 @@ backoff happens when a reply is read. In flight at any moment: at most one
 trial being computed and one verb unanswered, in trial order on one
 kept-alive connection — so a killed worker loses at most two trials, both
 re-executed bit-identically by the next lease holder. The loop changes
-course only at trial boundaries, and the job's outcome is decided only
-after the last reply was read: ``ack`` follows every upload answered
+course only at trial boundaries, as each reply's ``verdict`` says
+(``cancel``: no more trials, then ack; ``yield``: requeue; missing:
+continue) — read one trial late, so within one trial — or as the worker's
+own ``stop_event`` says, exactly. The job's outcome is decided only after
+the last reply was read: ``ack`` follows every upload answered
 ``recorded``, ``requeue`` follows every finished trial uploaded.
 
 Safety rests on three server-side properties, so the worker itself can be
@@ -29,8 +35,8 @@ dumb and stateless:
 
 * every lease carries a **fencing token**; the worker attaches it to every
   verb, and the first 409 reply (``lease_lost`` / ``stale_token``) means
-  the lease was reaped during a partition — the worker *abandons* the job
-  on the spot and sends nothing further (the new holder owns the job);
+  the lease was reaped during a partition, or the server failed the job —
+  the worker *abandons* the job on the spot and sends nothing further;
 * uploads are **idempotent**: the coordinator dedups by (trial_id,
   fingerprint) under the token, so the worker resends on transport
   failures freely — a truncated response or a duplicated send lands one
@@ -39,11 +45,12 @@ dumb and stateless:
   ``ack`` — a worker cannot claim progress it did not upload, and
   because ``ack`` follows the last reply, never progress still in flight.
 
-The fault wrapper :meth:`Worker._send` fires the fault sites
-``worker.request`` / ``worker.upload`` / ``worker.heartbeat`` (actions
-``drop``, ``delay``, ``truncate``, ``duplicate`` — see
-``repro.service.faults``), which is how CI injects partitions, slow
-links, and duplicated uploads deterministically.
+Trials retry under the server's policy (the register handshake). The fault
+wrapper :meth:`Worker._send` fires the fault sites ``worker.request`` /
+``worker.upload`` / ``worker.heartbeat`` (actions ``drop``, ``delay``,
+``truncate``, ``duplicate`` — see ``repro.service.faults``), which is how
+CI injects partitions, slow links, and duplicated uploads
+deterministically; the trials fire ``trial.run``.
 
 Execution is serial and in-process: the *fleet* is the parallelism unit
 (one daemon per core/host), and serial execution keeps results
@@ -63,9 +70,10 @@ from repro.errors import error_class
 from repro.experiments.executor import run_trial, run_with_retries
 from repro.experiments.spec import TrialSpec
 from repro.net.testbed import Testbed
+from repro.service.coordinator import HANDSHAKE
 from repro.service.faults import FaultPlan
 from repro.service.http_api import ApiError, ServiceClient
-from repro.service.jobs import SweepJob
+from repro.service.jobs import CANCEL, CONTINUE, YIELD, SweepJob
 
 #: What reads a sent verb's reply (``Reply.result``).
 _Reader = Callable[[], Any]
@@ -78,7 +86,7 @@ _Verb = Tuple[str, str, _Sender]
 IDLE = None            # nothing leased
 ACKED = "acked"        # walked every trial, server finalized the job
 ABANDONED = "abandoned"  # lease lost (or server unreachable): backed away
-REQUEUED = "requeued"  # graceful give-back while draining
+REQUEUED = "requeued"  # gave the job back: a yield verdict, or draining
 
 
 def _answered(out: Any) -> _Reader:
@@ -92,11 +100,12 @@ def default_worker_id() -> str:
 
 
 class Worker:
-    """One worker daemon bound to a :class:`ServiceClient`.
+    """One worker bound to a transport (:class:`ServiceClient` or
+    :class:`~repro.service.http_api.LocalClient`).
 
-    ``fault_plan`` here is the *worker-side* plan: its ``worker.*`` sites
-    fire in this process's transport, independent of whatever plan the
-    server runs. ``sleep`` is injectable so retry/poll tests are instant.
+    ``fault_plan`` fires in this worker's transport and trials; a
+    ``cli work`` daemon's plan is independent of whatever plan the server
+    runs. ``sleep`` is injectable so retry/poll tests are instant.
     """
 
     def __init__(
@@ -105,7 +114,6 @@ class Worker:
         worker_id: Optional[str] = None,
         poll_s: float = 1.0,
         upload_retries: int = 2,
-        trial_retries: int = 2,
         fault_plan: Optional[FaultPlan] = None,
         sleep: Callable[[float], None] = time.sleep,
         testbed_factory: Callable[[int], Testbed] = None,
@@ -114,17 +122,21 @@ class Worker:
         self.worker_id = worker_id or default_worker_id()
         self.poll_s = poll_s
         self.upload_retries = upload_retries
-        self.trial_retries = trial_retries
         self._fault_hook = None if fault_plan is None else fault_plan.fire
         self._sleep = sleep
         self._testbed_factory = testbed_factory or (
             lambda seed: Testbed(seed=seed)
         )
         self._testbeds: Dict[int, Testbed] = {}
-        #: Filled by the register handshake.
+        #: The HANDSHAKE, filled by register (until then: the
+        #: coordinator's defaults, and a 60 s lease).
         self.lease_s: float = 60.0
         self.worker_ttl_s: float = 60.0
         self.trial_timeout_s: Optional[float] = None
+        self.max_retries = 2
+        self.retry_budget = 16
+        self.backoff_base_s = 0.1
+        self.backoff_cap_s = 5.0
         self.stop_event = threading.Event()
         #: Counters for the daemon's exit report (and tests).
         self.stats = {"jobs": 0, "acked": 0, "abandoned": 0,
@@ -169,8 +181,8 @@ class Worker:
     # ------------------------------------------------------------------
     def register(self, retries: int = 5) -> dict:
         """Handshake: announce this worker, adopt the server's lease
-        length and worker ttl (together they drive the heartbeat cadence)
-        and its trial watchdog budget."""
+        length and worker ttl (together they drive the heartbeat cadence),
+        its trial watchdog budget and its retry policy."""
         last: Optional[Exception] = None
         for attempt in range(retries):
             try:
@@ -178,10 +190,8 @@ class Worker:
                     "worker.request", "register",
                     lambda: self.client.register_worker(self.worker_id),
                 )
-                self.lease_s = float(cfg.get("lease_s", self.lease_s))
-                self.worker_ttl_s = float(cfg.get("worker_ttl_s", self.worker_ttl_s))
-                timeout = cfg.get("trial_timeout_s")
-                self.trial_timeout_s = None if timeout is None else float(timeout)
+                for key in HANDSHAKE:
+                    setattr(self, key, cfg.get(key, getattr(self, key)))
                 return cfg
             except OSError as exc:
                 last = exc
@@ -262,30 +272,34 @@ class Worker:
             daemon=True,
         )
         hb.start()
-        draining = False
+        #: Transient-retry budget every trial of this lease draws from.
+        budget = {"left": self.retry_budget}
+        verdict = CONTINUE
+        give_back = False
         # The previous trial's verb and what reads its reply: unanswered.
         inflight: Optional[Tuple[_Verb, _Reader]] = None
         try:
             for trial in pending:
                 # Trial boundary: the only places a worker changes course.
-                if lost.is_set():
+                if lost.is_set() or verdict == CANCEL:
                     break
-                if self.stop_event.is_set():
-                    draining = True
+                if verdict == YIELD or self.stop_event.is_set():
+                    give_back = True
                     break
-                # A small transient-retry loop: first-line absorption (the
-                # server also quarantines what this worker reports).
                 result, wall, exc = run_with_retries(
                     run_trial, testbed, trial,
-                    max_retries=self.trial_retries,
-                    backoff_base_s=0.1, backoff_cap_s=2.0,
-                    sleep=self._sleep, timeout_s=self.trial_timeout_s,
+                    max_retries=self.max_retries,
+                    backoff_base_s=self.backoff_base_s,
+                    backoff_cap_s=self.backoff_cap_s,
+                    sleep=self._sleep, budget=budget,
+                    timeout_s=self.trial_timeout_s,
+                    fault_hook=self._fault_hook,
                 )
                 self.stats["trials"] += 1
                 if inflight is not None:
                     # Depth 1: the previous verb is answered before this one
                     # leaves, so a kill loses at most two trials.
-                    self._deliver(*inflight, lost)
+                    verdict = self._deliver(*inflight, lost)
                     inflight = None
                     if lost.is_set():
                         break
@@ -304,9 +318,7 @@ class Worker:
         # only here is the job's outcome decided.
         if lost.is_set():
             return ABANDONED
-        if draining:
-            return self._requeue(job.job_id, token)
-        return self._ack(job.job_id, token)
+        return self._close(job.job_id, token, requeue=give_back)
 
     def _heartbeat_loop(
         self,
@@ -354,53 +366,44 @@ class Worker:
             str(exc), error_class(exc),
         ).result
 
-    def _deliver(self, verb: _Verb, receive: _Reader, lost: threading.Event) -> None:
+    def _deliver(self, verb: _Verb, receive: _Reader, lost: threading.Event) -> str:
         """Read the reply of one fenced, idempotent per-trial verb (upload
-        or quarantine), resending it on transport failures. Sets ``lost``
-        to back away: on a 409, or when the server is unreachable past the
-        retry budget — the lease will be reaped, and re-sending later
-        would be fenced. A non-409 :class:`ApiError` is raised."""
+        or quarantine), resending it on transport failures, and return the
+        server's verdict on the job. Sets ``lost`` to back away: on a 409,
+        or when the server is unreachable past the retry budget — the
+        lease will be reaped, and re-sending later would be fenced. A
+        non-409 :class:`ApiError` is raised."""
         trial_id, stat, send = verb
         for attempt in range(self.upload_retries + 1):
             try:
-                receive()
+                reply = receive()
                 self.stats[stat] += 1
-                return
+                return reply.get("verdict", CONTINUE)
             except ApiError as exc:
                 if exc.status != 409:
                     raise
                 lost.set()
-                return
+                return CONTINUE
             except OSError:
                 if attempt == self.upload_retries or lost.is_set():
                     lost.set()
-                    return
+                    return CONTINUE
                 self._sleep(min(2.0, 0.2 * (2 ** attempt)))
                 receive = self._send("worker.upload", trial_id, send)
 
-    def _ack(self, job_id: str, token: int) -> str:
+    def _close(self, job_id: str, token: int, requeue: bool) -> str:
+        """End the lease: ``requeue`` gives the job back, else ``ack``."""
+        send = self.client.requeue_job if requeue else self.client.ack_job
         try:
-            self._call(
-                "worker.request", "ack",
-                lambda: self.client.ack_job(job_id, self.worker_id, token),
-            )
-            return ACKED
+            self._call("worker.request", "requeue" if requeue else "ack",
+                       lambda: send(job_id, self.worker_id, token))
         except (ApiError, OSError):
             # 409: someone else owns the job now. Transport-dead: the
             # lease will be reaped and the (fully uploaded) job re-leased,
             # where the server-side cache sweep finishes it without
             # re-running anything. Either way: back away.
             return ABANDONED
-
-    def _requeue(self, job_id: str, token: int) -> str:
-        try:
-            self._call(
-                "worker.request", "requeue",
-                lambda: self.client.requeue_job(job_id, self.worker_id, token),
-            )
-            return REQUEUED
-        except (ApiError, OSError):
-            return ABANDONED
+        return REQUEUED if requeue else ACKED
 
     # ------------------------------------------------------------------
     def _testbed(self, seed: int) -> Testbed:

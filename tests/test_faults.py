@@ -196,9 +196,8 @@ class TestCannedPlans:
     def test_canned_names(self):
         assert canned_plan("none").rules == []
         smoke = canned_plan("smoke-chaos")
-        assert {r.site for r in smoke.rules} >= {
-            "store.save", "runtable.execute", "pool.worker",
-            "coordinator.record",
+        assert {r.site for r in smoke.rules} == {
+            "store.save", "runtable.execute", "coordinator.record",
         }
         with pytest.raises(ValueError, match="unknown canned"):
             canned_plan("nope")

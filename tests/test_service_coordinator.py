@@ -1,13 +1,15 @@
 """Coordinator scheduling: retries, preemption, cancellation, crash-resume.
 
-Logic tests monkeypatch ``repro.service.coordinator.run_trial`` with a
-scripted fake (and a SimpleNamespace testbed), so they run in
-milliseconds; the bit-identical and crash-resume acceptance tests execute
-real trials against a shared Testbed.
+Logic tests monkeypatch ``repro.service.worker.run_trial`` (the coordinator
+runs its jobs through an in-process ``Worker``) with a scripted fake (and a
+SimpleNamespace testbed), so they run in milliseconds; the bit-identical
+and crash-resume acceptance tests execute real trials against a shared
+Testbed.
 """
 
 import os
 import shutil
+import time
 import types
 
 import pytest
@@ -86,7 +88,7 @@ class FakeRunTrial:
 @pytest.fixture
 def fake(monkeypatch):
     runner = FakeRunTrial()
-    monkeypatch.setattr("repro.service.coordinator.run_trial", runner)
+    monkeypatch.setattr("repro.service.worker.run_trial", runner)
     return runner
 
 
@@ -214,15 +216,26 @@ class TestSchedulingLogic:
         assert co.runtable.get_job(job_id).state == CANCELLED
 
     def test_cancel_mid_run_stops_at_the_boundary(self, co, fake):
-        job_id = co.submit(new_job("midrun", _trials(3)))
-        fake.hook = lambda trial: co.cancel(job_id)
+        """The contract: a cancel requested during t/0 of 6 lands within
+        one trial (the worker reads the server's verdict one trial late),
+        and the job ends cancelled with every trial it ran counted."""
+        job_id = co.submit(new_job("midrun", _trials(6)))
+
+        def cancel(trial):
+            fake.hook = None  # only once
+            co.cancel(job_id)
+
+        fake.hook = cancel
         done = co.run_once()
         assert done.state == CANCELLED
-        assert done.completed == 1  # first trial finished, boundary cancelled
-        assert fake.calls == ["t/0"]
+        assert fake.calls in (["t/0"], ["t/0", "t/1"])
+        assert done.completed == len(fake.calls)
 
     def test_higher_priority_preempts_at_the_boundary(self, co, fake):
-        low_id = co.submit(new_job("low", _trials(3, "low"), priority=0))
+        """The contract: a priority-5 job submitted during low/0 of 6
+        requeues the low job within one trial, the high job runs next, and
+        no low trial re-runs after the resume."""
+        low_id = co.submit(new_job("low", _trials(6, "low"), priority=0))
 
         def submit_high(trial):
             fake.hook = None  # only once
@@ -231,16 +244,18 @@ class TestSchedulingLogic:
         fake.hook = submit_high
         preempted = co.run_once()
         assert preempted.job_id == low_id and preempted.state == QUEUED
-        assert fake.calls == ["low/0"]
+        ran = list(fake.calls)
+        assert ran in (["low/0"], ["low/0", "low/1"])
 
         high = co.run_once()
         assert high.name == "high" and high.state == DONE
 
         resumed = co.run_once()
         assert resumed.job_id == low_id and resumed.state == DONE
-        assert resumed.completed == 3
-        # low/0 was served from the fingerprinted store, never re-executed
-        assert fake.calls == ["low/0", "high/0", "low/1", "low/2"]
+        assert resumed.completed == 6
+        # what ran before the preemption was served from the store
+        assert fake.calls == ran + ["high/0"] + [
+            f"low/{i}" for i in range(len(ran), 6)]
 
     def test_stop_requeues_and_resume_serves_from_cache(self, co, fake):
         co.submit(new_job("stopme", _trials(3)))
@@ -300,15 +315,21 @@ class TestLeaseHeartbeat:
         return co, queue, clock
 
     def test_long_job_is_not_reaped_mid_run(self, tmp_path, fake):
-        """Three 4s trials under a 5s lease: without the per-boundary
-        heartbeat, another worker's reaper would re-lease the job mid-run
-        and both workers would execute (and finalize) it."""
-        co, queue, clock = self._co(tmp_path, lease_s=5.0)
+        """Three 0.4 s trials under a 0.6 s lease: without the worker's
+        heartbeat thread (every lease/3), another worker's reaper would
+        re-lease the job mid-run and both workers would execute (and
+        finalize) it."""
+        co = Coordinator(
+            str(tmp_path / "svc"),
+            lease_s=0.6,
+            sleep=lambda s: None,
+            testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
+        )
         reaped = []
 
         def tick(trial):
-            clock.now += 4.0  # each trial eats most of the lease
-            reaped.extend(queue.reap_expired())  # another worker's reaper
+            time.sleep(0.4)  # each trial eats most of the lease
+            reaped.extend(co.queue.reap_expired())  # another worker's reaper
 
         fake.hook = tick
         co.submit(new_job("slow", _trials(3)))
@@ -333,9 +354,10 @@ class TestLeaseHeartbeat:
 
         fake.hook = expire_and_steal
         job_id = co.submit(new_job("stolen", _trials(3)))
-        job = co.run_once()  # runs t/0, whose record then bounces
+        # Runs t/0, whose record bounces, and t/1 before reading the 409.
+        job = co.run_once()
         assert job.state == RUNNING  # the stale worker never finalized it
-        assert fake.calls == ["t/0"]
+        assert fake.calls == ["t/0", "t/1"]
         assert co.runtable.get_job(job_id).state == RUNNING
         assert job.completed == 0
         assert co.runtable.trial_count(experiment="stolen") == 0
@@ -344,7 +366,7 @@ class TestLeaseHeartbeat:
         # the thief re-runs t/0 and finishes the job
         co._run_job("w-thief", job)
         assert job.state == DONE and job.completed == 3
-        assert fake.calls == ["t/0", "t/0", "t/1", "t/2"]
+        assert fake.calls == ["t/0", "t/1", "t/0", "t/1", "t/2"]
         serial = {t.trial_id: FakeRunTrial()(None, t) for t in _trials(3)}
         assert {r.trial_id: r for r in co.runtable.results("stolen")} == serial
         assert co.runtable.trial_count(experiment="stolen") == 3
@@ -404,7 +426,7 @@ class TestLeaseHeartbeat:
         job = co.run_once()
         assert job.job_id == job_id
         assert tokens[0] is not None  # the local write carried its token
-        assert fake.calls == ["t/0"]
+        assert fake.calls == ["t/0", "t/1"]  # the 409 is read after t/1
         assert job.state == RUNNING and job.error is None
         assert co.runtable.get_job(job_id).state == RUNNING
         co.runtable.close()
@@ -440,13 +462,15 @@ class TestJobRowTracksLiveJob:
             if len(seen) == 4:
                 raise KeyboardInterrupt  # kill -9 before the fourth trial
 
-        monkeypatch.setattr("repro.service.coordinator.run_trial",
+        monkeypatch.setattr("repro.service.worker.run_trial",
                             FakeRunTrial(hook=hook))
         job_id = co.submit(new_job("sweep", _trials(6)))
         with pytest.raises(KeyboardInterrupt):
             co.run_once()
         assert seen == [0, 1, 2, 3]
-        assert wires == [job_id]  # serialised by submit, never again
+        # Serialised by submit and by the grant's lease reply, never by a
+        # progress upsert.
+        assert wires == [job_id] * 2
         live = co._jobs[job_id]
         co.runtable.close()
 
@@ -466,7 +490,7 @@ class TestJobRowTracksLiveJob:
         assert seen[4:] == [3, 4, 5]  # three from the store, three run
         assert reopened.runtable.get_job(job_id) == done
         assert reopened.job_progress(job_id) == done.progress()
-        assert wires == [job_id]
+        assert wires == [job_id] * 3  # one more grant
         reopened.runtable.close()
 
 
@@ -507,7 +531,7 @@ class TestAgainstRealTrials:
             calls1.append(trial.trial_id)
             return real_run_trial(tb, trial)
 
-        monkeypatch.setattr("repro.service.coordinator.run_trial",
+        monkeypatch.setattr("repro.service.worker.run_trial",
                             dying_run_trial)
         with pytest.raises(KeyboardInterrupt):
             co1.run_once()
@@ -525,7 +549,7 @@ class TestAgainstRealTrials:
             calls2.append(trial.trial_id)
             return real_run_trial(tb, trial)
 
-        monkeypatch.setattr("repro.service.coordinator.run_trial",
+        monkeypatch.setattr("repro.service.worker.run_trial",
                             counting_run_trial)
         done = co2.run_once()
         assert done.job_id == job_id and done.state == DONE
@@ -560,7 +584,7 @@ class TestAgainstRealTrials:
             calls.append(trial.trial_id)
             return real_run_trial(tb, trial)
 
-        monkeypatch.setattr("repro.service.coordinator.run_trial",
+        monkeypatch.setattr("repro.service.worker.run_trial",
                             counting_run_trial)
         co.submit(job)
         done = co.run_once()
@@ -569,15 +593,4 @@ class TestAgainstRealTrials:
         assert got == serial_reference
         with open(co._store_path(job)) as f:
             assert len(f.read().splitlines()) == 1 + len(calibration.trials)
-        co.runtable.close()
-
-    def test_pooled_trials_match_serial(self, tmp_path, testbed,
-                                        calibration, serial_reference):
-        co = Coordinator(str(tmp_path / "svc"), trial_jobs=2,
-                         testbed_factory=lambda seed: testbed)
-        co.submit_experiment(calibration, testbed_seed=testbed.seed)
-        done = co.run_once()
-        assert done.state == DONE
-        got = {r.trial_id: r for r in co.runtable.results(calibration.name)}
-        assert got == serial_reference
         co.runtable.close()

@@ -7,6 +7,7 @@ surfaces, not the simulator (the coordinator tests cover bit-identity
 against real trials).
 """
 
+import http.server
 import json
 import re
 import socket
@@ -83,7 +84,7 @@ def seeded_service(tmp_path_factory):
 
 def _live_service(data_dir, testbed_factory=None):
     mp = pytest.MonkeyPatch()
-    mp.setattr("repro.service.coordinator.run_trial", _ScriptedRunTrial())
+    mp.setattr("repro.service.worker.run_trial", _ScriptedRunTrial())
     co = Coordinator(
         data_dir,
         sleep=lambda s: None,
@@ -253,7 +254,7 @@ class TestRegistryContract:
 
 
 class TestClientCommandErrors:
-    """``submit`` / ``tail`` / ``runs`` end a server error, or an
+    """``submit`` / ``tail`` / ``runs`` / ``work`` end a server error, or an
     unreachable server, with one line and exit status 1."""
 
     @staticmethod
@@ -281,6 +282,21 @@ class TestClientCommandErrors:
             url = f"http://127.0.0.1:{s.getsockname()[1]}"
         message = self._one_line(["runs", "--url", url])
         assert message.startswith(f"cannot reach {url}: ")
+
+    def test_work_against_a_server_that_is_not_the_service(self, monkeypatch):
+        """``work`` too: a plain HTTP server answers the register POST
+        with 501, which ends the daemon with one line."""
+        monkeypatch.setattr("signal.signal", lambda sig, handler: None)
+        server = http.server.ThreadingHTTPServer(
+            ("127.0.0.1", 0), http.server.BaseHTTPRequestHandler)
+        serve_in_thread(server)
+        try:
+            url = "http://127.0.0.1:%d" % server.server_address[1]
+            message = self._one_line(["work", "--url", url, "--max-jobs", "1"])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert message.startswith("HTTP 501: ")
 
     def test_closed_stdout_is_not_the_server(self, seeded_service, monkeypatch):
         class ClosedPipe:

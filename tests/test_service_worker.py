@@ -93,7 +93,6 @@ class _Service:
 def scripted(monkeypatch):
     fake = _ScriptedRunTrial()
     monkeypatch.setattr("repro.service.worker.run_trial", fake)
-    monkeypatch.setattr("repro.service.coordinator.run_trial", fake)
     return fake
 
 
@@ -682,6 +681,34 @@ class TestPipelinedUploads:
             sys.setswitchinterval(interval)
             service.close()
 
+    def test_local_threads_under_a_short_switch_interval(self, tmp_path,
+                                                         scripted):
+        """The same stress on the in-process path: four coordinator
+        threads, each a Worker over LocalClient, drain four jobs."""
+        service = _Service(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = [_submit(service, n=12, name=f"job{i}") for i in range(4)]
+            service.co.start(workers=4)
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and any(
+                service.co.job_progress(j.job_id)["state"] != "done"
+                for j in jobs
+            ):
+                time.sleep(0.05)
+            rows = service.co.runtable.recent_runs(limit=1000)
+            keys = [(r["experiment"], r["trial_id"]) for r in rows]
+            assert len(keys) == len(set(keys)) == 48
+            assert {r["worker_id"] for r in rows} <= {
+                f"worker-{i}" for i in range(4)}
+            for job in jobs:
+                progress = service.co.job_progress(job.job_id)
+                assert (progress["state"], progress["completed"]) == ("done", 12)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+
     def test_uploads_on_connections_the_server_closed_are_replayed(
         self, tmp_path, monkeypatch
     ):
@@ -715,6 +742,132 @@ class TestPipelinedUploads:
             ids = [r["trial_id"] for r in rows]
             assert len(ids) == len(set(ids)) == n
             assert service.client.job(job.job_id)["state"] == "done"
+        finally:
+            service.close()
+
+
+class TestVerbContract:
+    """What a holder does at a trial boundary is decided by the verbs, so
+    a remote worker and the coordinator's own threads behave alike: the
+    reply's verdict cancels or requeues within one trial, and an error in
+    the grant or a record fails the job while the holder backs away."""
+
+    @staticmethod
+    def _on_first_trial(monkeypatch, action):
+        """Script run_trial; ``action`` runs while trial 0 computes."""
+        fake = _ScriptedRunTrial()
+
+        def run_trial(testbed, trial, **kwargs):
+            if not fake.calls:
+                action()
+            return fake(testbed, trial, **kwargs)
+
+        monkeypatch.setattr("repro.service.worker.run_trial", run_trial)
+        return fake
+
+    def test_cancel_during_trial_0_lands_within_one_trial(self, tmp_path,
+                                                          monkeypatch):
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=6)
+            fake = self._on_first_trial(
+                monkeypatch, lambda: service.co.cancel(job.job_id))
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == ACKED
+            assert fake.calls in (["sweep/0"], ["sweep/0", "sweep/1"])
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "cancelled"
+            assert progress["completed"] == len(fake.calls)
+        finally:
+            service.close()
+
+    def test_higher_priority_arrival_requeues_within_one_trial(
+        self, tmp_path, monkeypatch
+    ):
+        service = _Service(tmp_path)
+        try:
+            low = _submit(service, n=6, name="low")
+            fake = self._on_first_trial(
+                monkeypatch,
+                lambda: _submit(service, n=1, name="high", priority=5))
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == REQUEUED
+            ran = list(fake.calls)
+            assert ran in (["low/0"], ["low/0", "low/1"])
+            assert service.client.job(low.job_id)["state"] == "queued"
+            assert w.run_one() == ACKED  # the high job runs next
+            assert fake.calls[-1] == "high/0"
+            assert w.run_one() == ACKED
+            progress = service.client.job(low.job_id)
+            assert (progress["state"], progress["completed"]) == ("done", 6)
+            # what ran before the requeue was served from the store
+            assert sorted(fake.calls) == sorted(
+                ["high/0"] + [f"low/{i}" for i in range(6)])
+        finally:
+            service.close()
+
+    def test_corrupt_store_fails_the_job_at_the_grant(self, tmp_path,
+                                                      scripted):
+        service = _Service(tmp_path)
+        try:
+            job = new_job("sweep", _trials(3, prefix="sweep"))
+            with open(service.co._store_path(job), "w") as f:
+                f.write('{"testbed_seed": 1}\n{"trial_id": \n')
+            service.co.submit(job)
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() is None  # nothing leased
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "failed"
+            assert "JSONDecodeError" in progress["error"]
+            assert w.run_one() is None and scripted.calls == []
+            assert service.client.job(job.job_id)["attempt"] == 1
+        finally:
+            service.close()
+
+    def test_store_that_will_not_save_fails_the_job(self, tmp_path,
+                                                    scripted):
+        plan = FaultPlan([FaultRule(site="store.save", action="raise",
+                                    exc="OSError", times=0)])
+        service = _Service(tmp_path, fault_plan=plan)
+        try:
+            job = _submit(service, n=4)
+            w = _worker(service, "wA")
+            w.register()
+            outcome, error = _run_one_bounded(w)
+            assert error is None and outcome == ABANDONED
+            progress = service.client.job(job.job_id)
+            assert progress["state"] == "failed"
+            assert "injected fault" in progress["error"]
+            assert service.co.queue.get(job.job_id) is None
+            assert w.run_one() is None  # the holder keeps polling
+        finally:
+            service.close()
+
+    def test_reply_without_a_verdict_reads_as_continue(self, tmp_path,
+                                                       monkeypatch):
+        """A server that sends no verdict: the worker walks every trial,
+        and the server's ack still computes ``cancelled``."""
+        real_verb = http_api.worker_verb
+
+        def verdictless(co, verb, body):
+            reply = real_verb(co, verb, body)
+            reply.pop("verdict", None)
+            return reply
+
+        monkeypatch.setattr("repro.service.http_api.worker_verb", verdictless)
+        service = _Service(tmp_path)
+        try:
+            job = _submit(service, n=4)
+            fake = self._on_first_trial(
+                monkeypatch, lambda: service.co.cancel(job.job_id))
+            w = _worker(service, "wA")
+            w.register()
+            assert w.run_one() == ACKED
+            assert fake.calls == [f"sweep/{i}" for i in range(4)]
+            assert service.client.job(job.job_id)["state"] == "cancelled"
         finally:
             service.close()
 
@@ -879,7 +1032,6 @@ class TestPartitionedWorker:
         its next lease finishes from cache with zero duplicate rows."""
         fake = _ScriptedRunTrial(slow_once=("sweep/2",), slow_s=1.2)
         monkeypatch.setattr("repro.service.worker.run_trial", fake)
-        monkeypatch.setattr("repro.service.coordinator.run_trial", fake)
         plan = FaultPlan([
             FaultRule(site="worker.heartbeat", action="drop", times=0),
         ])
