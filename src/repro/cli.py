@@ -13,7 +13,7 @@ Usage::
     python -m repro.cli churn --scale smoke
     python -m repro.cli scale --scale smoke --jobs 2
     python -m repro.cli profile --scale smoke
-    python -m repro.cli claims --seed 1
+    python -m repro.cli claims --seed 1 --jobs 2
     python -m repro.cli serve --port 8642 --data-dir sweep-data
     python -m repro.cli submit --builder fig12 --scale smoke --tail
     python -m repro.cli tail <job-id>
@@ -124,13 +124,15 @@ def run_profile(args) -> int:
 
 def run_claims(args) -> int:
     """Check every claims-table row; exit status 1 if any fails."""
-    if (args.scale, args.jobs, args.out) != (None, None, None) or args.resume:
-        raise SystemExit("claims takes only --seed: its bands hold at "
-                         "CLAIMS_SCALE, serially, with nothing stored")
+    if (args.scale, args.out) != (None, None) or args.resume:
+        raise SystemExit("claims takes only --seed and --jobs: its bands hold "
+                         "at CLAIMS_SCALE, with nothing stored")
     testbed = Testbed(seed=args.seed)
+    backend = make_backend(args.jobs)
     failed = 0
     try:
-        for claim, value in claims.evaluate(claims.CLAIMS, testbed, args.seed):
+        rows = claims.evaluate(claims.CLAIMS, testbed, args.seed, backend)
+        for claim, value in rows:
             failed += not claim.holds(value)
             print(claims.format_row(claim, value), flush=True)
     except ScenarioError as exc:

@@ -1,50 +1,34 @@
 """The paper's claims as data: one table of rows and one runner.
 
 Each :class:`Claim` in :data:`CLAIMS` names an experiment of
-:data:`EXPERIMENTS` (every registered figure, plus the ablations and
-line-ups that exist only to be checked), a statistic of its reduced result,
-the paper's value and section (None where the paper states no number), and
-the band the statistic must fall in. ``python -m repro.cli claims [--seed
-S]`` runs each experiment once, serially, on ``Testbed(S)`` with
-configuration seed ``S`` at :data:`CLAIMS_SCALE`, the one scale the bands
-were set at. The report's titles quote the paper's values from these rows.
+:data:`EXPERIMENTS` (every :data:`~repro.experiments.runners.SWEEP_BUILDERS`
+entry, plus :func:`robustness`, which rebuilds the world per grid point), a
+statistic of its reduced result, the paper's value and section (None where
+the paper states no number), and the band the statistic must fall in.
+``python -m repro.cli claims [--seed S] [--jobs N]`` runs each experiment
+once on ``Testbed(S)`` with configuration seed ``S`` at
+:data:`CLAIMS_SCALE`, the one scale the bands were set at. The report's
+titles quote the paper's values from these rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis.stats import Cdf, summarize
-from repro.core.offline_map import preload_offline_map
-from repro.core.params import CmapParams, LatencyProfile
 from repro.experiments.executor import run_experiment
 from repro.experiments.runners import (
     SWEEP_BUILDERS,
     ExperimentScale,
     PairCdfResult,
-    build_pair_cdf_experiment,
     sample_median,
 )
-from repro.experiments.scenarios import (
-    filter_configs_by_rate,
-    find_exposed_terminal_configs,
-    find_hidden_terminal_configs,
-    find_inrange_configs,
-)
-from repro.experiments.spec import MacSpec
-from repro.experiments.sweeps import sweep_testbed_parameters
-from repro.mac.autorate import ArfParams, arf_factory
-from repro.mac.cs_tuning import CsTuningParams, cs_tuning_factory
-from repro.mac.dcf import DcfParams
-from repro.mac.ecsma import ecsma_factory
-from repro.mac.iamac import iamac_factory
-from repro.mac.rtscts import rtscts_factory
-from repro.net.testbed import Testbed
-from repro.network import Network, cmap_factory, dcf_factory
-from repro.phy.modulation import RATE_6M, RATES
+from repro.experiments.scenarios import ScenarioError
+from repro.net.testbed import Testbed, TestbedConfig
 
 #: Small, but with enough configurations (and mesh topologies) for every
 #: figure's shape to show. Not a ``--scale`` preset: the bands hold here.
@@ -91,157 +75,49 @@ def _le(x: float) -> float:
 
 # --- Experiments ---
 def _figure(name: str):
-    def run(testbed, scale, seed):
+    def run(testbed, scale, seed, backend=None):
         spec = SWEEP_BUILDERS[name](testbed, scale, seed=seed)
-        return run_experiment(spec, testbed)
+        return run_experiment(spec, testbed, backend=backend)
 
     return run
 
 
-def _pair_cdf(name: str, finder, macs: Callable[[], Dict[str, object]]):
-    """A two-pair CDF over ``finder``'s configurations, one curve per MAC.
-    The MACs may be factory closures, so it runs on the serial backend."""
-
-    def run(testbed, scale, seed):
-        configs = finder(testbed, scale.configs, seed)
-        spec = build_pair_cdf_experiment(
-            name, configs, macs(), scale, track_cmap_concurrency=False
-        )
-        return run_experiment(spec, testbed)
-
-    return run
+#: The robustness rows' worlds: ``TestbedConfig`` overrides, crossed.
+ROBUSTNESS_GRID = {"path_loss_exponent": (3.0, 3.3, 3.6), "p_los": (0.3, 0.45, 0.6)}
 
 
-def _decoding_at_18(testbed, n, seed):
-    """In-range configurations whose data links still decode at 18 Mb/s."""
-    candidates = find_inrange_configs(testbed, n * 6, seed)
-    return filter_configs_by_rate(testbed, candidates, 18)[:n]
-
-
-def _rate_adaptation_macs():
-    """Fixed-rate DCF, ARF, fixed-rate CMAP, and CMAP with the rate-aware
-    map's defer-or-downshift policy (§3.5's sketch), all at 18 Mb/s."""
-    rate18 = RATES[18]
-    fixed = CmapParams(data_rate=rate18, control_rate=RATE_6M)
-    adaptive = replace(fixed, rate_aware_map=True, adapt_rate_on_defer=True)
-    return {
-        "dcf@18": dcf_factory(
-            params=DcfParams(carrier_sense=True, acks=True, data_rate=rate18)
-        ),
-        "arf": arf_factory(ArfParams(carrier_sense=True, acks=True)),
-        "cmap@18": cmap_factory(fixed),
-        "cmap@18+adapt": cmap_factory(adaptive),
-    }
-
-
-def _latency_macs():
-    """The §4.1 software MAC's latency against hardware, N_vpkt 32 and 4."""
-    soft = LatencyProfile.paper_soft_mac()
-    hard = LatencyProfile.hardware()
-    return {
-        "soft_nvpkt32": cmap_factory(CmapParams(latency=soft)),
-        "soft_nvpkt4": cmap_factory(CmapParams(nvpkt=4, latency=soft)),
-        "hw_nvpkt32": cmap_factory(CmapParams(latency=hard, t_ackwait=1e-3)),
-        "hw_nvpkt4": cmap_factory(CmapParams(nvpkt=4, latency=hard, t_ackwait=1e-3)),
-    }
-
-
-def _rtscts_macs():
-    return {"cs_on": dcf_factory(), "rts_cts": rtscts_factory(), "cmap": cmap_factory()}
-
-
-def _offline_map(testbed, scale, seed) -> PairCdfResult:
-    """Online CMAP against defer tables preloaded from an idealised O(n²)
-    measurement (§6: RTSS/CTSS, interference maps), frozen (``offline``)
-    or still learning (``warm_start``)."""
-    configs = find_inrange_configs(testbed, scale.configs, seed)
-    variants = ("online", "offline", "warm_start")
-    totals = {v: [] for v in variants}
-    per_flow = {v: [] for v in variants}
-    for idx, config in enumerate(configs):
-        for variant in variants:
-            net = Network(testbed, run_seed=idx)
-            for n in config.nodes:
-                net.add_node(n, cmap_factory())
-            if variant != "online":
-                preload_offline_map(
-                    net, list(config.flows), freeze=(variant == "offline")
-                )
-            for s, r in config.flows:
-                net.add_saturated_flow(s, r)
-            res = net.run(duration=scale.duration, warmup=scale.warmup)
-            f1 = res.flow_mbps(config.s1, config.r1)
-            f2 = res.flow_mbps(config.s2, config.r2)
-            totals[variant].append(f1 + f2)
-            per_flow[variant].append((f1, f2))
-    return PairCdfResult("offline_map", configs, totals, per_flow)
-
-
-def _robustness(testbed, scale, seed):
-    """Fig. 12 re-run over path-loss exponent x LOS fraction, each grid
-    point a rebuilt ``Testbed(testbed.seed)`` world."""
+def robustness(
+    testbed, scale, seed, backend=None
+) -> Dict[Tuple[Tuple[str, Any], ...], Optional[PairCdfResult]]:
+    """Fig. 12 without the window-1 curve, once per world of
+    :data:`ROBUSTNESS_GRID`: ``Testbed(testbed.seed)`` rebuilt with each
+    combination of overrides, configuration seed 0. Maps each combination
+    (sorted (field, value) pairs) to its result, or None where the world
+    holds no exposed-terminal configuration. ``seed`` is unused: the world,
+    not the draw, varies."""
     small = ExperimentScale(
         configs=min(3, scale.configs),
         duration=min(8.0, scale.duration),
         warmup=min(3.0, scale.warmup),
     )
-    grid = {"path_loss_exponent": [3.0, 3.3, 3.6], "p_los": [0.3, 0.45, 0.6]}
-    return sweep_testbed_parameters(grid, small, seed=testbed.seed)
+    names = sorted(ROBUSTNESS_GRID)
+    points = {}
+    for values in itertools.product(*(ROBUSTNESS_GRID[n] for n in names)):
+        overrides = tuple(zip(names, values))
+        world = Testbed(testbed.seed, config=TestbedConfig(**dict(overrides)))
+        try:
+            spec = SWEEP_BUILDERS["fig12"](world, small, seed=0, include_win1=False)
+        except ScenarioError:
+            points[overrides] = None
+            continue
+        points[overrides] = run_experiment(spec, world, backend=backend)
+    return points
 
 
-#: name -> (configuration finder, MACs) of the two-pair CDFs beyond figures.
-_PAIR_CDFS = {
-    "ablation_backoff": (
-        find_hidden_terminal_configs,
-        lambda: {
-            "cmap": cmap_factory(CmapParams()),
-            # Threshold 1.0: no loss report can trigger a backoff.
-            "cmap_no_backoff": cmap_factory(CmapParams(l_backoff=1.0)),
-        },
-    ),
-    "ablation_extensions": (
-        find_inrange_configs,
-        lambda: {
-            "baseline": cmap_factory(CmapParams()),
-            "replicate_ht": cmap_factory(CmapParams(replicate_ht_in_data=True)),
-            "piggyback": cmap_factory(CmapParams(piggyback_ilist=True)),
-            "two_hop": cmap_factory(CmapParams(two_hop_ilist=True)),
-        },
-    ),
-    "ablation_latency": (find_exposed_terminal_configs, _latency_macs),
-    "ablation_linterf": (
-        find_inrange_configs,
-        lambda: {
-            f"cmap_li{int(t * 100):02d}": cmap_factory(CmapParams(l_interf=t))
-            for t in (0.1, 0.5, 0.9)
-        },
-    ),
-    "ablation_window": (
-        find_exposed_terminal_configs,
-        lambda: {f"cmap_w{w}": MacSpec.of("cmap", nwindow=w) for w in (1, 2, 4, 8)},
-    ),
-    "related_work": (
-        find_exposed_terminal_configs,
-        lambda: {
-            "csma": dcf_factory(True, True),
-            "rts_cts": rtscts_factory(),
-            "ia_mac": iamac_factory(),
-            "ecsma": ecsma_factory(),
-            "cs_tuning": cs_tuning_factory(CsTuningParams(epoch=0.3)),
-            "cmap": cmap_factory(),
-        },
-    ),
-    "rtscts_exposed": (find_exposed_terminal_configs, _rtscts_macs),
-    "rtscts_hidden": (find_hidden_terminal_configs, _rtscts_macs),
-    "rate_adaptation": (_decoding_at_18, _rate_adaptation_macs),
-}
-
-#: experiment name -> ``run(testbed, scale, seed) -> result``.
-EXPERIMENTS: Dict[str, Callable[[Testbed, ExperimentScale, int], Any]] = {
+#: experiment name -> ``run(testbed, scale, seed, backend=None) -> result``.
+EXPERIMENTS: Dict[str, Callable[..., Any]] = {
     **{name: _figure(name) for name in SWEEP_BUILDERS},
-    **{name: _pair_cdf(name, *entry) for name, entry in _PAIR_CDFS.items()},
-    "offline_map": _offline_map,
-    "robustness": _robustness,
+    "robustness": robustness,
 }
 
 
@@ -380,7 +256,7 @@ def _best_cmap_over_arf(r: PairCdfResult) -> float:
 
 
 def _usable(points) -> list:
-    return [p for p in points if p.error is None and p.configs_found > 0]
+    return [r for r in points.values() if r is not None]
 
 
 def _usable_beyond_half(points) -> int:
@@ -388,7 +264,7 @@ def _usable_beyond_half(points) -> int:
 
 
 def _usable_not_winning(points) -> int:
-    return sum(1 for p in _usable(points) if not p.gain > 1.2)
+    return sum(1 for r in _usable(points) if not _gain("cmap", "cs_on")(r) > 1.2)
 
 
 # --- The table ---
@@ -531,15 +407,16 @@ def paper(experiment: str, name: str) -> float:
 
 
 def evaluate(
-    claims: Sequence[Claim], testbed: Testbed, seed: int
+    claims: Sequence[Claim], testbed: Testbed, seed: int, backend=None
 ) -> Iterator[Tuple[Claim, float]]:
     """Each row with its measured statistic, in row order; each experiment
-    runs once, at :data:`CLAIMS_SCALE`, when its first row comes up."""
+    runs once, at :data:`CLAIMS_SCALE`, through ``backend`` (None: serial),
+    when its first row comes up."""
     results: Dict[str, Any] = {}
     for claim in claims:
         if claim.experiment not in results:
             run = EXPERIMENTS[claim.experiment]
-            results[claim.experiment] = run(testbed, CLAIMS_SCALE, seed)
+            results[claim.experiment] = run(testbed, CLAIMS_SCALE, seed, backend)
         yield claim, float(claim.statistic(results[claim.experiment]))
 
 

@@ -30,6 +30,7 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.offline_map import preload_offline_map
 from repro.errors import SimulatedCrash, TrialHungError, WorkerCrashError, is_transient
 from repro.experiments.spec import ExperimentSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
@@ -124,6 +125,10 @@ def _leave_node(net: Network, node: int) -> None:
         net.remove_node(node)
 
 
+#: ``TrialSpec.preload`` -> whether the preloaded offline map is frozen.
+_PRELOADS = {"offline": True, "warm_start": False}
+
+
 def run_trial(
     testbed: Testbed,
     spec: TrialSpec,
@@ -136,8 +141,10 @@ def run_trial(
     run (a node whose first event is "join" starts absent and brings its
     flows along when it enters); ``spec.mobility`` builds the registered
     model over the testbed floor and plays it through a
-    :class:`~repro.net.mobility.MobilityController`. Both are deterministic
-    functions of (testbed, spec), so backends stay interchangeable.
+    :class:`~repro.net.mobility.MobilityController`. ``spec.preload``
+    installs the offline conflict map after the nodes and before the flows.
+    All are deterministic functions of (testbed, spec), so backends stay
+    interchangeable.
 
     ``timeout_s`` arms a cooperative wall-clock watchdog: a self-
     rescheduling engine event checks elapsed wall time every 1/64th of the
@@ -173,6 +180,12 @@ def run_trial(
     for node in spec.nodes:
         if node not in initially_absent:
             net.add_node(node, factory)
+    if spec.preload is not None:
+        if spec.preload not in _PRELOADS:
+            raise ValueError(
+                f"unknown preload {spec.preload!r}; pick from {sorted(_PRELOADS)}"
+            )
+        preload_offline_map(net, spec.flows, freeze=_PRELOADS[spec.preload])
     for s, d in spec.flows:
         if s not in initially_absent:
             net.add_saturated_flow(s, d, payload_bytes=spec.payload_bytes)

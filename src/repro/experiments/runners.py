@@ -9,8 +9,8 @@ sweep service and the tests all run a spec the same way, through
 :func:`repro.experiments.executor.run_experiment` (pluggable serial or
 process-pool backend, optional
 :class:`~repro.experiments.executor.ResultStore` for persistence/resume).
-The scale sweep is the one experiment outside the registry: it builds one
-testbed per generated world, so :func:`run_scale_sweep` runs it.
+The scale sweep stays outside the registry: it builds one testbed per
+generated world, so :func:`run_scale_sweep` runs it.
 
 All builders accept an :class:`ExperimentScale`; the default is a reduced
 scale that preserves the papers' *shapes* in seconds-to-minutes of wall time.
@@ -20,6 +20,7 @@ CDF, 500 triples, 10 trials per N, 100 s runs).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -29,6 +30,8 @@ from repro.experiments.scenarios import (
     ApTopology,
     InterfererTriple,
     PairConfig,
+    ScenarioError,
+    filter_configs_by_rate,
     find_ap_topology,
     find_disjoint_flows,
     find_exposed_terminal_configs,
@@ -201,6 +204,7 @@ def _pair_cdf_trials(
     protocols: Dict[str, MacSpec],
     scale: ExperimentScale,
     track_cmap_concurrency: bool,
+    preload: Optional[Dict[str, str]] = None,
 ) -> List[TrialSpec]:
     trials: List[TrialSpec] = []
     for idx, config in enumerate(configs):
@@ -217,6 +221,7 @@ def _pair_cdf_trials(
                     warmup=scale.warmup,
                     track_tx=track,
                     metrics=("concurrency",) if track else (),
+                    preload=(preload or {}).get(name),
                 )
             )
     return trials
@@ -252,14 +257,22 @@ def build_pair_cdf_experiment(
     protocols: Dict[str, object],
     scale: ExperimentScale,
     track_cmap_concurrency: bool = True,
+    preload: Optional[Dict[str, str]] = None,
 ) -> ExperimentSpec:
-    """Build the generic two-pair CDF experiment (also used by ablations).
+    """Build the generic two-pair CDF experiment (figures and line-ups):
+    one trial per (configuration, curve), run seed = configuration index.
 
-    ``protocols`` values may be :class:`MacSpec`s, registered protocol names,
-    or raw :data:`MacFactory` callables (serial-backend only).
+    ``protocols`` maps each curve to a :class:`MacSpec` or a registered
+    protocol name; ``preload`` maps curves to a ``TrialSpec.preload``
+    (curves absent from it learn online). No configurations is a
+    :class:`ScenarioError`: the testbed holds no scenario for the finder.
     """
+    if not configs:
+        raise ScenarioError(f"{figure}: no configurations satisfy the constraints")
     macs = {name: coerce_mac(m) for name, m in protocols.items()}
-    trials = _pair_cdf_trials(figure, configs, macs, scale, track_cmap_concurrency)
+    trials = _pair_cdf_trials(
+        figure, configs, macs, scale, track_cmap_concurrency, preload
+    )
 
     def reduce(results: List[TrialResult]) -> PairCdfResult:
         return _reduce_pair_cdf(figure, configs, list(macs), results)
@@ -367,6 +380,114 @@ def build_bitrate_sweep(
 
     all_trials = [t for _, _, trials in groups for t in trials]
     return ExperimentSpec("fig20", all_trials, reduce)
+
+
+# ======================================================================
+# Line-ups beyond the figures: ablations, §6 related work, §3.5, §4.1
+# ======================================================================
+def find_configs_decoding_at_18(
+    testbed: Testbed, count: int, seed: int = 0
+) -> List[PairConfig]:
+    """In-range configurations whose data links still decode at 18 Mb/s,
+    filtered from at least 30 in-range candidates (few survive)."""
+    candidates = find_inrange_configs(testbed, max(30, count * 6), seed)
+    return filter_configs_by_rate(testbed, candidates, 18)[:count]
+
+
+_RTSCTS = {
+    "cs_on": MacSpec.of("dcf"),
+    "rts_cts": MacSpec.of("rtscts"),
+    "cmap": MacSpec.of("cmap"),
+}
+
+#: Two-pair line-ups the claims table checks beyond the paper's figures:
+#: name -> (configuration finder, curve -> MAC), run by :func:`build_lineup`.
+LINEUPS: Dict[str, Tuple[Callable[..., List[PairConfig]], Dict[str, MacSpec]]] = {
+    "ablation_backoff": (find_hidden_terminal_configs, {
+        "cmap": MacSpec.of("cmap"),
+        # Threshold 1.0: no loss report can trigger a backoff.
+        "cmap_no_backoff": MacSpec.of("cmap", l_backoff=1.0),
+    }),
+    "ablation_extensions": (find_inrange_configs, {
+        "baseline": MacSpec.of("cmap"),
+        "replicate_ht": MacSpec.of("cmap", replicate_ht_in_data=True),
+        "piggyback": MacSpec.of("cmap", piggyback_ilist=True),
+        "two_hop": MacSpec.of("cmap", two_hop_ilist=True),
+    }),
+    # The §4.1 software MAC's latency against hardware, N_vpkt 32 and 4.
+    "ablation_latency": (find_exposed_terminal_configs, {
+        "soft_nvpkt32": MacSpec.of("cmap", latency="paper_soft_mac"),
+        "soft_nvpkt4": MacSpec.of("cmap", nvpkt=4, latency="paper_soft_mac"),
+        "hw_nvpkt32": MacSpec.of("cmap", latency="hardware", t_ackwait=1e-3),
+        "hw_nvpkt4": MacSpec.of("cmap", nvpkt=4, latency="hardware", t_ackwait=1e-3),
+    }),
+    "ablation_linterf": (find_inrange_configs, {
+        f"cmap_li{int(t * 100):02d}": MacSpec.of("cmap", l_interf=t)
+        for t in (0.1, 0.5, 0.9)
+    }),
+    "ablation_window": (find_exposed_terminal_configs, {
+        f"cmap_w{w}": MacSpec.of("cmap", nwindow=w) for w in (1, 2, 4, 8)
+    }),
+    "related_work": (find_exposed_terminal_configs, {
+        "csma": MacSpec.of("dcf"),
+        "rts_cts": MacSpec.of("rtscts"),
+        "ia_mac": MacSpec.of("iamac"),
+        "ecsma": MacSpec.of("ecsma"),
+        "cs_tuning": MacSpec.of("cs_tuning", epoch=0.3),
+        "cmap": MacSpec.of("cmap"),
+    }),
+    "rtscts_exposed": (find_exposed_terminal_configs, _RTSCTS),
+    "rtscts_hidden": (find_hidden_terminal_configs, _RTSCTS),
+    # Fixed-rate DCF, ARF, fixed-rate CMAP, and CMAP with the rate-aware
+    # map's defer-or-downshift policy (§3.5's sketch), all at 18 Mb/s.
+    "rate_adaptation": (find_configs_decoding_at_18, {
+        "dcf@18": MacSpec.of("dcf", data_rate=18),
+        "arf": MacSpec.of("autorate"),
+        "cmap@18": MacSpec.of("cmap", data_rate=18, control_rate=6),
+        "cmap@18+adapt": MacSpec.of(
+            "cmap", data_rate=18, control_rate=6,
+            rate_aware_map=True, adapt_rate_on_defer=True,
+        ),
+    }),
+}
+
+
+def build_lineup(
+    name: str,
+    testbed: Testbed,
+    scale: Optional[ExperimentScale] = None,
+    seed: int = 0,
+) -> ExperimentSpec:
+    """The :data:`LINEUPS` entry ``name``: every curve on each configuration
+    its finder draws (no concurrency tracking)."""
+    scale = scale or ExperimentScale()
+    finder, protocols = LINEUPS[name]
+    configs = finder(testbed, scale.configs, seed)
+    return build_pair_cdf_experiment(
+        name, configs, protocols, scale, track_cmap_concurrency=False
+    )
+
+
+def build_offline_map(
+    testbed: Testbed,
+    scale: Optional[ExperimentScale] = None,
+    seed: int = 0,
+) -> ExperimentSpec:
+    """§6: online CMAP against defer tables preloaded from an idealised
+    O(n²) measurement (RTSS/CTSS, interference maps), frozen (``offline``)
+    or still learning (``warm_start``). The curves differ only in
+    ``TrialSpec.preload``."""
+    scale = scale or ExperimentScale()
+    configs = find_inrange_configs(testbed, scale.configs, seed)
+    curves = ("online", "offline", "warm_start")
+    return build_pair_cdf_experiment(
+        "offline_map",
+        configs,
+        dict.fromkeys(curves, MacSpec.of("cmap")),
+        scale,
+        track_cmap_concurrency=False,
+        preload={"offline": "offline", "warm_start": "warm_start"},
+    )
 
 
 # ======================================================================
@@ -1110,14 +1231,19 @@ def run_scale_sweep(
 # ======================================================================
 #: figure/sweep name -> builder with the uniform signature
 #: ``builder(testbed, scale=None, seed=0, **params) -> ExperimentSpec``.
-#: The one registry: ``repro.cli <name> --seed s`` and the service's
-#: submit-by-name path both run ``SWEEP_BUILDERS[name](Testbed(s), scale,
-#: seed=s)``, so the same name and seed queue the same trials everywhere
-#: (tests/test_service_http.py holds the two to it). Every entry's specs
-#: must survive the wire round trip (``TrialSpec.to_wire``/``from_wire``)
-#: equal and fingerprint-identical — enforced by tests/test_spec_wire.py.
-#: The scale sweep is absent by design: it builds one testbed per generated
-#: world, so it cannot run against the service's single shared testbed.
+#: The one registry: the paper's figures, the claims table's line-ups and
+#: the offline map. ``repro.cli <name> --seed s``, ``cli claims`` and the
+#: service's submit-by-name path all run ``SWEEP_BUILDERS[name](Testbed(s),
+#: scale, seed=s)``, so the same name and seed queue the same trials
+#: everywhere (tests/test_service_http.py holds the CLI and the service to
+#: it). Every entry's specs must survive the wire round trip
+#: (``TrialSpec.to_wire``/``from_wire``) equal and fingerprint-identical —
+#: enforced by tests/test_spec_wire.py. Two experiments stay outside
+#: because they vary the world itself: the scale sweep builds one testbed
+#: per generated topology (:func:`run_scale_sweep`), and the claims
+#: table's robustness grid rebuilds ``Testbed(s)`` per channel setting
+#: (:func:`repro.experiments.claims.robustness`); neither can run against
+#: the service's one testbed per seed.
 SWEEP_BUILDERS: Dict[str, "Callable[..., ExperimentSpec]"] = {
     "calibration": build_single_link_calibration,
     "fig12": build_exposed_terminals,
@@ -1131,4 +1257,6 @@ SWEEP_BUILDERS: Dict[str, "Callable[..., ExperimentSpec]"] = {
     "mesh": build_mesh_dissemination,
     "mobility": build_mobility_sweep,
     "churn": build_churn_sweep,
+    "offline_map": build_offline_map,
+    **{name: functools.partial(build_lineup, name) for name in LINEUPS},
 }

@@ -3,9 +3,9 @@
 The experiment layer is split into three pieces:
 
 * **what to run** — :class:`TrialSpec`: one simulation run described by plain
-  data (nodes, flows, a registry-keyed MAC, seed, duration, metrics). Specs
-  are picklable, so any executor backend can materialize them, including
-  process pools.
+  data (nodes, flows, a registry-keyed MAC, seed, duration, metrics). Every
+  spec is picklable and survives the JSON wire format, so any backend can
+  run it: in-process, a process pool, or the sweep service's workers.
 * **what it produced** — :class:`TrialResult`: per-flow throughputs plus any
   declared metric values, all JSON-serializable so results can be persisted
   and resumed.
@@ -19,7 +19,6 @@ builds one :class:`ExperimentSpec` per paper figure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -50,71 +49,29 @@ def _params_to_wire(params: Tuple[Tuple[str, Any], ...], what: str) -> list:
 def _params_from_wire(obj) -> Tuple[Tuple[str, Any], ...]:
     return tuple((str(k), v) for k, v in obj)
 
-#: Registry key for MAC specs wrapping a raw (non-picklable) callable.
-INLINE_PROTOCOL = "<inline>"
-
-#: Monotonic serial for inline wraps: unlike ``id()``, never reused within a
-#: process, so two wraps can never collide in a ResultStore.
-_inline_serial = itertools.count()
-
 
 @dataclass(frozen=True)
 class MacSpec:
     """A MAC protocol referenced by registry name + constructor params.
 
-    ``params`` values are passed to the registered builder; rate knobs
-    (``data_rate``/``control_rate``/``ack_rate``) may be plain Mb/s ints.
-    ``inline`` is an escape hatch wrapping an existing :data:`MacFactory`
-    callable — usable with the serial backend only (closures don't pickle).
+    ``params`` values are passed to the registered builder
+    (:data:`repro.network.MAC_BUILDERS`); rate knobs (``data_rate``/
+    ``control_rate``/``ack_rate``) may be plain Mb/s ints and CMAP's
+    ``latency`` a profile name. A spec is plain data: it pickles, crosses
+    the wire and fingerprints by value, so it runs on every backend.
     """
 
     protocol: str
     params: Tuple[Tuple[str, Any], ...] = ()
-    inline: Optional[MacFactory] = field(default=None, compare=False)
 
     @classmethod
     def of(cls, protocol: str, **params) -> "MacSpec":
         return cls(protocol, tuple(sorted(params.items())))
 
-    @classmethod
-    def wrap(cls, factory: MacFactory) -> "MacSpec":
-        # The params a closure captured are invisible here, so every wrap
-        # gets a fresh serial number: two inline experiments can never share
-        # a fingerprint, and a ResultStore can never serve one's cached
-        # results to the other. The flip side is that inline specs never
-        # resume — use a registry-keyed MacSpec for persistent sweeps.
-        label = getattr(factory, "__qualname__", repr(factory))
-        return cls(
-            INLINE_PROTOCOL,
-            (("factory", label), ("serial", next(_inline_serial))),
-            inline=factory,
-        )
-
-    def __getstate__(self):
-        # Closures don't pickle; registry-keyed specs survive the trip and
-        # inline ones fail loudly in build() on the far side.
-        return {"protocol": self.protocol, "params": self.params, "inline": None}
-
-    def __setstate__(self, state):
-        for key, value in state.items():
-            object.__setattr__(self, key, value)
-
     def build(self) -> MacFactory:
-        if self.inline is not None:
-            return self.inline
-        if self.protocol == INLINE_PROTOCOL:
-            raise ValueError(
-                "inline MacSpec lost its factory (e.g. crossed a process "
-                "boundary); use a registry-keyed MacSpec instead"
-            )
         return build_mac_factory(self.protocol, dict(self.params))
 
     def to_wire(self) -> dict:
-        if self.protocol == INLINE_PROTOCOL:
-            raise ValueError(
-                "inline MacSpec cannot cross the wire; use a registry-keyed "
-                "MacSpec instead"
-            )
         return {
             "protocol": self.protocol,
             "params": _params_to_wire(self.params, f"MAC {self.protocol!r}"),
@@ -172,16 +129,17 @@ ChurnEvent = Tuple[float, str, int]
 
 
 def coerce_mac(mac) -> MacSpec:
-    """Accept a MacSpec, a registered protocol name, or a raw factory."""
+    """Accept a MacSpec or a registered protocol name."""
     if isinstance(mac, MacSpec):
         return mac
     if isinstance(mac, str):
         if mac not in MAC_BUILDERS:
             raise KeyError(f"unknown MAC protocol {mac!r}")
         return MacSpec.of(mac)
-    if callable(mac):
-        return MacSpec.wrap(mac)
-    raise TypeError(f"cannot interpret {mac!r} as a MAC spec")
+    raise TypeError(
+        f"cannot interpret {mac!r} as a MAC spec; give a MacSpec or one of "
+        f"{sorted(MAC_BUILDERS)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -220,6 +178,12 @@ class TrialSpec:
     #: every pre-culling trial.
     delivery_floor_dbm: Optional[float] = None
     interference_floor_dbm: Optional[float] = None
+    #: Conflict knowledge installed before the flows start (§6): None
+    #: learns online; ``"offline"`` preloads the idealised offline map
+    #: into every CMAP node's defer table and freezes it; ``"warm_start"``
+    #: preloads it and lets the entries age out as online learning takes
+    #: over (:func:`repro.core.offline_map.preload_offline_map`).
+    preload: Optional[str] = None
 
     @property
     def measured_flows(self) -> Tuple[Flow, ...]:
@@ -250,11 +214,13 @@ class TrialSpec:
             repr(self.mobility),
             self.churn,
         ]
-        # Appended only when set, so every pre-culling spec keeps the
+        # Appended only when set, so every spec without them keeps the
         # fingerprint it had before these fields existed (stores written by
         # earlier versions stay resumable).
         if self.delivery_floor_dbm is not None or self.interference_floor_dbm is not None:
             parts.append(("floors", self.delivery_floor_dbm, self.interference_floor_dbm))
+        if self.preload is not None:
+            parts.append(("preload", self.preload))
         return format(stable_hash(*parts), "016x")
 
     # ------------------------------------------------------------------
@@ -294,6 +260,8 @@ class TrialSpec:
             wire["delivery_floor_dbm"] = self.delivery_floor_dbm
         if self.interference_floor_dbm is not None:
             wire["interference_floor_dbm"] = self.interference_floor_dbm
+        if self.preload is not None:
+            wire["preload"] = self.preload
         return wire
 
     @classmethod
@@ -319,6 +287,7 @@ class TrialSpec:
                         for t, op, node in obj.get("churn", ())),
             delivery_floor_dbm=obj.get("delivery_floor_dbm"),
             interference_floor_dbm=obj.get("interference_floor_dbm"),
+            preload=obj.get("preload"),
         )
 
 

@@ -21,9 +21,10 @@ import numpy as np
 
 from repro import perf
 from repro.core.cmap_mac import CmapMac
-from repro.core.params import CmapParams
+from repro.core.params import CmapParams, LatencyProfile
 from repro.mac.autorate import ArfParams, arf_factory
 from repro.mac.base import MacBase
+from repro.mac.cs_tuning import CsTuningParams, cs_tuning_factory
 from repro.mac.dcf import DcfMac, DcfParams
 from repro.mac.ecsma import EcsmaParams, ecsma_factory
 from repro.mac.iamac import IaMacParams, iamac_factory
@@ -94,9 +95,25 @@ def _convert_rates(params: dict) -> dict:
     return out
 
 
+#: ``CmapParams.latency`` by its profile's name (JSON-friendly).
+_LATENCY_PROFILES = {
+    "paper_soft_mac": LatencyProfile.paper_soft_mac,
+    "hardware": LatencyProfile.hardware,
+}
+
+
 @register_mac_builder("cmap")
 def build_cmap_mac(**params) -> MacFactory:
-    return cmap_factory(CmapParams(**_convert_rates(params)))
+    params = _convert_rates(params)
+    latency = params.get("latency")
+    if isinstance(latency, str):
+        if latency not in _LATENCY_PROFILES:
+            raise KeyError(
+                f"unknown latency profile {latency!r}; pick from "
+                f"{sorted(_LATENCY_PROFILES)}"
+            )
+        params["latency"] = _LATENCY_PROFILES[latency]()
+    return cmap_factory(CmapParams(**params))
 
 
 @register_mac_builder("dcf")
@@ -122,6 +139,11 @@ def build_iamac_mac(**params) -> MacFactory:
 @register_mac_builder("autorate")
 def build_autorate_mac(**params) -> MacFactory:
     return arf_factory(ArfParams(**_convert_rates(params)))
+
+
+@register_mac_builder("cs_tuning")
+def build_cs_tuning_mac(**params) -> MacFactory:
+    return cs_tuning_factory(CsTuningParams(**_convert_rates(params)))
 
 
 def build_mac_factory(protocol: str, params: Optional[dict] = None) -> MacFactory:

@@ -23,12 +23,17 @@ _MAC_PARAMS = {
         "piggyback_ilist": st.booleans(),
         "two_hop_ilist": st.booleans(),
         "nvpkt": st.sampled_from([4, 8, 32]),
+        "latency": st.sampled_from(["paper_soft_mac", "hardware"]),
     },
     "dcf": {"carrier_sense": st.booleans(), "acks": st.booleans()},
     "rtscts": {"carrier_sense": st.booleans()},
     "ecsma": {"success_threshold": st.sampled_from([0.3, 0.5, 0.8])},
     "iamac": {"required_sinr_db": st.sampled_from([6.0, 8.0, 12.0])},
     "autorate": {"up_threshold": st.sampled_from([3, 10])},
+    "cs_tuning": {
+        "epoch": st.sampled_from([0.01, 0.05, 0.3]),
+        "step_db": st.sampled_from([1.0, 3.0]),
+    },
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import claims
 from repro.experiments.claims import CLAIMS, EXPERIMENTS, Claim
-from repro.experiments.runners import PairCdfResult
+from repro.experiments.runners import SWEEP_BUILDERS, ExperimentScale, PairCdfResult
 from repro.net.testbed import Testbed
 
 HEADLINE = [c for c in CLAIMS if c.experiment in ("fig12", "fig13", "fig15")]
@@ -40,6 +40,10 @@ class TestTable:
         assert {c.experiment for c in CLAIMS} == set(EXPERIMENTS)
         keys = [(c.experiment, c.name) for c in CLAIMS]
         assert len(keys) == len(set(keys))
+
+    def test_every_experiment_but_robustness_is_a_registry_entry(self):
+        assert set(EXPERIMENTS) - set(SWEEP_BUILDERS) == {"robustness"}
+        assert set(SWEEP_BUILDERS) <= set(EXPERIMENTS)
 
     def test_edges_are_strict_and_at_least_is_one_float_below(self):
         strict = Claim("e", "n", "§0", None, float, lo=1.0, hi=2.0)
@@ -111,8 +115,23 @@ class TestCli:
         assert main(["claims"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
 
-    @pytest.mark.parametrize("flags", [["--scale", "paper"], ["--jobs", "2"],
-                                       ["--out", "r.json", "--resume"]])
+    def test_jobs_prints_what_the_serial_run_prints(self, monkeypatch, capsys):
+        rows = [c for c in CLAIMS if c.experiment in ("offline_map", "related_work")]
+        monkeypatch.setattr(claims, "CLAIMS", tuple(rows))
+        monkeypatch.setattr(
+            claims, "CLAIMS_SCALE", ExperimentScale(configs=1, duration=1.0, warmup=0.5)
+        )
+        main(["claims"])
+        serial = capsys.readouterr().out
+        main(["claims", "--jobs", "2"])
+        assert capsys.readouterr().out == serial
+        assert len(serial.splitlines()) == len(rows)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--scale", "paper"], ["--jobs", "2", "--scale", "quick"],
+         ["--out", "r.json", "--resume"]],
+    )
     def test_scale_jobs_and_store_exit_with_one_line(self, flags):
         with pytest.raises(SystemExit) as exc:
             main(["claims", *flags])

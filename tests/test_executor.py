@@ -490,7 +490,8 @@ class TestMacRegistry:
         assert callable(build_mac_factory("dcf", {"carrier_sense": False}))
 
     @pytest.mark.parametrize(
-        "protocol", ["cmap", "dcf", "rtscts", "ecsma", "iamac", "autorate"]
+        "protocol",
+        ["cmap", "dcf", "rtscts", "ecsma", "iamac", "autorate", "cs_tuning"],
     )
     def test_every_mac_variant_is_string_addressable(self, testbed, protocol):
         """All MAC variants run through the registry and pickle (so they can
@@ -517,29 +518,90 @@ class TestMacRegistry:
         result = run_trial(testbed, spec)
         assert result.mbps(0, 1) >= 0.0
 
-    def test_coerce_raw_factory_is_serial_only(self):
+    @pytest.mark.parametrize("name", ["paper_soft_mac", "hardware"])
+    def test_cmap_latency_resolves_by_profile_name(self, testbed, name):
+        from repro.core.params import LatencyProfile
+        from repro.network import Network
+
+        mac = MacSpec.of("cmap", latency=name, t_ackwait=1e-3)
+        node = Network(testbed).add_node(0, mac.build())
+        assert node.mac.params.latency == getattr(LatencyProfile, name)()
+        assert node.mac.params.t_ackwait == 1e-3
+
+    def test_unknown_latency_profile_raises(self):
+        with pytest.raises(KeyError, match="paper_soft_mac"):
+            build_mac_factory("cmap", {"latency": "fpga"})
+
+    def test_coerce_refuses_a_raw_factory(self):
+        # A closure cannot pickle, cross the wire or fingerprint by value:
+        # only registry-keyed specs run.
         from repro.network import cmap_factory
 
-        mac = coerce_mac(cmap_factory())
-        assert mac.inline is not None
-        assert callable(mac.build())
-        stripped = pickle.loads(pickle.dumps(mac))
-        with pytest.raises(ValueError):
-            stripped.build()
+        with pytest.raises(TypeError):
+            coerce_mac(cmap_factory())
+        assert coerce_mac("cmap") == MacSpec.of("cmap")
 
-    def test_inline_wraps_never_share_fingerprints(self):
-        # Sequentially created closures can reuse id()s after GC; the wrap
-        # serial must keep their fingerprints distinct so a ResultStore can
-        # never serve one inline experiment's results to another.
-        from repro.network import cmap_factory
 
-        def trial_for(mac):
-            return TrialSpec("x", (0, 1), ((0, 1),), mac, 0, 4.0, 1.0)
+class TestPreload:
+    @pytest.mark.parametrize("preload", ["offline", "warm_start"])
+    def test_preload_runs_as_the_hand_driven_network(self, testbed, preload):
+        """Nodes, then the offline map, then the flows: the order of the
+        hand loop the offline_map experiment used to drive."""
+        from repro.core.offline_map import preload_offline_map
+        from repro.experiments.scenarios import find_inrange_configs
+        from repro.network import Network, cmap_factory
 
-        fingerprints = set()
-        for _ in range(4):
-            fingerprints.add(trial_for(coerce_mac(cmap_factory())).fingerprint())
-        assert len(fingerprints) == 4
+        (config,) = find_inrange_configs(testbed, 1, 0)
+        net = Network(testbed, run_seed=3)
+        for n in config.nodes:
+            net.add_node(n, cmap_factory())
+        assert preload_offline_map(
+            net, list(config.flows), freeze=preload == "offline"
+        ) > 0
+        for s, r in config.flows:
+            net.add_saturated_flow(s, r)
+        by_hand = net.run(duration=2.0, warmup=0.5)
+
+        spec = TrialSpec("p", config.nodes, config.flows, MacSpec.of("cmap"),
+                         run_seed=3, duration=2.0, warmup=0.5, preload=preload)
+        result = run_trial(testbed, spec)
+        assert result.flow_mbps == {f: by_hand.flow_mbps(*f) for f in config.flows}
+
+    def test_unknown_preload_raises(self, testbed):
+        spec = TrialSpec("p", (0, 1), ((0, 1),), MacSpec.of("cmap"),
+                         run_seed=0, duration=1.0, warmup=0.5, preload="cached")
+        with pytest.raises(ValueError, match="warm_start"):
+            run_trial(testbed, spec)
+
+
+class TestEmptyLineup:
+    def test_no_configurations_is_a_scenario_error(self, smoke):
+        from repro.experiments.runners import build_pair_cdf_experiment
+        from repro.experiments.scenarios import ScenarioError
+
+        with pytest.raises(ScenarioError):
+            build_pair_cdf_experiment("x", [], {"cmap": "cmap"}, smoke)
+
+    def test_cli_exits_with_one_line(self, monkeypatch):
+        from repro.cli import main
+        from repro.experiments import runners
+
+        _, macs = runners.LINEUPS["rate_adaptation"]
+        monkeypatch.setitem(
+            runners.LINEUPS, "rate_adaptation", (lambda *args: [], macs)
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["rate_adaptation"])
+        assert "found no scenario" in exc.value.code
+        assert "\n" not in exc.value.code
+
+    def test_rate_18_lineup_finds_configurations_at_smoke(self, testbed, smoke):
+        """Smoke's three configurations used to draw 18 candidates, none of
+        which decodes at 18 Mb/s on testbed 1: an empty CDF."""
+        from repro.experiments.runners import SWEEP_BUILDERS
+
+        spec = SWEEP_BUILDERS["rate_adaptation"](testbed, smoke, seed=1)
+        assert len(spec.trials) == 3 * 4
 
 
 class TestScatterPointDefault:

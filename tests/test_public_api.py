@@ -70,7 +70,6 @@ class TestSubmoduleImports:
             "repro.experiments.scenarios",
             "repro.experiments.runners",
             "repro.experiments.report",
-            "repro.experiments.sweeps",
             "repro.experiments.claims",
         ],
     )

@@ -20,6 +20,7 @@ import pytest
 from repro.analysis import stats
 from repro.cli import main as cli_main
 from repro.experiments.runners import (
+    LINEUPS,
     SWEEP_BUILDERS,
     ExperimentScale,
     build_single_link_calibration,
@@ -251,6 +252,15 @@ class TestRegistryContract:
             client.submit_builder("fig17", scale="smoke", seed=3)
         assert err.value.status == 400
         assert "no AP candidate" in str(err.value)
+
+    def test_lineup_without_configurations_is_400(self, seeded_service, monkeypatch):
+        _, client = seeded_service
+        _, macs = LINEUPS["rate_adaptation"]
+        monkeypatch.setitem(LINEUPS, "rate_adaptation", (lambda *args: [], macs))
+        with pytest.raises(ApiError) as err:
+            client.submit_builder("rate_adaptation", scale="smoke", seed=1)
+        assert err.value.status == 400
+        assert "found no scenario" in str(err.value)
 
 
 class TestClientCommandErrors:

@@ -8,6 +8,7 @@ in-process. That holds iff ``TrialSpec.to_wire`` -> JSON ->
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,6 @@ from repro.experiments.spec import (
     MacSpec,
     MobilitySpec,
     TrialSpec,
-    coerce_mac,
     experiment_from_wire,
     experiment_to_wire,
 )
@@ -83,6 +83,7 @@ class TestAllOptionalFields:
             churn=((4.0, "leave", 4), (6.0, "join", 4)),
             delivery_floor_dbm=-88.0,
             interference_floor_dbm=-96.0,
+            preload="warm_start",
         )
         clone = roundtrip(trial)
         assert clone == trial
@@ -94,9 +95,23 @@ class TestAllOptionalFields:
         wire = trial.to_wire()
         for absent in ("measure", "track_tx", "metrics", "payload_bytes",
                        "mobility", "churn", "delivery_floor_dbm",
-                       "interference_floor_dbm"):
+                       "interference_floor_dbm", "preload"):
             assert absent not in wire
         assert roundtrip(trial) == trial
+
+    def test_preload_roundtrips_and_unset_keeps_the_old_fingerprint(self):
+        plain = TrialSpec("p/0", (0, 1), ((0, 1),), MacSpec.of("cmap"),
+                          0, 4.0, 1.0)
+        # Pinned before TrialSpec.preload existed: stores written then
+        # stay resumable.
+        assert plain.fingerprint() == "f174ea9c3b1bde2d"
+        for preload in ("offline", "warm_start"):
+            trial = replace(plain, preload=preload)
+            wire = json.loads(json.dumps(trial.to_wire()))
+            assert wire["preload"] == preload
+            assert TrialSpec.from_wire(wire) == trial
+            assert TrialSpec.from_wire(wire).fingerprint() == trial.fingerprint()
+            assert trial.fingerprint() != plain.fingerprint()
 
     def test_int_float_distinction_survives(self):
         # stable_hash hashes repr(), so 4 vs 4.0 in churn times or params
@@ -111,13 +126,6 @@ class TestAllOptionalFields:
 
 
 class TestWireRejections:
-    def test_inline_mac_cannot_cross_the_wire(self):
-        from repro.network import cmap_factory
-
-        inline = coerce_mac(cmap_factory())
-        with pytest.raises(ValueError):
-            inline.to_wire()
-
     def test_non_scalar_param_rejected(self):
         mac = MacSpec("cmap", (("rates", (6, 12)),))
         with pytest.raises(ValueError):

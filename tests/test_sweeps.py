@@ -1,66 +1,45 @@
-"""Tests for the parameter-sweep utilities."""
+"""Tests for the testbed-parameter sweep, :func:`repro.experiments.claims.robustness`.
 
+Each test narrows :data:`~repro.experiments.claims.ROBUSTNESS_GRID` to the
+worlds it needs.
+"""
 
+from repro.experiments import claims
 from repro.experiments.runners import ExperimentScale
-from repro.experiments.sweeps import (
-    SweepPoint,
-    render_sweep,
-    sweep_testbed_parameters,
-)
+from repro.net.testbed import Testbed
 
 
-class TestSweepPoint:
-    def test_gain(self):
-        p = SweepPoint({"x": 1}, cmap_median=10.0, cs_on_median=5.0,
-                       configs_found=3)
-        assert p.gain == 2.0
-
-    def test_gain_nan_when_baseline_zero(self):
-        import math
-
-        p = SweepPoint({"x": 1}, 1.0, 0.0, 0)
-        assert math.isnan(p.gain)
-
-
-class TestRender:
-    def test_table_contains_values_and_errors(self):
-        points = [
-            SweepPoint({"p_los": 0.3}, 9.0, 5.0, 4),
-            SweepPoint({"p_los": 0.0}, 0.0, 0.0, 0, error="no configs"),
-        ]
-        text = render_sweep(points)
-        assert "1.80x" in text
-        assert "no configs" in text
-
-    def test_empty(self):
-        assert "empty" in render_sweep([])
+def _sweep(monkeypatch, grid, scale):
+    monkeypatch.setattr(claims, "ROBUSTNESS_GRID", grid)
+    return claims.robustness(Testbed(seed=1), scale, seed=1)
 
 
 class TestSweepExecution:
-    def test_single_point_sweep_runs(self):
+    def test_single_point_sweep_runs(self, monkeypatch):
         scale = ExperimentScale(configs=1, duration=3.0, warmup=1.0)
-        points = sweep_testbed_parameters(
-            {"path_loss_exponent": [3.3]}, scale=scale, seed=1
-        )
-        assert len(points) == 1
-        p = points[0]
-        assert p.error is None
-        assert p.configs_found == 1
-        assert p.cmap_median > 0 and p.cs_on_median > 0
+        points = _sweep(monkeypatch, {"path_loss_exponent": (3.3,)}, scale)
+        assert list(points) == [(("path_loss_exponent", 3.3),)]
+        (p,) = points.values()
+        assert p is not None
+        assert len(p.configs) == 1
+        assert p.median("cmap") > 0 and p.median("cs_on") > 0
+        assert claims._gain("cmap", "cs_on")(p) > 0
+        assert claims._usable(points) == [p]
 
-    def test_impossible_world_reports_error(self):
-        # Absurd path loss: no links at all -> ScenarioError captured.
+    def test_impossible_world_reports_error(self, monkeypatch):
+        # Absurd path loss: no links at all, so no exposed-terminal pair.
         scale = ExperimentScale(configs=1, duration=3.0, warmup=1.0)
-        points = sweep_testbed_parameters(
-            {"path_loss_exponent": [8.0]}, scale=scale, seed=1
-        )
-        assert points[0].error is not None
+        points = _sweep(monkeypatch, {"path_loss_exponent": (8.0,)}, scale)
+        assert points == {(("path_loss_exponent", 8.0),): None}
+        assert claims._usable(points) == []
 
-    def test_grid_is_cartesian_product(self):
+    def test_grid_is_cartesian_product(self, monkeypatch):
         scale = ExperimentScale(configs=1, duration=2.0, warmup=0.5)
-        points = sweep_testbed_parameters(
-            {"path_loss_exponent": [3.2, 3.4], "p_los": [0.4]},
-            scale=scale, seed=1,
-        )
-        assert len(points) == 2
-        assert {p.overrides["path_loss_exponent"] for p in points} == {3.2, 3.4}
+        grid = {"path_loss_exponent": (3.2, 3.4), "p_los": (0.4,)}
+        points = _sweep(monkeypatch, grid, scale)
+        # Keys are the (field, value) pairs sorted by field name.
+        assert list(points) == [
+            (("p_los", 0.4), ("path_loss_exponent", 3.2)),
+            (("p_los", 0.4), ("path_loss_exponent", 3.4)),
+        ]
+        assert claims._usable_beyond_half(points) == len(claims._usable(points)) - 1
