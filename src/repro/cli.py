@@ -35,6 +35,7 @@ import argparse
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 from repro import perf
 from repro.experiments import claims, report
@@ -86,6 +87,13 @@ def run_figure(name, testbed, scale, backend, store) -> str:
             result = run_experiment(spec, testbed, backend=backend, store=store)
     except ScenarioError as exc:
         raise SystemExit(f"builder {name!r} found no scenario: {exc}")
+    except BrokenProcessPool:
+        if store is None:
+            hint = "rerun with --out PATH to keep finished trials for --resume"
+        else:
+            hint = (f"finished trials are in {store.path}; rerun with "
+                    f"--out {store.path} --resume")
+        raise SystemExit(f"{name}: a worker process died mid-run; {hint}")
     return report.render(result)
 
 

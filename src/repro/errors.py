@@ -1,14 +1,15 @@
 """Error taxonomy: every failure is either transient or permanent.
 
-The sweep stack (coordinator, run-table, executor backends, HTTP client)
+The sweep service (coordinator, run-table, workers, HTTP client)
 recovers from failures by retrying — but retrying is only correct for
 failures that can heal on their own. The simulation itself is a pure
 deterministic function of (testbed, spec): a ``ValueError`` raised inside
 a trial will raise identically on every retry, so re-running it burns the
 retry budget and delays the sweep for nothing. I/O and infrastructure
-failures (a locked sqlite file, a full disk, a dropped socket, a pool
-worker OOM-killed by the OS) are the opposite: the second attempt usually
-succeeds.
+failures (a locked sqlite file, a full disk, a dropped socket) are the
+opposite: the second attempt usually succeeds. The ``cli <figure>
+--jobs`` process pool does not retry: any failure there, a dead worker
+included, ends the run, and ``--resume`` continues it.
 
 :func:`classify` encodes that split for arbitrary exceptions, and the
 :class:`ReproError` hierarchy lets our own code state its class
@@ -60,17 +61,6 @@ class TrialHungError(PermanentError):
     """
 
 
-class WorkerCrashError(TransientError):
-    """A pool worker died (``BrokenProcessPool``) while running trials.
-
-    Transient *once*: worker death is usually environmental (OOM kill,
-    container eviction), so the chunk is requeued into a fresh pool one
-    time. A trial that kills its worker **twice** is treated as the cause
-    and written off. Only the ``cli <figure> --jobs`` process pool raises
-    this; the sweep service runs trials serially in its workers.
-    """
-
-
 class StaleTokenError(PermanentError):
     """A write arrived carrying a fencing token older than one already
     recorded for the same row.
@@ -95,20 +85,14 @@ class SimulatedCrash(ReproError):
 
 #: Exception types whose instances heal on retry even though they are not
 #: ReproErrors: OS-level I/O (OSError covers ConnectionError and — since
-#: 3.10 — TimeoutError), sqlite lock contention, and dead pool workers.
+#: 3.10 — TimeoutError), sqlite lock contention, and a pipe closed
+#: mid-message.
 _TRANSIENT_TYPES: "tuple[type, ...]" = (
     OSError,
     TimeoutError,
     sqlite3.OperationalError,
-    EOFError,  # a pipe to a dying worker closes mid-message
+    EOFError,
 )
-
-try:  # BrokenProcessPool only exists where concurrent.futures does
-    from concurrent.futures.process import BrokenProcessPool
-
-    _TRANSIENT_TYPES = _TRANSIENT_TYPES + (BrokenProcessPool,)
-except ImportError:  # pragma: no cover - stdlib always has it on CPython
-    BrokenProcessPool = None
 
 
 def is_transient(exc: BaseException) -> bool:

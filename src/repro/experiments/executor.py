@@ -9,29 +9,28 @@ reduction. Backends plug in how trials execute:
 * :class:`SerialBackend` — in-process, in spec order. Bit-identical to the
   pre-spec hand-rolled runners (every RNG stream is a stateless function of
   (testbed seed, run seed), so execution order cannot perturb results).
-* :class:`ProcessPoolBackend` — multiprocessing fan-out. Trials share
-  nothing but the read-only testbed (shipped once per worker), so this is
-  an embarrassingly parallel map with deterministic output.
+* :class:`ProcessPoolBackend` — an ordered map over worker processes.
+  Trials share nothing but the read-only testbed (shipped once per
+  worker), so the output is deterministic. It is not a failure domain: a
+  failing trial or a dead worker ends the run.
 
 :class:`ResultStore` adds JSON-lines persistence: completed trials are
-appended under (trial_id, fingerprint) and skipped on resume.
+appended under (trial_id, fingerprint) and skipped on resume, so
+``run_experiment`` flushes on any failure and ``--resume`` continues.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import signal
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.offline_map import preload_offline_map
-from repro.errors import SimulatedCrash, TrialHungError, WorkerCrashError, is_transient
+from repro.errors import SimulatedCrash, TrialHungError, is_transient
 from repro.experiments.spec import ExperimentSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
 from repro.network import Network, RunResult
@@ -280,43 +279,18 @@ def run_with_retries(
 class SerialBackend:
     """Run trials one after another in the calling process.
 
-    Backend protocol: ``run(testbed, trials, on_result=None, on_error=None)``
-    returns the successful results in ``trials`` order; ``on_result`` is
-    invoked with each result as soon as it exists, which is what lets the
-    executor persist completed trials while the rest of a figure is still
-    running. Without ``on_error`` a failing trial raises (the historical
-    contract run_experiment relies on); with it, the exception is reported
-    as ``on_error(trial, exc)`` and the remaining trials still run.
+    Backend protocol: ``run(testbed, trials, on_result=None)`` returns the
+    results in ``trials`` order; ``on_result`` is invoked with each result
+    as soon as it exists, which is what lets the executor persist
+    completed trials while the rest of a figure is still running. A
+    failing trial raises.
     """
 
-    def __init__(
-        self,
-        trial_timeout_s: Optional[float] = None,
-        fault_hook=None,
-    ):
-        self.trial_timeout_s = trial_timeout_s
-        self.fault_hook = fault_hook
-
-    def run(
-        self,
-        testbed: Testbed,
-        trials: Sequence[TrialSpec],
-        on_result=None,
-        on_error=None,
-    ) -> List[TrialResult]:
+    def run(self, testbed: Testbed, trials: Sequence[TrialSpec],
+            on_result=None) -> List[TrialResult]:
         results = []
         for t in trials:
-            try:
-                res = run_trial(
-                    testbed, t,
-                    timeout_s=self.trial_timeout_s,
-                    fault_hook=self.fault_hook,
-                )
-            except Exception as exc:
-                if on_error is None:
-                    raise
-                on_error(t, exc)
-                continue
+            res = run_trial(testbed, t)
             if on_result is not None:
                 on_result(res)
             results.append(res)
@@ -324,42 +298,29 @@ class SerialBackend:
 
 
 _WORKER_TESTBED: Optional[Testbed] = None
-_WORKER_FAULTS = None
-_WORKER_TIMEOUT: Optional[float] = None
 
 
-def _pool_init(testbed: Testbed, fault_wire=None, timeout_s=None) -> None:
-    global _WORKER_TESTBED, _WORKER_FAULTS, _WORKER_TIMEOUT
+def _pool_init(testbed: Testbed) -> None:
+    global _WORKER_TESTBED
     _die_with_parent()
     _WORKER_TESTBED = testbed
-    _WORKER_TIMEOUT = timeout_s
-    if fault_wire is not None:
-        # Lazy import: the executor layer sits below the service package
-        # and must not depend on it unless a fault plan actually ships.
-        from repro.service.faults import FaultPlan
-
-        _WORKER_FAULTS = FaultPlan.from_wire(fault_wire)
 
 
 def _die_with_parent() -> None:
     """Confine this worker to its parent's fault domain.
 
-    Forked workers inherit the parent's Python signal handlers — in a
-    ``cli serve`` process that includes the graceful-drain SIGTERM
-    handler, which must not run in a worker (it would swallow SIGTERM
-    and make the worker unkillable by ``terminate()``). SIGTERM goes
-    back to SIG_DFL; SIGINT to SIG_IGN so a terminal Ctrl-C drains via
-    the parent at the trial boundary instead of snapping workers
-    mid-trial into a BrokenProcessPool.
+    Forked workers inherit the parent's Python signal handlers, which must
+    not run in a worker (a handler that swallows SIGTERM would make the
+    worker unkillable by ``terminate()``). SIGTERM goes back to SIG_DFL;
+    SIGINT to SIG_IGN so a terminal Ctrl-C stops the sweep via the parent
+    instead of snapping workers mid-trial into a BrokenProcessPool.
 
     Then ask the kernel to SIGTERM the worker if its parent dies (Linux
     ``PR_SET_PDEATHSIG``; silently a no-op elsewhere). Without it, a
-    coordinator killed outright (OOM, ``kill -9``, an injected crash)
-    orphans its workers: forked children hold the write end of their own
-    call queue — so they block on ``get()`` forever instead of seeing
-    EOF — plus every other inherited fd, including a serve process's
-    HTTP listen socket, which then keeps the port bound against the
-    restarted server."""
+    parent killed outright (OOM, ``kill -9``) orphans its workers: forked
+    children hold the write end of their own call queue — so they block
+    on ``get()`` forever instead of seeing EOF — plus every other
+    inherited fd."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
@@ -374,176 +335,49 @@ def _die_with_parent() -> None:
 
 def _pool_run(spec: TrialSpec) -> TrialResult:
     assert _WORKER_TESTBED is not None, "worker pool not initialized"
-    hook = None if _WORKER_FAULTS is None else _WORKER_FAULTS.fire
-    if hook is not None:
-        # ``kill`` rules here die via os._exit mid-chunk — the scripted
-        # stand-in for an OOM-killed worker (-> BrokenProcessPool upstream).
-        hook("pool.worker", spec.trial_id)
-    return run_trial(
-        _WORKER_TESTBED, spec, timeout_s=_WORKER_TIMEOUT, fault_hook=hook
-    )
+    return run_trial(_WORKER_TESTBED, spec)
 
 
 class ProcessPoolBackend:
-    """Fan trials out over a process pool, surviving dead workers.
+    """Map trials over ``jobs`` worker processes, in input order.
 
     The testbed is shipped to each worker once (pool initializer); trial
-    specs stream over the pipe per task. Output order follows input order,
-    and every trial is a pure function of (testbed, spec), so results are
-    bit-identical to :class:`SerialBackend`.
+    specs stream over the pipe per task. Results arrive (and ``on_result``
+    fires) in input order, and every trial is a pure function of (testbed,
+    spec), so results are bit-identical to :class:`SerialBackend`.
 
-    Failure domains (see DESIGN.md "Failure domains"):
-
-    * A worker that dies mid-chunk breaks the whole
-      :class:`~concurrent.futures.ProcessPoolExecutor`
-      (:class:`BrokenProcessPool`). The chunk's unfinished trials are
-      requeued **once** into a freshly spawned pool; a second broken pool
-      marks the survivors with :class:`~repro.errors.WorkerCrashError` —
-      the caller quarantines them rather than risk running a
-      worker-killing trial in-process.
-    * ``trial_timeout_s`` arms the in-worker cooperative watchdog *and* an
-      external chunk deadline (a generous multiple, for hangs the
-      cooperative check cannot see). An externally timed-out trial gets
-      :class:`~repro.errors.TrialHungError`; its pool is torn down (hung
-      workers are terminated) and the remaining trials are resubmitted.
-    * Without ``on_error`` the first trial failure raises after the rest
-      of the chunk finishes — the historical contract, which keeps
-      ``run_experiment``'s flush-on-failure guarantee intact.
+    A trial's exception, or a dead worker's ``BrokenProcessPool``,
+    propagates; ``run_experiment`` has stored every result before it.
+    Resilience to crashed or hung trials is the sweep service's job
+    (DESIGN.md "Failure domains").
     """
 
-    #: Broken-pool rounds before the survivors are written off.
-    MAX_CRASH_ROUNDS = 2
+    def __init__(self, jobs: int):
+        self.jobs = jobs
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        start_method: Optional[str] = None,
-        trial_timeout_s: Optional[float] = None,
-        fault_plan=None,
-    ):
-        self.jobs = jobs or os.cpu_count() or 1
-        self.start_method = start_method
-        self.trial_timeout_s = trial_timeout_s
-        self.fault_plan = fault_plan
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        testbed: Testbed,
-        trials: Sequence[TrialSpec],
-        on_result=None,
-        on_error=None,
-    ) -> List[TrialResult]:
+    def run(self, testbed: Testbed, trials: Sequence[TrialSpec],
+            on_result=None) -> List[TrialResult]:
         trials = list(trials)
         if not trials or self.jobs <= 1:
-            hook = None if self.fault_plan is None else self.fault_plan.fire
-            return SerialBackend(
-                trial_timeout_s=self.trial_timeout_s, fault_hook=hook
-            ).run(testbed, trials, on_result=on_result, on_error=on_error)
-
-        results: Dict[str, TrialResult] = {}
-        failures: List["tuple[TrialSpec, BaseException]"] = []
-        failed_ids: set = set()
-        crash_rounds = 0
-        remaining = trials
-        backstop = None
-        if self.trial_timeout_s is not None:
-            # The cooperative in-worker watchdog fires at trial_timeout_s;
-            # the external deadline is a backstop for non-cooperative hangs
-            # and must not race the cooperative one on a loaded box.
-            backstop = self.trial_timeout_s * 2.0 + 1.0
-
-        while remaining:
-            executor = self._spawn(testbed, len(remaining))
-            futures = [(executor.submit(_pool_run, t), t) for t in remaining]
-            broken = hung = False
-            try:
-                for future, trial in futures:
-                    if trial.trial_id in failed_ids:
-                        continue
-                    try:
-                        res = future.result(timeout=backstop)
-                    except BrokenProcessPool:
-                        broken = True
-                        break
-                    except FutureTimeout:
-                        failures.append((trial, TrialHungError(
-                            f"trial {trial.trial_id!r} exceeded the external "
-                            f"{backstop}s chunk deadline"
-                        )))
-                        failed_ids.add(trial.trial_id)
-                        hung = True
-                        break
-                    except Exception as exc:
-                        failures.append((trial, exc))
-                        failed_ids.add(trial.trial_id)
-                    else:
-                        results[res.trial_id] = res
-                        if on_result is not None:
-                            on_result(res)
-            finally:
-                self._teardown(executor, force=broken or hung)
-
-            remaining = [
-                t for t in remaining
-                if t.trial_id not in results and t.trial_id not in failed_ids
-            ]
-            if broken:
-                crash_rounds += 1
-                if crash_rounds >= self.MAX_CRASH_ROUNDS and remaining:
-                    for t in remaining:
-                        failures.append((t, WorkerCrashError(
-                            f"trial {t.trial_id!r} was in a chunk that broke "
-                            f"its worker pool {crash_rounds} times"
-                        )))
-                        failed_ids.add(t.trial_id)
-                    remaining = []
-
-        for trial, exc in failures:
-            if on_error is None:
-                raise exc
-            on_error(trial, exc)
-        return [results[t.trial_id] for t in trials if t.trial_id in results]
-
-    # ------------------------------------------------------------------
-    def _spawn(self, testbed: Testbed, n_tasks: int) -> ProcessPoolExecutor:
-        ctx = multiprocessing.get_context(self.start_method)
-        wire = None if self.fault_plan is None else self.fault_plan.to_wire()
-        return ProcessPoolExecutor(
-            max_workers=min(self.jobs, n_tasks),
-            mp_context=ctx,
+            return SerialBackend().run(testbed, trials, on_result=on_result)
+        results = []
+        with ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(trials)),
             initializer=_pool_init,
-            initargs=(testbed, wire, self.trial_timeout_s),
-        )
-
-    @staticmethod
-    def _teardown(executor: ProcessPoolExecutor, force: bool) -> None:
-        """Shut a pool down; with ``force``, terminate its workers first —
-        a hung worker would otherwise block ``shutdown`` forever, and a
-        broken pool's survivors are being resubmitted elsewhere anyway."""
-        if force:
-            for proc in list(getattr(executor, "_processes", {}).values()):
-                if proc.is_alive():
-                    proc.terminate()
-            executor.shutdown(wait=False, cancel_futures=True)
-        else:
-            executor.shutdown(wait=True)
+            initargs=(testbed,),
+        ) as executor:
+            for res in executor.map(_pool_run, trials):
+                if on_result is not None:
+                    on_result(res)
+                results.append(res)
+        return results
 
 
-def make_backend(
-    jobs: Optional[int],
-    trial_timeout_s: Optional[float] = None,
-    fault_plan=None,
-) -> "SerialBackend | ProcessPoolBackend":
-    """``jobs`` <= 1 (or None) -> serial; otherwise an N-process pool.
-    ``trial_timeout_s``/``fault_plan`` thread the watchdog and fault hooks
-    into whichever backend comes back."""
+def make_backend(jobs: Optional[int]) -> "SerialBackend | ProcessPoolBackend":
+    """``jobs`` <= 1 (or None) -> serial; otherwise an N-process pool."""
     if jobs is None or jobs <= 1:
-        hook = None if fault_plan is None else fault_plan.fire
-        return SerialBackend(trial_timeout_s=trial_timeout_s, fault_hook=hook)
-    return ProcessPoolBackend(
-        jobs, trial_timeout_s=trial_timeout_s, fault_plan=fault_plan
-    )
+        return SerialBackend()
+    return ProcessPoolBackend(jobs)
 
 
 # ----------------------------------------------------------------------
@@ -649,20 +483,6 @@ class ResultStore:
     def results(self) -> List[TrialResult]:
         """All cached results, in insertion order."""
         return list(self._results.values())
-
-    def migrate_to(self, runtable, experiment: str, **row_kwargs) -> int:
-        """Copy every cached result into a run-table (duck-typed: anything
-        with ``record_trial(experiment, result, **kwargs)``, i.e.
-        :class:`repro.service.runtable.RunTable`). Returns the row count.
-
-        This is the flat-file -> sqlite migration path: the JSON store stays
-        the executor's resume source of truth, the run-table takes over
-        querying (counts, percentiles, recent runs) without re-parsing files.
-        """
-        seed = row_kwargs.pop("seed", self.testbed_seed)
-        for result in self._results.values():
-            runtable.record_trial(experiment, result, seed=seed, **row_kwargs)
-        return len(self._results)
 
     def save(self) -> None:
         """Make every result put so far durable. When this returns they

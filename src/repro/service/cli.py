@@ -53,20 +53,30 @@ def _parse_param(raw: str):
         return key, value
 
 
+def _load_fault_plan(spec: Optional[str], state_dir: Optional[str]):
+    """The ``--fault-plan`` value as a plan (None when unset). A plan that
+    does not load (an unknown site, action or name) exits with one line."""
+    from repro.service.faults import describe, load_plan
+
+    if not spec:
+        return None
+    try:
+        plan = load_plan(spec, state_dir=state_dir)
+    except ValueError as exc:
+        raise SystemExit(f"--fault-plan {spec}: {exc}")
+    print(f"[fault plan: {describe(plan)}]", flush=True)
+    return plan
+
+
 def cmd_serve(args) -> int:
     import signal
 
     from repro.service.coordinator import Coordinator
-    from repro.service.faults import describe, load_plan
     from repro.service.http_api import make_server
 
-    fault_plan = None
-    if args.fault_plan:
-        fault_plan = load_plan(
-            args.fault_plan,
-            state_dir=os.path.join(args.data_dir, "faults"),
-        )
-        print(f"[fault plan: {describe(fault_plan)}]", flush=True)
+    fault_plan = _load_fault_plan(
+        args.fault_plan, os.path.join(args.data_dir, "faults")
+    )
     coordinator = Coordinator(
         args.data_dir,
         trial_timeout_s=args.trial_timeout,
@@ -126,14 +136,10 @@ def cmd_work(args) -> int:
     current job is requeued at the next trial boundary)."""
     import signal
 
-    from repro.service.faults import describe, load_plan
     from repro.service.http_api import ApiError, ServiceClient
     from repro.service.worker import Worker, default_worker_id
 
-    fault_plan = None
-    if args.fault_plan:
-        fault_plan = load_plan(args.fault_plan, state_dir=args.fault_state)
-        print(f"[fault plan: {describe(fault_plan)}]", flush=True)
+    fault_plan = _load_fault_plan(args.fault_plan, args.fault_state)
     worker_id = args.worker_id or default_worker_id()
     # Worker.run closes the client's connections when the daemon exits.
     worker = Worker(

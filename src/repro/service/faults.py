@@ -6,8 +6,8 @@ mid-write is to inject exactly those faults and assert the recovery. A
 :class:`FaultPlan` is a seedable, serializable list of :class:`FaultRule`
 entries, each naming a *site* (a hook point in the stack), an optional
 *key* (e.g. a trial id), the Nth matching call at which to fire, and an
-action. Plans ride into pool workers as wire dicts and into subprocesses
-as JSON files, so one plan describes a whole distributed failure script.
+action. Plans ride into subprocesses as JSON files, so one plan
+describes a whole distributed failure script.
 
 Hook contract (the tested surface — see DESIGN.md "Failure domains"):
 
@@ -17,7 +17,6 @@ site                 key                          actions that make sense
 ``store.save``       store path                   raise (OSError)
 ``runtable.execute`` None (every statement)       raise (OperationalError)
 ``trial.run``        trial id                     raise / hang / kill / crash
-``pool.worker``      trial id                     kill (os._exit in worker)
 ``client.request``   request path                 drop / truncate
 ``coordinator.record`` trial id                   kill / crash
 ``worker.request``   request path                 drop / delay / truncate
@@ -39,7 +38,7 @@ itself and *returns* the rule for caller-implemented actions (drop,
 truncate, duplicate), so call sites stay one line.
 
 Actions that must fire **exactly once across processes and restarts**
-(killing a pool worker, killing the coordinator) set ``once=True`` and
+(killing the coordinator) set ``once=True`` and
 the plan claims an ``O_CREAT|O_EXCL`` token file under ``state_dir``
 before firing — the restarted process loads the same plan but finds the
 token and stays alive. That is what makes a chaos run terminate.
@@ -77,6 +76,14 @@ _ACTIONS = frozenset(
      "duplicate"}
 )
 
+#: Every hook point the stack fires (the table above). A rule naming any
+#: other site would never match, so a chaos run would pass without it.
+_SITES = frozenset(
+    {"store.save", "runtable.execute", "trial.run", "client.request",
+     "coordinator.record", "worker.request", "worker.upload",
+     "worker.heartbeat"}
+)
+
 
 @dataclass
 class FaultRule:
@@ -98,6 +105,11 @@ class FaultRule:
     calls: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.site not in _SITES:
+            raise ValueError(
+                f"unknown fault site {self.site!r}; want one of "
+                f"{sorted(_SITES)}"
+            )
         if self.action not in _ACTIONS:
             raise ValueError(
                 f"unknown fault action {self.action!r}; want one of "
@@ -225,7 +237,7 @@ class FaultPlan:
         return True
 
     # ------------------------------------------------------------------
-    # Wire format (ships into pool workers and subprocesses)
+    # Wire format (ships into subprocesses)
     # ------------------------------------------------------------------
     def to_wire(self) -> dict:
         return {

@@ -730,7 +730,7 @@ class RunTable:
     ) -> int:
         """Import a :class:`~repro.experiments.executor.ResultStore`'s
         cached results as run-table rows (the flat-JSON -> sqlite migration
-        path; also reachable as ``store.migrate_to(runtable, ...)``)."""
+        path)."""
         n = 0
         for result in store.results():
             self.record_trial(

@@ -1,12 +1,21 @@
-"""Executor fault domains: the trial watchdog, dead pool workers, and the
-requeue-once-then-write-off policy — against real trials, so the recovery
-paths are exercised end to end (including the bit-identity guarantee the
-watchdog must not break)."""
+"""Executor fault domains: the trial watchdog, and what the ``cli --jobs``
+process pool does when a trial raises or a worker dies (the error
+propagates, finished trials stay stored, ``--resume`` continues) — against
+real trials and real worker processes."""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import TrialHungError, WorkerCrashError
+from repro.errors import TrialHungError
+from repro.experiments import executor
 from repro.experiments.executor import (
+    METRICS,
     ProcessPoolBackend,
     ResultStore,
     SerialBackend,
@@ -23,13 +32,21 @@ def testbed():
     return Testbed(seed=1)
 
 
-def _trials(n, prefix="wt"):
+def _trials(n, prefix="wt", metrics=()):
     """Cheap real trials (~0.1s wall each) with distinct run seeds."""
     return [
         TrialSpec(f"{prefix}/{i}", (0, 1), ((0, 1),), MacSpec.of("dcf"),
-                  i, 4.0, 1.0)
+                  i, 4.0, 1.0, metrics=metrics)
         for i in range(n)
     ]
+
+
+def _sigkill_in_worker(parent_pid):
+    """SIGKILL the calling process — a stand-in for an OOM-killed pool
+    worker. Refuses to run in the test process itself."""
+    if os.getpid() == parent_pid:
+        raise RuntimeError("the worker killer ran in the test process")
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestWatchdog:
@@ -53,103 +70,147 @@ class TestWatchdog:
         with pytest.raises(TrialHungError):
             run_trial(testbed, trial, timeout_s=0.1, fault_hook=plan.fire)
 
-    def test_serial_backend_reports_errors_and_continues(self, testbed):
-        trials = _trials(3)
-        plan = FaultPlan([FaultRule(site="trial.run", key="wt/1",
-                                    action="raise", exc="ValueError",
-                                    message="poisoned")])
-        errors = []
-        backend = SerialBackend(fault_hook=plan.fire)
-        results = backend.run(testbed, trials,
-                              on_error=lambda t, e: errors.append((t, e)))
-        assert [r.trial_id for r in results] == ["wt/0", "wt/2"]
-        assert len(errors) == 1
-        assert errors[0][0].trial_id == "wt/1"
-        assert isinstance(errors[0][1], ValueError)
-
-    def test_serial_backend_raises_without_on_error(self, testbed):
-        plan = FaultPlan([FaultRule(site="trial.run", key="wt/0",
-                                    action="raise", exc="ValueError")])
-        with pytest.raises(ValueError):
-            SerialBackend(fault_hook=plan.fire).run(testbed, _trials(1))
+    def test_serial_backend_raises_a_trial_error(self, testbed):
+        with pytest.raises(KeyError, match="no_such_metric"):
+            SerialBackend().run(testbed, _trials(1, metrics=("no_such_metric",)))
 
 
 class TestBrokenPool:
-    def test_killed_worker_chunk_is_requeued_once(self, testbed, tmp_path):
-        """One worker dies mid-chunk (exactly once, token-gated): the pool
-        breaks, the chunk requeues into a fresh pool, and every trial
-        still completes — bit-identical to the serial run."""
-        trials = _trials(4, "bp")
-        plan = FaultPlan(
-            [FaultRule(site="pool.worker", action="kill", nth=1, once=True)],
-            state_dir=str(tmp_path / "tokens"),
-        )
-        backend = ProcessPoolBackend(jobs=2, fault_plan=plan)
-        results = backend.run(testbed, trials)
-        serial = SerialBackend().run(testbed, trials)
-        assert [r.to_json() for r in results] == [r.to_json() for r in serial]
+    def test_a_trial_error_propagates_from_the_pool(self, testbed):
+        trials = _trials(2) + _trials(1, "bad", metrics=("no_such_metric",))
+        with pytest.raises(KeyError, match="no_such_metric"):
+            ProcessPoolBackend(2).run(testbed, trials)
 
-    def test_persistent_killer_is_written_off_after_two_rounds(
-        self, testbed
-    ):
-        """A trial that kills its worker on *every* attempt breaks two
-        pools, then comes back as WorkerCrashError — the caller's cue to
-        quarantine it rather than ever run it in-process."""
-        trials = _trials(1, "killer")
-        plan = FaultPlan([FaultRule(site="pool.worker", key="killer/0",
-                                    action="kill", times=0)])
-        errors = []
-        backend = ProcessPoolBackend(jobs=2, fault_plan=plan)
-        results = backend.run(testbed, trials,
-                              on_error=lambda t, e: errors.append((t, e)))
-        assert results == []
-        assert len(errors) == 1
-        assert errors[0][0].trial_id == "killer/0"
-        assert isinstance(errors[0][1], WorkerCrashError)
+    def test_persistent_killer_raises_without_on_error(self, testbed,
+                                                       monkeypatch):
+        """A trial that kills its worker sinks the pool: run raises
+        BrokenProcessPool to the caller, with no handler to swallow it."""
+        parent = os.getpid()
 
-    def test_persistent_killer_raises_without_on_error(self, testbed):
-        plan = FaultPlan([FaultRule(site="pool.worker", key="killer/0",
-                                    action="kill", times=0)])
-        backend = ProcessPoolBackend(jobs=2, fault_plan=plan)
-        with pytest.raises(WorkerCrashError):
-            backend.run(testbed, _trials(1, "killer"))
+        def killer(net, result, spec):
+            _sigkill_in_worker(parent)
+
+        # the forked pool inherits the registry entry
+        monkeypatch.setitem(METRICS, "test_killer", killer)
+        with pytest.raises(BrokenProcessPool):
+            ProcessPoolBackend(2).run(
+                testbed, _trials(1, "killer", metrics=("test_killer",)))
 
     def test_run_experiment_still_flushes_store_on_pool_death(
-        self, testbed, tmp_path
+        self, testbed, tmp_path, monkeypatch
     ):
-        """The flush-on-failure guarantee survives the new pool: when a
-        worker-killing trial sinks the sweep, results that completed
-        before the wreck are already on disk."""
-        trials = _trials(4, "fx")
+        """A worker SIGKILLed mid-sweep breaks the pool: run_experiment
+        raises BrokenProcessPool, the trials that finished before it are
+        already on disk, and a resumed run completes bit-identical to the
+        serial one."""
+        armed = tmp_path / "armed"
+        armed.touch()
+        parent = os.getpid()
+
+        def killer(net, result, spec):
+            if spec.trial_id == "fx/3" and armed.exists():
+                time.sleep(0.5)  # let the earlier trials finish first
+                _sigkill_in_worker(parent)
+            return 0
+
+        # the forked pool inherits the registry entry
+        monkeypatch.setitem(METRICS, "test_killer", killer)
+        trials = _trials(4, "fx", metrics=("test_killer",))
         spec = ExperimentSpec("flush", tuple(trials),
                               reduce=lambda results: results)
-        # the last trial kills its worker on every attempt
-        plan = FaultPlan([FaultRule(site="pool.worker", key="fx/3",
-                                    action="kill", times=0)])
-        store = ResultStore(str(tmp_path / "flush.json"))
-        backend = ProcessPoolBackend(jobs=2, fault_plan=plan)
-        with pytest.raises(WorkerCrashError):
-            run_experiment(spec, testbed, backend=backend, store=store)
-        reloaded = ResultStore(str(tmp_path / "flush.json"))
+        path = str(tmp_path / "flush.json")
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(spec, testbed, backend=ProcessPoolBackend(2),
+                           store=ResultStore(path))
         # the first two trials finish before the killer is even scheduled
         # (two workers, FIFO); their results must have been persisted
-        persisted = {r.trial_id for r in reloaded.results()}
+        persisted = {r.trial_id for r in ResultStore(path).results()}
         assert {"fx/0", "fx/1"} <= persisted
         assert "fx/3" not in persisted
 
-    def test_external_backstop_catches_noncooperative_hangs(self, testbed):
-        """A worker hung in C code (modeled: injected hang far past the
-        chunk deadline) can't run the cooperative watchdog — the external
-        future timeout turns it into TrialHungError instead of a wedged
-        sweep."""
-        trials = _trials(2, "hang")
-        # hang long enough to blow the external deadline (2*t+1 = 2s)
-        plan = FaultPlan([FaultRule(site="pool.worker", key="hang/1",
-                                    action="hang", hang_s=5.0, times=0)])
-        errors = []
-        backend = ProcessPoolBackend(jobs=2, trial_timeout_s=0.5,
-                                     fault_plan=plan)
-        results = backend.run(testbed, trials,
-                              on_error=lambda t, e: errors.append((t, e)))
-        assert [r.trial_id for r in results] == ["hang/0"]
-        assert len(errors) == 1 and isinstance(errors[0][1], TrialHungError)
+        armed.unlink()
+        resumed = run_experiment(spec, testbed, backend=ProcessPoolBackend(2),
+                                 store=ResultStore(path))
+        serial = SerialBackend().run(testbed, trials)
+        assert [r.to_json() for r in resumed] == [r.to_json() for r in serial]
+
+    def test_cli_names_resume_when_a_worker_dies(self, tmp_path, monkeypatch,
+                                                 capsys):
+        from repro.cli import main
+
+        parent = os.getpid()
+
+        def killer(testbed, spec):
+            if spec.trial_id == "fig12/1/cs_on":
+                _sigkill_in_worker(parent)
+            return run_trial(testbed, spec)
+
+        monkeypatch.setattr(executor, "run_trial", killer)
+        out = str(tmp_path / "fig12.json")
+        argv = ["fig12", "--seed", "1", "--jobs", "2", "--out", out]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert "worker process died" in message and "\n" not in message
+        assert f"--out {out} --resume" in message
+        cached = len(ResultStore(out))
+        assert 0 < cached < 12
+
+        monkeypatch.undo()
+        assert main(argv + ["--resume"]) == 0
+        assert f"{cached} trials cached" in capsys.readouterr().out
+        assert len(ResultStore(out)) == 12
+
+
+#: Runs a two-worker pool whose trials print their worker's pid and then
+#: sleep far past the test's deadline.
+_ORPHAN_SCRIPT = r"""
+import os, time
+from repro.experiments import executor
+from repro.experiments.spec import MacSpec, TrialSpec
+from repro.net.testbed import Testbed
+
+def slow(testbed, spec, **_):
+    os.write(1, f"{os.getpid()}\n".encode())  # one write: lines stay whole
+    time.sleep(60)
+
+executor.run_trial = slow
+trials = [TrialSpec(f"o/{i}", (0, 1), ((0, 1),), MacSpec.of("dcf"),
+                    i, 4.0, 1.0) for i in range(2)]
+executor.ProcessPoolBackend(2).run(Testbed(seed=1), trials)
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="PR_SET_PDEATHSIG is Linux-only")
+class TestOrphanGuard:
+    def test_workers_exit_when_their_parent_is_killed(self):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT],
+                                stdout=subprocess.PIPE, env=env, text=True)
+        pids = []
+        try:
+            pids = [int(proc.stdout.readline()) for _ in range(2)]
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_alive, pids)), "orphaned pool workers"
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            for pid in filter(_alive, pids):
+                os.kill(pid, signal.SIGKILL)

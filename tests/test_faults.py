@@ -1,5 +1,6 @@
 """Unit tests for the error taxonomy and the fault-injection plans."""
 
+import json
 import sqlite3
 import time
 
@@ -10,7 +11,6 @@ from repro.errors import (
     SimulatedCrash,
     TransientError,
     TrialHungError,
-    WorkerCrashError,
     classify,
     error_class,
     is_transient,
@@ -24,6 +24,10 @@ from repro.service.faults import (
     load_plan,
 )
 
+#: A site that no hook fires any more (the process pool's worker site):
+#: plans written for it must fail to load, not inject nothing.
+GONE_SITE = "pool.worker"
+
 
 class TestTaxonomy:
     @pytest.mark.parametrize("exc", [
@@ -33,7 +37,7 @@ class TestTaxonomy:
         sqlite3.OperationalError("database is locked"),
         EOFError(),
         TransientError("ours"),
-        WorkerCrashError("pool died"),
+        BrokenPipeError("peer gone"),
     ])
     def test_transient(self, exc):
         assert is_transient(exc)
@@ -51,10 +55,12 @@ class TestTaxonomy:
         assert not is_transient(exc)
         assert classify(exc) == "permanent"
 
-    def test_broken_process_pool_is_transient(self):
+    def test_broken_process_pool_is_permanent(self):
+        """Only the ``cli --jobs`` pool raises it, and nothing retries
+        there: the run ends and ``--resume`` continues it."""
         from concurrent.futures.process import BrokenProcessPool
 
-        assert is_transient(BrokenProcessPool("worker died"))
+        assert not is_transient(BrokenProcessPool("worker died"))
 
     def test_error_class_is_the_short_name(self):
         assert error_class(ValueError("x")) == "ValueError"
@@ -63,7 +69,7 @@ class TestTaxonomy:
 
 class TestFaultRule:
     def test_nth_times_window(self):
-        rule = FaultRule(site="s", action="drop", nth=2, times=2)
+        rule = FaultRule(site="worker.request", action="drop", nth=2, times=2)
         fired = []
         for _ in range(5):
             rule.calls += 1
@@ -71,25 +77,32 @@ class TestFaultRule:
         assert fired == [False, True, True, False, False]
 
     def test_times_zero_means_forever(self):
-        rule = FaultRule(site="s", action="drop", nth=3, times=0)
+        rule = FaultRule(site="worker.request", action="drop", nth=3, times=0)
         rule.calls = 100
         assert rule.due()
 
     def test_key_matching(self):
-        rule = FaultRule(site="s", action="drop", key="a")
-        assert rule.matches("s", "a")
-        assert not rule.matches("s", "b")
-        assert not rule.matches("other", "a")
-        anykey = FaultRule(site="s", action="drop")
-        assert anykey.matches("s", "whatever")
+        rule = FaultRule(site="worker.upload", action="drop", key="a")
+        assert rule.matches("worker.upload", "a")
+        assert not rule.matches("worker.upload", "b")
+        assert not rule.matches("worker.request", "a")
+        anykey = FaultRule(site="worker.upload", action="drop")
+        assert anykey.matches("worker.upload", "whatever")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown fault action"):
-            FaultRule(site="s", action="explode")
+            FaultRule(site="store.save", action="explode")
         with pytest.raises(ValueError, match="unknown exception"):
-            FaultRule(site="s", action="raise", exc="MadeUpError")
+            FaultRule(site="store.save", action="raise", exc="MadeUpError")
         with pytest.raises(ValueError, match="1-based"):
-            FaultRule(site="s", action="drop", nth=0)
+            FaultRule(site="worker.request", action="drop", nth=0)
+
+    @pytest.mark.parametrize("site", [GONE_SITE, "trial.runn", "s"])
+    def test_unknown_site_is_rejected(self, site):
+        """A rule no hook fires would inject nothing, and a chaos run
+        would pass without its faults."""
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultRule(site=site, action="kill")
 
     def test_wire_round_trip(self):
         rule = FaultRule(site="trial.run", action="hang", key="t/3",
@@ -141,8 +154,8 @@ class TestFaultPlan:
 
     def test_wire_and_file_round_trip(self, tmp_path):
         plan = FaultPlan(
-            [FaultRule(site="a", action="drop"),
-             FaultRule(site="b", action="kill", once=True)],
+            [FaultRule(site="worker.request", action="drop"),
+             FaultRule(site="coordinator.record", action="kill", once=True)],
             seed=7, state_dir=str(tmp_path / "tokens"),
         )
         again = FaultPlan.from_wire(plan.to_wire())
@@ -161,24 +174,24 @@ class TestFaultPlan:
 
         def make():
             return FaultPlan(
-                [FaultRule(site="x", action="raise", exc="OSError",
+                [FaultRule(site="store.save", action="raise", exc="OSError",
                            once=True)],
                 state_dir=state,
             )
 
         first = make()
         with pytest.raises(OSError):
-            first.fire("x")
+            first.fire("store.save")
         # same plan, fresh process: the token is already claimed
         second = make()
-        assert second.fire("x") is None
+        assert second.fire("store.save") is None
 
     def test_once_without_state_dir_uses_the_call_window(self):
-        plan = FaultPlan([FaultRule(site="x", action="raise", exc="OSError",
-                                    once=True)])
+        plan = FaultPlan([FaultRule(site="store.save", action="raise",
+                                    exc="OSError", once=True)])
         with pytest.raises(OSError):
-            plan.fire("x")
-        assert plan.fire("x") is None
+            plan.fire("store.save")
+        assert plan.fire("store.save") is None
 
 
 class TestCannedPlans:
@@ -207,10 +220,28 @@ class TestCannedPlans:
         assert plan.state_dir == str(tmp_path)
 
         path = str(tmp_path / "p.json")
-        FaultPlan([FaultRule(site="x", action="drop")]).save(path)
+        FaultPlan([FaultRule(site="client.request", action="drop")]).save(path)
         loaded = load_plan(path, state_dir=str(tmp_path))
-        assert loaded.rules[0].site == "x"
+        assert loaded.rules[0].site == "client.request"
         assert loaded.state_dir == str(tmp_path)
+
+    def test_load_plan_rejects_an_unknown_site_in_one_line(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"rules": [
+            {"site": GONE_SITE, "action": "kill", "key": "t/0"},
+        ]}))
+        with pytest.raises(ValueError) as exc:
+            load_plan(str(path))
+        assert f"unknown fault site {GONE_SITE!r}" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["work", "--url", "http://127.0.0.1:9",
+                  "--fault-plan", str(path)])
+        assert f"unknown fault site {GONE_SITE!r}" in exit_.value.code
+        assert "\n" not in exit_.value.code
 
     def test_describe(self):
         assert describe(None) == "no faults"

@@ -211,8 +211,8 @@ class TestJobs:
         assert [j.name for j in table.list_jobs(states=(DONE,))] == ["a"]
 
 
-class TestMigration:
-    def test_ingest_store_and_migrate_to(self, table, tmp_path):
+class TestStoreIngest:
+    def test_ingest_store(self, table, tmp_path):
         store = ResultStore(str(tmp_path / "s.json"), testbed_seed=5)
         for i in range(3):
             store.put(_result(i))
@@ -222,15 +222,14 @@ class TestMigration:
         assert table.trial_count(experiment="mig") == 3
         (row,) = table.recent_runs(experiment="mig", limit=1)
         assert row["seed"] == 5
-        # store.migrate_to is the same path spelled from the store side
-        assert reloaded.migrate_to(table, "mig2", job_id="j1") == 3
+        assert table.ingest_store(reloaded, "mig2", job_id="j1") == 3
         assert table.trial_count(experiment="mig2") == 3
 
     def test_migrated_rows_round_trip_payloads(self, table, tmp_path):
         store = ResultStore(str(tmp_path / "s.json"), testbed_seed=1)
         original = _result(0, metrics={"fanout": 2.5})
         store.put(original)
-        store.migrate_to(table, "m")
+        table.ingest_store(store, "m")
         assert table.results("m") == [original]
 
     def test_wire_column_is_valid_json(self, table):
