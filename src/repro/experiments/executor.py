@@ -124,6 +124,20 @@ def _leave_node(net: Network, node: int) -> None:
         net.remove_node(node)
 
 
+def _watchdog_check(sim, deadline, check_dt, trial_id, timeout_s) -> None:
+    """The trial watchdog's engine event (see :func:`run_trial`): raise
+    once the wall-clock budget is spent, else check again in ``check_dt``.
+    A module function, not a closure naming itself, so it forms no cycle."""
+    if time.monotonic() >= deadline:
+        raise TrialHungError(
+            f"trial {trial_id!r} exceeded its {timeout_s}s "
+            f"wall-clock budget at sim time {sim.now:.6f}"
+        )
+    sim.schedule_call(
+        check_dt, _watchdog_check, (sim, deadline, check_dt, trial_id, timeout_s)
+    )
+
+
 #: ``TrialSpec.preload`` -> whether the preloaded offline map is frozen.
 _PRELOADS = {"offline": True, "warm_start": False}
 
@@ -158,6 +172,10 @@ def run_trial(
     ``fault_hook`` (see ``repro.service.faults``) fires site ``trial.run``
     keyed by the trial id before the run — the injection point for
     scripted per-trial raise/hang/kill faults.
+
+    The network is closed (:meth:`~repro.network.Network.close`) once the
+    metrics are read, and when the trial raises, so refcounting frees the
+    trial's world on the spot instead of leaving it to the cyclic GC.
     """
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     if fault_hook is not None:
@@ -169,61 +187,59 @@ def run_trial(
         delivery_floor_dbm=spec.delivery_floor_dbm,
         interference_floor_dbm=spec.interference_floor_dbm,
     )
-    factory = spec.mac.build()
-    first_op: Dict[int, str] = {}
-    for t, op, node in sorted(spec.churn, key=lambda e: e[0]):
-        if op not in ("join", "leave"):
-            raise ValueError(f"unknown churn op {op!r} (want 'join'/'leave')")
-        first_op.setdefault(node, op)
-    initially_absent = {n for n, op in first_op.items() if op == "join"}
-    for node in spec.nodes:
-        if node not in initially_absent:
-            net.add_node(node, factory)
-    if spec.preload is not None:
-        if spec.preload not in _PRELOADS:
-            raise ValueError(
-                f"unknown preload {spec.preload!r}; pick from {sorted(_PRELOADS)}"
-            )
-        preload_offline_map(net, spec.flows, freeze=_PRELOADS[spec.preload])
-    for s, d in spec.flows:
-        if s not in initially_absent:
-            net.add_saturated_flow(s, d, payload_bytes=spec.payload_bytes)
-    for t, op, node in spec.churn:
-        if op == "join":
-            flows = tuple(f for f in spec.flows if f[0] == node)
-            net.sim.schedule_call(
-                t, _join_node, (net, node, factory, flows, spec.payload_bytes)
-            )
-        else:
-            net.sim.schedule_call(t, _leave_node, (net, node))
-    if spec.mobility is not None:
-        from repro.net.mobility import MobilityController
-
-        controller = MobilityController(net)
-        model = spec.mobility.build(testbed.config.floor)
-        for node in spec.mobility.nodes:
-            controller.attach(node, model)
-        controller.start()
-    if deadline is not None:
-        check_dt = max(spec.duration / 64.0, 1e-6)
-
-        def _watchdog_check() -> None:
-            if time.monotonic() >= deadline:
-                raise TrialHungError(
-                    f"trial {spec.trial_id!r} exceeded its {timeout_s}s "
-                    f"wall-clock budget at sim time {net.sim.now:.6f}"
+    try:
+        factory = spec.mac.build()
+        first_op: Dict[int, str] = {}
+        for t, op, node in sorted(spec.churn, key=lambda e: e[0]):
+            if op not in ("join", "leave"):
+                raise ValueError(f"unknown churn op {op!r} (want 'join'/'leave')")
+            first_op.setdefault(node, op)
+        initially_absent = {n for n, op in first_op.items() if op == "join"}
+        for node in spec.nodes:
+            if node not in initially_absent:
+                net.add_node(node, factory)
+        if spec.preload is not None:
+            if spec.preload not in _PRELOADS:
+                raise ValueError(
+                    f"unknown preload {spec.preload!r}; pick from {sorted(_PRELOADS)}"
                 )
-            net.sim.schedule_call(check_dt, _watchdog_check)
+            preload_offline_map(net, spec.flows, freeze=_PRELOADS[spec.preload])
+        for s, d in spec.flows:
+            if s not in initially_absent:
+                net.add_saturated_flow(s, d, payload_bytes=spec.payload_bytes)
+        for t, op, node in spec.churn:
+            if op == "join":
+                flows = tuple(f for f in spec.flows if f[0] == node)
+                net.sim.schedule_call(
+                    t, _join_node, (net, node, factory, flows, spec.payload_bytes)
+                )
+            else:
+                net.sim.schedule_call(t, _leave_node, (net, node))
+        if spec.mobility is not None:
+            from repro.net.mobility import MobilityController
 
-        net.sim.schedule_call(check_dt, _watchdog_check)
-    result = net.run(duration=spec.duration, warmup=spec.warmup)
-    flow_mbps = {f: result.flow_mbps(*f) for f in spec.measured_flows}
-    metrics = {}
-    for name in spec.metrics:
-        if name not in METRICS:
-            raise KeyError(f"unknown metric {name!r}; registered: "
-                           f"{sorted(METRICS)}")
-        metrics[name] = METRICS[name](net, result, spec)
+            controller = MobilityController(net)
+            model = spec.mobility.build(testbed.config.floor)
+            for node in spec.mobility.nodes:
+                controller.attach(node, model)
+            controller.start()
+        if deadline is not None:
+            check_dt = max(spec.duration / 64.0, 1e-6)
+            net.sim.schedule_call(
+                check_dt,
+                _watchdog_check,
+                (net.sim, deadline, check_dt, spec.trial_id, timeout_s),
+            )
+        result = net.run(duration=spec.duration, warmup=spec.warmup)
+        flow_mbps = {f: result.flow_mbps(*f) for f in spec.measured_flows}
+        metrics = {}
+        for name in spec.metrics:
+            if name not in METRICS:
+                raise KeyError(f"unknown metric {name!r}; registered: "
+                               f"{sorted(METRICS)}")
+            metrics[name] = METRICS[name](net, result, spec)
+    finally:
+        net.close()
     return TrialResult(spec.trial_id, flow_mbps, metrics, spec.fingerprint())
 
 

@@ -180,6 +180,19 @@ class MacBase:
     #: every kind whose overheard copies it acts on.
     READS_OVERHEARD: Optional[Tuple["FrameKind", ...]] = None
 
+    #: The ``_cb_*`` slots of a class and its bases: the bound timer
+    #: callbacks subclasses fold once at ``__init__``, dropped by close().
+    _callback_slots: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._callback_slots = tuple(
+            name
+            for klass in cls.__mro__
+            for name in vars(klass).get("__slots__", ())
+            if name.startswith("_cb_")
+        )
+
     def __init__(
         self,
         sim: "Simulator",
@@ -270,6 +283,21 @@ class MacBase:
         self._started = False
         self._on_stop()
         self.timers.cancel_all()
+
+    def close(self) -> None:
+        """Release this MAC from a finished run (``Network.close``).
+
+        Undoes what ties it into reference cycles: it detaches from its
+        radio (the inverse of ``radio.mac = self`` above), drops its timer
+        registry, whose handles call its own bound methods, and drops the
+        bound callbacks folded into ``_cb_*`` slots. Not a churn path: the
+        MAC cannot run again.
+        """
+        self._started = False
+        self.radio.mac = None
+        self.timers = None
+        for name in self._callback_slots:
+            setattr(self, name, None)
 
     def _on_start(self) -> None:
         """Subclass hook: arm initial timers, kick the first contention."""

@@ -140,9 +140,11 @@ class DcfMac(MacBase):
         self._next_u32 = self._u32_state = None
         if not backend.reference and max(p.cw_min, p.cw_max) < 0xFFFFFFFF:
             # The state pointer lives as long as self.rng's bit generator.
+            # from_buffer reads the pointer the way ctypes.cast would, but
+            # cast leaves the source pointer in a reference cycle.
             iface = self.rng.bit_generator.ctypes
             self._next_u32 = NextUint32(
-                ctypes.cast(iface.next_uint32, ctypes.c_void_p).value
+                ctypes.c_void_p.from_buffer(iface.next_uint32).value
             )
             self._u32_state = iface.state_address
         # Timer callbacks bound once so registry re-arms hit the

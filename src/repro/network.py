@@ -250,6 +250,8 @@ class Network:
         self.tracer = tracer
         self.sink = SinkRegistry()
         self.nodes: Dict[int, Node] = {}
+        #: Nodes remove_node took out (churn), kept for close().
+        self._departed: List[Node] = []
         #: True while run() is executing; nodes added then start immediately.
         self._running = False
         self._radio_config = radio_config or RadioConfig(
@@ -303,6 +305,7 @@ class Network:
         node = self.nodes.pop(node_id)
         node.mac.stop()
         self.medium.detach(node.radio)
+        self._departed.append(node)
         return node
 
     # ------------------------------------------------------------------
@@ -404,3 +407,23 @@ class Network:
             warmup=warmup,
             duration=duration,
         )
+
+    def close(self) -> None:
+        """Free this run's world by refcounting, not the cyclic GC.
+
+        Radios, MACs, their bound callbacks and timers, the fan-out
+        closures and the engine's heap point at one another, so a finished
+        run is a web of reference cycles. ``close`` cuts them: every MAC —
+        including those of nodes that left mid-run — detaches from its
+        radio and drops its timers and callbacks, the medium drops its
+        radios, tables and in-flight frames, and the engine cancels what
+        pends and drops its heap. The heap also held the churn and
+        mobility steps, so the mobility controller goes with it; the sink
+        holds no cycle. Read every result first: the network cannot run
+        again. :func:`repro.experiments.executor.run_trial` calls it after
+        its metrics, and when the trial raises.
+        """
+        for node in (*self.nodes.values(), *self._departed):
+            node.mac.close()
+        self.medium.close()
+        self.sim.close()

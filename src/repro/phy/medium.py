@@ -455,6 +455,21 @@ class Medium:
         radio.on_own_tx_end(tx)
         self.sim.credit_events(len(end_fns))
 
+    def close(self) -> None:
+        """Drop every radio, fan-out table and in-flight frame (teardown).
+
+        A table's callbacks close over their receiving radio, which points
+        back here, so the tables are what ties a finished run's radios and
+        medium into reference cycles. The fan-out census reads empty
+        afterwards.
+        """
+        self._radios = {}
+        self._fanout_fns = {}
+        self._fanout_version = {}
+        self._fanout_members = {}
+        self._fanout_counts = {}
+        self.active = {}
+
     def active_transmissions(self) -> List[Transmission]:
         """Snapshot of in-flight transmissions (tests, stats)."""
         return list(self.active.values())

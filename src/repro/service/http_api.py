@@ -203,7 +203,7 @@ def _lease_reply(leased: Optional[dict]) -> dict:
     if leased is None:
         return {"job": None}
     return {
-        "job": leased["job"].to_wire(),
+        "job": leased["job"].header(),
         "token": leased["token"],
         "pending": [t.to_wire() for t in leased["pending"]],
     }

@@ -111,11 +111,12 @@ class SweepJob:
     # ------------------------------------------------------------------
     # Wire format (HTTP submit + run-table persistence)
     # ------------------------------------------------------------------
-    def to_wire(self) -> dict:
+    def header(self) -> dict:
+        """The wire job without its trials: what a lease reply carries
+        beside the trials still pending, so each trial crosses once."""
         return {
             "job_id": self.job_id,
             "name": self.name,
-            "trials": [t.to_wire() for t in self.trials],
             "priority": self.priority,
             "testbed_seed": self.testbed_seed,
             "state": self.state,
@@ -129,6 +130,9 @@ class SweepJob:
             "error": self.error,
             "idempotency_key": self.idempotency_key,
         }
+
+    def to_wire(self) -> dict:
+        return {**self.header(), "trials": [t.to_wire() for t in self.trials]}
 
     @classmethod
     def from_wire(cls, obj: dict) -> "SweepJob":

@@ -73,7 +73,7 @@ from repro.net.testbed import Testbed
 from repro.service.coordinator import HANDSHAKE
 from repro.service.faults import FaultPlan
 from repro.service.http_api import ApiError, ServiceClient
-from repro.service.jobs import CANCEL, CONTINUE, YIELD, SweepJob
+from repro.service.jobs import CANCEL, CONTINUE, YIELD
 
 #: What reads a sent verb's reply (``Reply.result``).
 _Reader = Callable[[], Any]
@@ -258,17 +258,20 @@ class Worker:
         return outcome
 
     def _execute(self, leased: dict) -> str:
-        job = SweepJob.from_wire(leased["job"])
+        # The job arrives as its header (SweepJob.header): the trials to
+        # run are the pending ones, each on the wire once.
+        header = leased["job"]
+        job_id = str(header["job_id"])
         token = int(leased["token"])
         pending = [TrialSpec.from_wire(t) for t in leased["pending"]]
-        testbed = self._testbed(job.testbed_seed)
+        testbed = self._testbed(int(header["testbed_seed"]))
 
         lost = threading.Event()
         stop_hb = threading.Event()
         hb = threading.Thread(
             target=self._heartbeat_loop,
-            args=(job.job_id, token, lost, stop_hb),
-            name=f"hb-{job.job_id}",
+            args=(job_id, token, lost, stop_hb),
+            name=f"hb-{job_id}",
             daemon=True,
         )
         hb.start()
@@ -303,7 +306,7 @@ class Worker:
                     inflight = None
                     if lost.is_set():
                         break
-                verb = self._verb(job.job_id, token, trial, result, wall, exc)
+                verb = self._verb(job_id, token, trial, result, wall, exc)
                 inflight = verb, self._send("worker.upload", verb[0], verb[2])
             if inflight is not None and not lost.is_set():
                 self._deliver(*inflight, lost)
@@ -318,7 +321,7 @@ class Worker:
         # only here is the job's outcome decided.
         if lost.is_set():
             return ABANDONED
-        return self._close(job.job_id, token, requeue=give_back)
+        return self._close(job_id, token, requeue=give_back)
 
     def _heartbeat_loop(
         self,

@@ -424,3 +424,19 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
+
+    def close(self) -> None:
+        """Cancel every pending timer and drop the heap (run teardown).
+
+        Heap entries hold the run's callbacks — MAC bound methods, fan-out
+        batches, churn and mobility steps over the network — and a
+        :class:`TimerHandle` holds its simulator back, so a finished run's
+        heap keeps its whole world in reference cycles. After ``close`` the
+        engine holds nothing of it, and nothing pends.
+        """
+        for entry in self._heap:
+            handle = entry[3]
+            if handle is not None and handle.seq == entry[2]:
+                handle.seq = _CANCELLED
+        self._heap = []
+        self._live = 0

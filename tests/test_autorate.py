@@ -1,9 +1,11 @@
 """Tests for ARF rate adaptation and the conflict-map-aware rate policy."""
 
+import pytest
 
 from repro.core.cmap_mac import CmapMac
 from repro.core.conflict_map import InterfererEntry
 from repro.core.params import CmapParams, LatencyProfile
+from repro.experiments.spec import MacSpec
 from repro.mac.autorate import ArfDcfMac, ArfParams
 from repro.mac.base import Packet
 from repro.phy.medium import Medium
@@ -75,6 +77,28 @@ class TestArfLadder:
             {0: Position(0, 0), 1: Position(10, 0)}, ArfDcfMac, params
         )
         assert macs[0].current_rate.mbps == 12
+
+
+class TestArfSharedParams:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ArfDcfMac._apply_rate writes its rung's rate into the one "
+        "ArfParams the registry factory hands every node (ROADMAP item 7)",
+    )
+    def test_a_rate_step_moves_only_its_own_node(self):
+        factory = MacSpec.of("autorate").build()
+        sim, medium, macs, sink = build(
+            {0: Position(0, 0), 1: Position(10, 0)},
+            lambda sim, node_id, radio, rng, _params: factory(
+                sim, node_id, radio, rng
+            ),
+            None,
+        )
+        macs[0]._step(+1)
+        assert macs[0].current_rate.mbps == 9
+        assert macs[1].current_rate.mbps == 6
+        # Node 1 transmits at params.data_rate: it must be its own rung's.
+        assert macs[1].params.data_rate is macs[1].current_rate
 
 
 class TestCmapRateDownshift:

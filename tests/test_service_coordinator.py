@@ -468,9 +468,10 @@ class TestJobRowTracksLiveJob:
         with pytest.raises(KeyboardInterrupt):
             co.run_once()
         assert seen == [0, 1, 2, 3]
-        # Serialised by submit and by the grant's lease reply, never by a
-        # progress upsert.
-        assert wires == [job_id] * 2
+        # Serialised by submit only: the grant's lease reply carries the
+        # job's header (SweepJob.header), and a progress upsert writes
+        # columns.
+        assert wires == [job_id]
         live = co._jobs[job_id]
         co.runtable.close()
 
@@ -490,7 +491,7 @@ class TestJobRowTracksLiveJob:
         assert seen[4:] == [3, 4, 5]  # three from the store, three run
         assert reopened.runtable.get_job(job_id) == done
         assert reopened.job_progress(job_id) == done.progress()
-        assert wires == [job_id] * 3  # one more grant
+        assert wires == [job_id]  # the resumed grant serialises nothing
         reopened.runtable.close()
 
 

@@ -17,7 +17,10 @@ import time
 import pytest
 
 from repro.errors import StaleTokenError
+from repro.experiments.executor import SerialBackend
+from repro.experiments.runners import ExperimentScale, build_single_link_calibration
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
+from repro.net.testbed import Testbed
 from repro.service.coordinator import Coordinator
 from repro.service import http_api
 from repro.service.faults import FaultPlan, FaultRule, canned_plan
@@ -127,6 +130,34 @@ class TestEndToEnd:
             assert len(rows) == 4
             assert {r["worker_id"] for r in rows} == {"wA"}
             assert all(r["token"] == rows[0]["token"] for r in rows)
+        finally:
+            service.close()
+
+    def test_lease_reply_carries_each_trial_once(self, tmp_path):
+        """The leased job is a header: its trials travel once, as
+        ``pending``, and a real fleet job still lands serial's rows."""
+        testbed = Testbed(seed=1)
+        trials = list(build_single_link_calibration(
+            testbed, scale=ExperimentScale.smoke()).trials)[:3]
+        serial = SerialBackend().run(testbed, trials)
+        service = _Service(tmp_path, testbed_factory=lambda seed: testbed)
+        try:
+            job = new_job("lease", trials, testbed_seed=testbed.seed)
+            service.co.submit(job)
+            w = _worker(service, "wA", testbed_factory=lambda seed: testbed)
+            replies = []
+            lease_job = w.client.lease_job
+            w.client.lease_job = lambda *a, **kw: (
+                replies.append(lease_job(*a, **kw)) or replies[-1])
+            w.register()
+            assert w.run_one() == ACKED
+            header = replies[0]["job"]
+            assert "trials" not in header
+            assert (header["job_id"], header["testbed_seed"]) == (
+                job.job_id, testbed.seed)
+            assert [t["trial_id"] for t in replies[0]["pending"]] == [
+                t.trial_id for t in trials]
+            assert service.co.runtable.results("lease") == serial
         finally:
             service.close()
 
@@ -386,7 +417,7 @@ class _RecordingTransport:
         if self.leased:
             return {"job": None}
         self.leased = True
-        return {"job": self.job.to_wire(), "token": 1,
+        return {"job": self.job.header(), "token": 1,
                 "pending": [t.to_wire() for t in self.job.trials]}
 
     def heartbeat(self, job_id, worker_id, token):
