@@ -6,7 +6,7 @@ that absorbs concurrent experiment requests:
 
 * :mod:`repro.service.jobs` — :class:`SweepJob`: an experiment's trials
   plus priority and a queued/running/done/done_partial/failed/cancelled
-  state machine with completed/failed/quarantined counters.
+  state machine with completed/quarantined counters.
 * :mod:`repro.service.queue` — a lease/ack/requeue priority queue. The
   in-memory implementation is single-host, but the interface is
   multi-host-shaped: a worker that dies mid-lease has its job requeued

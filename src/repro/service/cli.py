@@ -298,7 +298,6 @@ def _print_progress(progress: dict) -> None:
     print(
         f"  {progress['job_id']}  {progress['name']:<12} "
         f"{progress['state']:<9} {progress['completed']}/{progress['total']}"
-        + (f"  failed={progress['failed']}" if progress["failed"] else "")
         + (f"  error={progress['error']}" if progress.get("error") else ""),
         flush=True,
     )
@@ -504,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs = sub.add_parser("runs", help="query the run-table")
     runs.add_argument("--url", default=DEFAULT_URL)
     runs.add_argument("--experiment", help="filter to one experiment")
-    runs.add_argument("--status", help="filter by row status (ok/failed)")
+    runs.add_argument("--status", help="filter by row status (ok/quarantined)")
     runs.add_argument("--limit", type=int, default=20)
     runs.add_argument("--metric",
                       help="summarize this metric (total_mbps, mbps:S-D, "

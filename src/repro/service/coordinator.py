@@ -15,10 +15,16 @@ whose reply carries the :meth:`~Coordinator.verdict`, and ends with
 ``remote_ack`` (the server computes the terminal state) or
 ``remote_requeue``. A reaped holder gets :class:`LeaseLost` (or
 :class:`~repro.errors.StaleTokenError`) and backs away; an error in the
-grant or a record fails the job (:meth:`Coordinator._failing`). Every
-state transition is upserted into the run-table, so
+grant or a record fails the job (:meth:`Coordinator._failing`).
+
+Each job fact has one home. Live progress is the in-memory
+:class:`~repro.service.jobs.SweepJob`; the lease and its grant context
+(the job's store, the record lock) are the queue entry; idempotency keys
+are the run-table's jobs rows. A job's row is written at its transitions
+only (submit, grant, requeue, finalize), so
 :meth:`Coordinator.resume_open_jobs` can re-queue what a dead process
-left open, and the grant serves its finished trials from the job's store.
+left open, and the grant recounts its finished trials from the job's
+store.
 DESIGN.md "Service" and "Failure domains" have the whole protocol.
 """
 
@@ -29,7 +35,7 @@ import os
 import threading
 import time
 import traceback
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import SimulatedCrash, StaleTokenError
 
@@ -122,18 +128,13 @@ class Coordinator:
         self._testbeds: Dict[int, Testbed] = {}
         self.worker_ttl_s = worker_ttl_s
         self._jobs: Dict[str, SweepJob] = {}
-        #: Live idempotency-key -> job_id map (the run-table holds the
-        #: durable half; this catches submit races before the first upsert).
-        self._idem: Dict[str, str] = {}
+        #: Holds an idempotency-key lookup and the job's first upsert
+        #: together, so two submits under one key make one job.
+        self._submit_lock = threading.Lock()
         #: Remote worker registry: worker_id -> monotonic last-seen. A
         #: worker is *active* while its last contact (register, lease poll,
         #: heartbeat, upload) is younger than ``worker_ttl_s``.
         self._remote_workers: Dict[str, float] = {}
-        #: Per-job lease context, local and remote alike: job_id ->
-        #: {token, store, lock}. Set by grant, cleared on requeue and
-        #: finalize; a reaped lease leaves a stale entry that the queue's
-        #: verify rejects before it is ever used.
-        self._leases: Dict[str, dict] = {}
         self._cond = threading.Condition()
         self._stop = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -142,38 +143,23 @@ class Coordinator:
     # Submission / lifecycle
     # ------------------------------------------------------------------
     def submit(self, job: SweepJob) -> str:
-        """Queue a job. If the job carries an idempotency key already seen
-        (live or in the run-table), the original job's id is returned and
-        nothing new is queued — a client retrying a submit whose response
-        was lost gets exactly one job."""
-        key = job.idempotency_key
-        if key:
-            existing = self._dedup(key, job.job_id)
-            if existing is not None:
-                return existing
-        job.state = QUEUED
-        with self._cond:
-            self._jobs[job.job_id] = job
-            if key:
-                self._idem[key] = job.job_id
-        self.runtable.upsert_job(job)
+        """Queue a job. If the run-table holds a job submitted under the
+        same idempotency key, that job's id is returned and nothing new is
+        queued — a client retrying a submit whose response was lost gets
+        exactly one job. The job's own id never matches itself, which is
+        what lets ``resume_open_jobs`` resubmit a keyed job."""
+        with self._submit_lock:
+            if job.idempotency_key:
+                row = self.runtable.job_by_idempotency_key(job.idempotency_key)
+                if row is not None and row.job_id != job.job_id:
+                    return row.job_id
+            job.state = QUEUED
+            with self._cond:
+                self._jobs[job.job_id] = job
+            self.runtable.upsert_job(job)
         self.queue.submit(job)
         self._notify()
         return job.job_id
-
-    def _dedup(self, key: str, job_id: str) -> Optional[str]:
-        """The job id previously submitted under ``key`` (None if unseen).
-        The submitting job's own id never matches itself — that is what
-        lets ``resume_open_jobs`` resubmit a keyed job it finds in the
-        run-table."""
-        with self._cond:
-            live = self._idem.get(key)
-        if live is not None and live != job_id:
-            return live
-        row = self.runtable.job_by_idempotency_key(key)
-        if row is not None and row.job_id != job_id:
-            return row.job_id
-        return None
 
     def submit_experiment(
         self,
@@ -191,18 +177,17 @@ class Coordinator:
     def resume_open_jobs(self) -> List[str]:
         """Re-queue every job a previous process left queued or running.
 
-        Progress counters restart from zero; trials that completed before
-        the crash are served from the job's fingerprinted store, and
-        trials a previous incarnation quarantined are re-counted from
-        their run-table rows — neither re-executes."""
+        A row's counters are those of its last transition, so they restart
+        from zero: the grant recounts trials that completed before the
+        crash from the job's fingerprinted store, and trials a previous
+        incarnation quarantined from their run-table rows — neither
+        re-executes."""
         resumed = []
         for job in self.runtable.open_jobs():
             if job.job_id in self._jobs:
                 continue
             job.state = QUEUED
-            job.completed = 0
-            job.failed = 0
-            job.quarantined = 0
+            job.completed = job.quarantined = 0
             self.submit(job)
             resumed.append(job.job_id)
         return resumed
@@ -288,7 +273,7 @@ class Coordinator:
         timeout: Optional[float] = None,
     ) -> Optional[dict]:
         """Long-poll a job: block until its progress advances past
-        ``cursor`` (completed + failed + quarantined trials) or it reaches
+        ``cursor`` (completed + quarantined trials) or it reaches
         a terminal state, up to ``timeout`` seconds. ``cursor=None``
         returns the current snapshot immediately. None if unknown."""
         deadline = None if timeout is None else time.monotonic() + timeout
@@ -298,9 +283,7 @@ class Coordinator:
                 return None
             if progress["state"] in TERMINAL_STATES or cursor is None:
                 return progress
-            settled = (progress["completed"] + progress["failed"]
-                       + progress["quarantined"])
-            if settled > cursor:
+            if progress["completed"] + progress["quarantined"] > cursor:
                 return progress
             with self._cond:
                 remaining = None if deadline is None else deadline - time.monotonic()
@@ -428,11 +411,7 @@ class Coordinator:
         """Extend a lease; :class:`LeaseLost` tells the lease holder its
         lease was reaped (and possibly re-granted) — it must abandon."""
         self.touch_worker(worker_id)
-        try:
-            self.queue.extend(job_id, worker_id, self.lease_s, token=token)
-        except LeaseLost:
-            self._drop_lease(job_id, token)
-            raise
+        self.queue.extend(job_id, worker_id, self.lease_s, token=token)
 
     def record_remote_result(
         self,
@@ -451,11 +430,12 @@ class Coordinator:
         duplicated upload returns False without touching counters; (3) the
         run-table insert carries the token, so even a write racing the
         reap window is fenced by :class:`~repro.errors.StaleTokenError`.
-        Returns True when the result was new. Any other error fails the
-        job (see :meth:`_failing`)."""
+        Two durable steps: the store append, then the fenced row; the
+        progress counter is the live job's. Returns True when the result
+        was new. Any other error fails the job (see :meth:`_failing`)."""
         self.touch_worker(worker_id)
-        job, lease = self._held(job_id, worker_id, token)
-        store: ResultStore = lease["store"]
+        lease = self._held(job_id, worker_id, token)
+        job, store = lease["job"], lease["store"]
         with self._failing(job, worker_id, token), lease["lock"]:
             if store.has(result.trial_id, result.fingerprint):
                 return False  # duplicated upload: one row, one counter bump
@@ -478,7 +458,8 @@ class Coordinator:
         exhausted retries). Fenced, verified and failed exactly like a
         result."""
         self.touch_worker(worker_id)
-        job, lease = self._held(job_id, worker_id, token)
+        lease = self._held(job_id, worker_id, token)
+        job = lease["job"]
         with self._failing(job, worker_id, token), lease["lock"]:
             # Replay dedup, as store.has on the result path: the run-table
             # row witnesses that this (trial, fingerprint) was counted, and
@@ -493,7 +474,6 @@ class Coordinator:
                 seed=job.testbed_seed, job_id=job.job_id,
                 worker_id=worker_id, attempt=job.attempt, token=token,
             )
-            self.runtable.upsert_job(job)
         self._notify()
 
     def remote_ack(self, job_id: str, worker_id: str, token: int) -> dict:
@@ -509,16 +489,13 @@ class Coordinator:
             raise LeaseLost(f"job {job_id} is not live")
         if job.cancel_requested:
             state = CANCELLED
-        elif job.failed or job.quarantined or job.completed < job.total:
+        elif job.quarantined or job.completed < job.total:
             state = DONE_PARTIAL
         else:
             state = DONE
-        try:
-            # Ack verifies worker + token; LeaseLost means the new holder
-            # owns the job and this holder's view of it is already history.
-            self.queue.ack(job_id, worker_id, token)
-        finally:
-            self._drop_lease(job_id, token)
+        # Ack verifies worker + token; LeaseLost means the new holder owns
+        # the job and this holder's view of it is already history.
+        self.queue.ack(job_id, worker_id, token)
         self._finalize(job, state)
         return job.progress()
 
@@ -529,10 +506,7 @@ class Coordinator:
         self.touch_worker(worker_id)
         with self._cond:
             job = self._jobs.get(job_id)
-        try:
-            self.queue.requeue(job_id, worker_id, token=token)
-        finally:
-            self._drop_lease(job_id, token)
+        self.queue.requeue(job_id, worker_id, token=token)
         if job is not None:
             job.state = QUEUED
             self.runtable.upsert_job(job)
@@ -545,10 +519,11 @@ class Coordinator:
         """Start ``worker_id``'s lease on a job it just took from the
         queue: ``{"job": SweepJob, "token": int, "pending": [TrialSpec,
         ...]}``, or None when there is nothing to run (cancelled while
-        queued, or the grant failed). Cached results are recorded under
-        this grant's token and quarantined trials counted first, so a
-        resumed job never re-runs or re-hangs on what a previous
-        incarnation settled."""
+        queued, the grant failed, or the lease was lost meanwhile). Cached
+        results are recorded under this grant's token and quarantined
+        trials counted first, so a resumed job never re-runs or re-hangs on
+        what a previous incarnation settled. The job's row is written once,
+        after that sweep, and the grant's context goes on the queue entry."""
         token = self.queue.lease_token(job.job_id, worker_id)
         if job.cancel_requested:
             self.remote_ack(job.job_id, worker_id, token)
@@ -558,9 +533,7 @@ class Coordinator:
             with self._failing(job, worker_id, token):
                 job.state = RUNNING
                 job.started_at = time.time()
-                job.completed = job.failed = job.quarantined = 0
-                self.runtable.upsert_job(job)
-                self._notify()
+                job.completed = job.quarantined = 0
                 store = ResultStore(
                     self._store_path(job),
                     testbed_seed=job.testbed_seed,
@@ -576,20 +549,20 @@ class Coordinator:
                         job.name, trial.trial_id, trial.fingerprint()
                     ) == "quarantined":
                         job.quarantined += 1
-                        self.runtable.upsert_job(job)
-                        self._notify()
                     else:
                         pending.append(trial)
+                self.runtable.upsert_job(job)
+                self.queue.attach(job.job_id, worker_id, token, {
+                    "job": job, "store": store,
+                    # Serializes this lease's records: the has/put/counter
+                    # sequence must be atomic against a retransmission
+                    # racing its still-in-flight original on another
+                    # handler thread.
+                    "lock": threading.Lock(),
+                })
         except LeaseLost:
             return None
-        with self._cond:
-            self._leases[job.job_id] = {
-                "token": token, "store": store,
-                # Serializes this lease's records: the has/put/counter
-                # sequence must be atomic against a retransmission racing
-                # its still-in-flight original on another handler thread.
-                "lock": threading.Lock(),
-            }
+        self._notify()
         return {"job": job, "token": token, "pending": pending}
 
     @contextlib.contextmanager
@@ -613,30 +586,14 @@ class Coordinator:
                 self._finalize(job, FAILED)
             raise LeaseLost(f"job {job.job_id} failed: {exc}") from exc
 
-    def _held(self, job_id: str, worker_id: str, token: int) -> Tuple[SweepJob, dict]:
-        """The live job and lease context ``worker_id`` holds under
-        ``token``; :class:`LeaseLost` if the queue says the lease is gone
-        or this process has no context for that grant."""
-        try:
-            self.queue.verify(job_id, worker_id, token)
-        except LeaseLost:
-            self._drop_lease(job_id, token)
-            raise
-        with self._cond:
-            lease = self._leases.get(job_id)
-            job = self._jobs.get(job_id)
-        if lease is None or job is None or lease["token"] != token:
-            raise LeaseLost(f"job {job_id} has no live lease for token {token}")
-        return job, lease
-
-    def _drop_lease(self, job_id: str, token: int) -> None:
-        """Forget a lease context, but only if it still belongs to
-        ``token`` — a re-granted lease's fresh context must survive the
-        zombie's cleanup."""
-        with self._cond:
-            lease = self._leases.get(job_id)
-            if lease is not None and lease["token"] == token:
-                del self._leases[job_id]
+    def _held(self, job_id: str, worker_id: str, token: int) -> dict:
+        """The grant context ({job, store, lock}) of the lease ``worker_id``
+        holds under ``token``; :class:`LeaseLost` if the queue says the
+        lease is gone or its grant has not attached one."""
+        lease = self.queue.verify(job_id, worker_id, token)
+        if lease is None:
+            raise LeaseLost(f"job {job_id} has no granted lease for token {token}")
+        return lease
 
     def _record_ok(
         self,
@@ -649,15 +606,15 @@ class Coordinator:
     ) -> None:
         self.runtable.record_trial(
             job.name, result, seed=job.testbed_seed, wall_time=wall,
-            status="ok", job_id=job.job_id, replace=replace,
+            job_id=job.job_id, replace=replace,
             worker_id=worker_id, attempt=job.attempt, token=token,
         )
         job.completed += 1
-        self.runtable.upsert_job(job)
         self._notify()
         if self._fault_hook is not None:
-            # After the row and counters are durable: a kill/crash here is
-            # the worst-timed coordinator death that still loses nothing.
+            # After the row is durable: a kill/crash here is the
+            # worst-timed coordinator death that still loses nothing (the
+            # counter is live only; resume recounts it from the store).
             self._fault_hook("coordinator.record", result.trial_id)
 
     def _save_store(self, store: ResultStore) -> None:
@@ -682,13 +639,9 @@ class Coordinator:
         job.finished_at = time.time()
         self.runtable.upsert_job(job)
         with self._cond:
-            # Terminal jobs live on in the run-table; drop the live refs so
+            # Terminal jobs live on in the run-table; drop the live ref so
             # a long-lived serve process doesn't accumulate trial lists.
-            # (The durable idem_key row keeps dedup working afterwards.)
             self._jobs.pop(job.job_id, None)
-            self._leases.pop(job.job_id, None)
-            if job.idempotency_key:
-                self._idem.pop(job.idempotency_key, None)
         self._notify()
 
     def _store_path(self, job: SweepJob) -> str:

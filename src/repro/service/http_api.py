@@ -632,8 +632,7 @@ class ServiceClient:
             yield progress
             if progress["state"] in TERMINAL_STATES:
                 return
-            cursor = (progress["completed"] + progress["failed"]
-                      + progress.get("quarantined", 0))
+            cursor = progress["completed"] + progress.get("quarantined", 0)
 
     def runs(
         self,

@@ -53,15 +53,17 @@ class SweepJob:
     """One queued sweep: trials + priority + live progress.
 
     ``priority`` is higher-runs-first; ties break FIFO by submission. The
-    progress counters (``completed``/``failed``/``quarantined``) are
-    maintained by the coordinator and include trials served from the
-    fingerprinted store (or already-quarantined run-table rows) on resume,
-    so ``completed + quarantined == total`` always means "every trial has
-    an outcome", however many processes it took to get there.
+    progress counters (``completed``/``quarantined``) live here, in the
+    live job: the coordinator bumps them per trial and writes them to the
+    job's run-table row only at transitions (submit, grant, requeue,
+    finalize). They include trials served from the fingerprinted store (or
+    already-quarantined run-table rows) on resume, so ``completed +
+    quarantined == total`` always means "every trial has an outcome",
+    however many processes it took to get there.
 
     ``idempotency_key`` is the client-chosen dedup token: the coordinator
-    refuses to create a second job for a key it has seen (live or in the
-    run-table), which is what makes retried HTTP submits safe.
+    refuses to create a second job for a key its run-table has seen, which
+    is what makes retried HTTP submits safe.
     """
 
     job_id: str
@@ -74,7 +76,6 @@ class SweepJob:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     completed: int = 0
-    failed: int = 0
     quarantined: int = 0
     #: Lease-grant count: bumped by the queue on every grant (first run,
     #: re-lease after a reap, resume after a crash). Recorded next to each
@@ -99,7 +100,6 @@ class SweepJob:
             "testbed_seed": self.testbed_seed,
             "total": self.total,
             "completed": self.completed,
-            "failed": self.failed,
             "quarantined": self.quarantined,
             "attempt": self.attempt,
             "error": self.error,
@@ -124,7 +124,6 @@ class SweepJob:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "completed": self.completed,
-            "failed": self.failed,
             "quarantined": self.quarantined,
             "attempt": self.attempt,
             "error": self.error,
@@ -150,7 +149,6 @@ class SweepJob:
             started_at=obj.get("started_at"),
             finished_at=obj.get("finished_at"),
             completed=int(obj.get("completed", 0)),
-            failed=int(obj.get("failed", 0)),
             quarantined=int(obj.get("quarantined", 0)),
             attempt=int(obj.get("attempt", 0)),
             error=obj.get("error"),

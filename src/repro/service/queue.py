@@ -29,6 +29,11 @@ because the *same* worker can lose and re-win a lease across a partition
 and would pass an identity check while still holding stale state.
 ``ack``/``requeue``/``extend`` take an optional ``token`` and raise
 :class:`LeaseLost` when it is not the current grant's.
+
+Lease context: the entry is the one home of a lease. Besides its holder,
+expiry and token it carries the context its grant attached
+(:meth:`InMemoryJobQueue.attach`: the coordinator's job store and record
+lock). ``verify`` returns it; a requeue or a reap clears it.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ class LeaseLost(ValueError):
 
 
 class _Entry:
-    __slots__ = ("job", "seq", "state", "leased_to", "lease_expiry", "token")
+    __slots__ = ("job", "seq", "state", "leased_to", "lease_expiry", "token",
+                 "context")
 
     def __init__(self, job: SweepJob, seq: int):
         self.job = job
@@ -57,6 +63,14 @@ class _Entry:
         self.lease_expiry: float = 0.0
         #: Fencing token of the current (or last) grant; 0 = never leased.
         self.token: int = 0
+        #: What the current grant attached (None until it does).
+        self.context: object = None
+
+    def release(self) -> None:
+        """Back to queued: the holder and its context are gone."""
+        self.state = "queued"
+        self.leased_to = None
+        self.context = None
 
 
 class InMemoryJobQueue:
@@ -144,9 +158,7 @@ class InMemoryJobQueue:
         Raises :class:`LeaseLost` if ``worker_id`` no longer holds the lease.
         """
         with self._cond:
-            entry = self._leased_entry_locked(job_id, worker_id, token)
-            entry.state = "queued"
-            entry.leased_to = None
+            self._leased_entry_locked(job_id, worker_id, token).release()
             self._cond.notify_all()
 
     def extend(
@@ -174,14 +186,25 @@ class InMemoryJobQueue:
         with self._cond:
             return self._leased_entry_locked(job_id, worker_id).token
 
+    def attach(
+        self, job_id: str, worker_id: str, token: int, context: object
+    ) -> None:
+        """Hang the grant's ``context`` on ``worker_id``'s lease (under
+        ``token``); :meth:`verify` hands it back until the lease ends.
+        Raises :class:`LeaseLost` if that grant is already gone."""
+        with self._cond:
+            entry = self._leased_entry_locked(job_id, worker_id, token)
+            entry.context = context
+
     def verify(
         self, job_id: str, worker_id: str, token: Optional[int] = None
-    ) -> None:
+    ) -> object:
         """Assert ``worker_id`` (holding ``token``, when given) still owns
-        the lease; raises :class:`LeaseLost` otherwise. The read-only verb
-        upload handlers call before accepting a result."""
+        the lease and return what its grant attached (None if nothing yet);
+        raises :class:`LeaseLost` otherwise. The read-only verb upload
+        handlers call before accepting a result."""
         with self._cond:
-            self._leased_entry_locked(job_id, worker_id, token)
+            return self._leased_entry_locked(job_id, worker_id, token).context
 
     def advance_tokens(self, floor: int) -> None:
         """Ensure every future grant's token is strictly greater than
@@ -215,8 +238,7 @@ class InMemoryJobQueue:
         with self._cond:
             for entry in self._entries.values():
                 if entry.state == "leased" and entry.lease_expiry <= now:
-                    entry.state = "queued"
-                    entry.leased_to = None
+                    entry.release()
                     reaped.append(entry.job.job_id)
             if reaped:
                 self._cond.notify_all()
@@ -231,8 +253,7 @@ class InMemoryJobQueue:
             entry = self._entries.get(job_id)
             if entry is None or entry.state != "leased":
                 return False
-            entry.state = "queued"
-            entry.leased_to = None
+            entry.release()
             entry.lease_expiry = 0.0
             self._cond.notify_all()
             return True

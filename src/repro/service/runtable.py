@@ -3,18 +3,19 @@
 The flat-JSON :class:`~repro.experiments.executor.ResultStore` stays the
 executor's *resume* source of truth (it is what fingerprint-keyed caching
 reads), but it answers "what ran last week" only by re-parsing whole files.
-The run-table is the query side: every completed (or failed, or
-quarantined) trial lands here as one row — indexed by experiment, trial
-id, fingerprint, seed, wall time, and status, with the full TrialResult as
-a JSON payload column — and summary questions (percentiles over any
-metric, per-experiment counts, recent runs) become indexed SQL plus a
-small amount of Python instead of directory scans.
+The run-table is the query side: every completed (or quarantined) trial
+lands here as one row — indexed by experiment, trial id, fingerprint,
+seed, wall time, and status, with the full TrialResult as a JSON payload
+column — and summary questions (percentiles over any metric,
+per-experiment counts, recent runs) become indexed SQL plus a small amount
+of Python instead of directory scans.
 
 A second table persists :class:`~repro.service.jobs.SweepJob` descriptors;
 jobs still ``queued``/``running`` at startup are what the coordinator
-re-queues after a crash. The jobs table also carries the submit
-idempotency key, so a retried HTTP submit deduplicates even across a
-coordinator restart.
+re-queues after a crash. A job row is written at the job's transitions
+(submit, grant, requeue, finalize), not per trial. The jobs table is also
+the one home of the submit idempotency key, so a retried HTTP submit
+deduplicates, even across a coordinator restart.
 
 Crash consistency (see DESIGN.md "Failure domains"):
 
@@ -82,7 +83,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     started_at   REAL,
     finished_at  REAL,
     completed    INTEGER NOT NULL DEFAULT 0,
-    failed       INTEGER NOT NULL DEFAULT 0,
     total        INTEGER NOT NULL,
     error        TEXT,
     wire         TEXT NOT NULL,
@@ -101,11 +101,13 @@ _TRIAL_COLUMNS = (
 #: ``SweepJob.progress()``. Only the second group changes while a job
 #: runs: ``upsert_job`` rewrites those alone, and readers lay them over the
 #: ``wire`` blob, which is written once and keeps the first insert's values.
+#: (Files made before the ``failed`` counter was dropped keep its column;
+#: nothing writes or reads it.)
 _JOB_FIXED = (
     "job_id", "name", "priority", "testbed_seed", "total", "submitted_at",
 )
 _JOB_MUTABLE = (
-    "state", "completed", "failed", "quarantined", "attempt", "error",
+    "state", "completed", "quarantined", "attempt", "error",
     "started_at", "finished_at",
 )
 _JOB_COLUMNS = _JOB_FIXED + _JOB_MUTABLE
@@ -282,7 +284,6 @@ class RunTable:
         result: TrialResult,
         seed: Optional[int] = None,
         wall_time: Optional[float] = None,
-        status: str = "ok",
         job_id: Optional[str] = None,
         recorded_at: Optional[float] = None,
         replace: bool = True,
@@ -290,7 +291,7 @@ class RunTable:
         attempt: Optional[int] = None,
         token: Optional[int] = None,
     ) -> bool:
-        """Insert one trial row. With ``replace=False`` an existing
+        """Insert one ``ok`` trial row. With ``replace=False`` an existing
         (experiment, trial_id, fingerprint) row is left untouched — that is
         what keeps a crash-resumed job from overwriting the original rows'
         wall times with cache-hit nulls.
@@ -310,7 +311,7 @@ class RunTable:
             result.fingerprint,
             seed,
             wall_time,
-            status,
+            "ok",
             job_id,
             worker_id,
             attempt,
@@ -348,30 +349,6 @@ class RunTable:
 
         return bool(self._exec(_do))
 
-    def record_failure(
-        self,
-        experiment: str,
-        trial_id: str,
-        fingerprint: str,
-        error: str,
-        seed: Optional[int] = None,
-        job_id: Optional[str] = None,
-        worker_id: Optional[str] = None,
-        attempt: Optional[int] = None,
-        token: Optional[int] = None,
-    ) -> None:
-        """A trial that exhausted its retries still gets a row — "what
-        failed last week" is as much a run-table question as "what ran".
-
-        A failure never replaces an existing ``ok`` row for the same
-        (experiment, trial_id, fingerprint): resubmitting a sweep as a new
-        job re-executes its trials, and a transient flake must not erase a
-        previously recorded TrialResult from the query side."""
-        self._record_bad(
-            experiment, trial_id, fingerprint, "failed",
-            {"error": error}, seed, job_id, worker_id, attempt, token,
-        )
-
     def record_quarantine(
         self,
         experiment: str,
@@ -386,29 +363,18 @@ class RunTable:
         token: Optional[int] = None,
     ) -> None:
         """A trial the coordinator gave up on: permanent failure, hung
-        past its watchdog, or killed its worker twice. The error *class*
-        is recorded alongside the message so "what kinds of trials get
-        quarantined" is one GROUP BY away. Like failures, a quarantine
-        never overwrites an ``ok`` row."""
-        self._record_bad(
-            experiment, trial_id, fingerprint, "quarantined",
-            {"error": error, "error_class": error_class}, seed, job_id,
-            worker_id, attempt, token,
-        )
+        past its watchdog, or killed its worker twice — "what failed last
+        week" is as much a run-table question as "what ran". The error
+        *class* is recorded alongside the message so "what kinds of trials
+        get quarantined" is one GROUP BY away.
 
-    def _record_bad(
-        self,
-        experiment: str,
-        trial_id: str,
-        fingerprint: str,
-        status: str,
-        payload: dict,
-        seed: Optional[int],
-        job_id: Optional[str],
-        worker_id: Optional[str] = None,
-        attempt: Optional[int] = None,
-        token: Optional[int] = None,
-    ) -> None:
+        A quarantine never replaces an existing ``ok`` row for the same
+        (experiment, trial_id, fingerprint): resubmitting a sweep as a new
+        job re-executes its trials, and a flake must not erase a recorded
+        TrialResult from the query side. A later quarantine replaces an
+        earlier one, unless the earlier row's token is larger
+        (:class:`~repro.errors.StaleTokenError`)."""
+
         def _do(conn: sqlite3.Connection) -> None:
             with conn:
                 row = conn.execute(
@@ -427,7 +393,7 @@ class RunTable:
                     ):
                         raise StaleTokenError(
                             f"trial {trial_id!r} already recorded under "
-                            f"fencing token {held}; rejecting {status} "
+                            f"fencing token {held}; rejecting quarantine "
                             f"write with stale token {token}"
                         )
                 conn.execute(
@@ -437,8 +403,9 @@ class RunTable:
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
                         experiment, trial_id, fingerprint, seed, None,
-                        status, job_id, worker_id, attempt, token,
-                        time.time(), json.dumps(payload),
+                        "quarantined", job_id, worker_id, attempt, token,
+                        time.time(),
+                        json.dumps({"error": error, "error_class": error_class}),
                     ),
                 )
 
@@ -578,8 +545,8 @@ class RunTable:
 
     def results(self, experiment: str) -> List[TrialResult]:
         """Every successful trial of an experiment, insertion-ordered.
-        Only ``ok`` rows carry a TrialResult payload — failed and
-        quarantined rows hold error records, not results."""
+        Only ``ok`` rows carry a TrialResult payload — quarantined rows
+        hold error records, not results."""
         rows = self._exec(
             lambda conn: conn.execute(
                 "SELECT payload FROM trials WHERE experiment = ? AND "
@@ -639,9 +606,10 @@ class RunTable:
     # Jobs table
     # ------------------------------------------------------------------
     def upsert_job(self, job: SweepJob) -> None:
-        """Persist a job's current state: O(1) in its trial count. The
-        trial list is serialised by the first call for a job and never
-        again; every later call updates the progress columns only."""
+        """Persist a job's current state at a transition (submit, grant,
+        requeue, finalize): O(1) in its trial count. The trial list is
+        serialised by the first call for a job and never again; every later
+        call updates the progress columns only."""
         progress = [getattr(job, name) for name in _JOB_MUTABLE]
 
         def _do(conn: sqlite3.Connection) -> None:
@@ -679,9 +647,9 @@ class RunTable:
 
     def job_by_idempotency_key(self, key: str) -> Optional[SweepJob]:
         """The earliest job submitted under ``key`` (None if unseen) — the
-        persistent half of submit dedup, so a client retrying a submit
-        whose response was lost gets the original job back even across a
-        coordinator restart."""
+        home of submit dedup, so a client retrying a submit whose response
+        was lost gets the original job back, even across a coordinator
+        restart."""
         jobs = self._jobs_where(
             "WHERE idem_key = ? ORDER BY submitted_at, job_id LIMIT 1", (key,)
         )

@@ -138,7 +138,7 @@ class TestGracefulShutdown:
                 for progress in client.tail(job_id, wait=5.0):
                     final = progress
             assert final is not None and final["state"] == "done"
-            assert final["completed"] == 40 and final["failed"] == 0
+            assert final["completed"] == 40 and final["quarantined"] == 0
             assert second.terminate_and_wait() == 0, second.output()
         finally:
             second.kill()

@@ -7,8 +7,10 @@ and crash-resume acceptance tests execute real trials against a shared
 Testbed.
 """
 
+import contextlib
 import os
 import shutil
+import threading
 import time
 import types
 
@@ -32,6 +34,7 @@ from repro.service.jobs import (
     new_job,
 )
 from repro.service.queue import InMemoryJobQueue
+from repro.service.runtable import RunTable
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +116,7 @@ class TestSchedulingLogic:
         job_id = co.submit(new_job("sweep", _trials(3)))
         done = co.run_once()
         assert done.job_id == job_id and done.state == DONE
-        assert (done.completed, done.failed) == (3, 0)
+        assert (done.completed, done.quarantined) == (3, 0)
         assert fake.calls == ["t/0", "t/1", "t/2"]
         assert co.runtable.trial_count(experiment="sweep") == 3
         assert co.runtable.get_job(job_id).state == DONE
@@ -142,7 +145,7 @@ class TestSchedulingLogic:
         job_id = co.submit(new_job("partial", _trials(3)))
         done = co.run_once()
         assert done.state == DONE_PARTIAL
-        assert (done.completed, done.failed, done.quarantined) == (2, 0, 1)
+        assert (done.completed, done.quarantined) == (2, 1)
         assert "scripted failure" in done.error
         # the failing trial got 1 + max_retries attempts, the rest ran once
         assert fake.calls.count("t/1") == 3
@@ -433,66 +436,121 @@ class TestLeaseHeartbeat:
 
 
 class TestJobRowTracksLiveJob:
-    """``upsert_job`` writes progress columns, not the trial list; the
-    row must still decode to exactly the live job at every step."""
+    """A job's row is written at its transitions only (submit, grant,
+    requeue, finalize), and each write decodes to exactly the live job.
+    Between transitions the live job alone counts trials."""
 
-    def test_row_equals_live_job_after_every_trial_and_a_kill(
+    def test_row_equals_live_job_at_every_transition_and_a_kill(
         self, tmp_path, monkeypatch
     ):
         data_dir = str(tmp_path / "svc")
-        co = Coordinator(
-            data_dir,
-            testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
-        )
-        wires = []
+        wires, writes = [], []
         real_to_wire = SweepJob.to_wire
         monkeypatch.setattr(
             SweepJob, "to_wire",
-            lambda self: wires.append(self.job_id) or real_to_wire(self),
+            lambda self: wires.append(self.name) or real_to_wire(self),
         )
-        seen, current = [], [co]
+        real_upsert = RunTable.upsert_job
+
+        def upsert(table, job):
+            real_upsert(table, job)
+            # the row is the live job, through both of the row's decoders
+            assert table.get_job(job.job_id) == job
+            assert table.job_progress(job.job_id) == [job.progress()]
+            writes.append((job.name, job.state, job.completed))
+
+        monkeypatch.setattr(RunTable, "upsert_job", upsert)
+        runner = FakeRunTrial()
+        monkeypatch.setattr("repro.service.worker.run_trial", runner)
+
+        def coordinator():
+            return Coordinator(
+                data_dir,
+                testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
+            )
+
+        co = coordinator()
+        # Uninterrupted: three writes (nine with a per-trial UPDATE).
+        co.submit(new_job("whole", _trials(6)))
+        assert co.run_once().state == DONE
+        assert writes == [("whole", QUEUED, 0), ("whole", RUNNING, 0),
+                          ("whole", DONE, 6)]
+
+        # A stop during t/0 requeues: the row takes the live count.
+        writes.clear()
+        job_id = co.submit(new_job("sweep", _trials(6)))
+        runner.hook = lambda trial: co._stop.set()
+        assert co.run_once().state == QUEUED
+        co._stop.clear()
+        assert writes == [("sweep", QUEUED, 0), ("sweep", RUNNING, 0),
+                          ("sweep", QUEUED, 1)]
 
         def hook(trial):
-            # Before each trial runs, the row is the live job: RUNNING,
-            # with every earlier trial counted.
-            live = current[0]._jobs[job_id]
-            assert current[0].runtable.get_job(job_id) == live
-            assert current[0].job_progress(job_id) == live.progress()
-            seen.append(live.completed)
-            if len(seen) == 4:
+            # Trials move the live job only; the row keeps the grant's.
+            live = co._jobs[job_id]
+            assert co.job_progress(job_id) == live.progress()
+            assert co.runtable.get_job(job_id).completed == 1
+            if trial.trial_id == "t/3":
                 raise KeyboardInterrupt  # kill -9 before the fourth trial
 
-        monkeypatch.setattr("repro.service.worker.run_trial",
-                            FakeRunTrial(hook=hook))
-        job_id = co.submit(new_job("sweep", _trials(6)))
+        runner.hook = hook
+        writes.clear()
         with pytest.raises(KeyboardInterrupt):
             co.run_once()
-        assert seen == [0, 1, 2, 3]
-        # Serialised by submit only: the grant's lease reply carries the
-        # job's header (SweepJob.header), and a progress upsert writes
-        # columns.
-        assert wires == [job_id]
-        live = co._jobs[job_id]
+        assert writes == [("sweep", RUNNING, 1)]  # the re-grant, once
+        assert co._jobs[job_id].completed == 3
         co.runtable.close()
 
-        reopened = Coordinator(
-            data_dir,
-            testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
-        )
+        reopened = coordinator()
         row = reopened.runtable.get_job(job_id)
-        assert row == live and (row.state, row.completed) == (RUNNING, 3)
+        assert (row.state, row.completed) == (RUNNING, 1)
         # not live in this process: the progress read comes from columns
-        assert reopened.job_progress(job_id) == live.progress()
-        assert reopened.list_jobs() == [live.progress()]
+        assert reopened.job_progress(job_id) == row.progress()
+        writes.clear()
         assert reopened.resume_open_jobs() == [job_id]
-        current[0] = reopened
+        runner.hook, runner.calls = None, []
         done = reopened.run_once()
         assert (done.state, done.completed) == (DONE, 6)
-        assert seen[4:] == [3, 4, 5]  # three from the store, three run
-        assert reopened.runtable.get_job(job_id) == done
-        assert reopened.job_progress(job_id) == done.progress()
-        assert wires == [job_id]  # the resumed grant serialises nothing
+        assert runner.calls == ["t/3", "t/4", "t/5"]  # three from the store
+        assert writes == [("sweep", QUEUED, 0), ("sweep", RUNNING, 3),
+                          ("sweep", DONE, 6)]
+        # Serialised by the first submit only: a lease reply carries the
+        # job's header (SweepJob.header), and later writes are columns.
+        assert wires == ["whole", "sweep"]
         reopened.runtable.close()
+
+
+class TestIdempotentSubmit:
+    def test_concurrent_submits_under_one_key_make_one_job(
+        self, co, monkeypatch
+    ):
+        """Each submit's key lookup waits at a barrier for the other's (or
+        1 s). The lookup and the job's first upsert share one lock, so the
+        second submit finds the first job's row and returns its id."""
+        barrier = threading.Barrier(2, timeout=1.0)
+        real_lookup = co.runtable.job_by_idempotency_key
+
+        def lookup(key):
+            found = real_lookup(key)
+            with contextlib.suppress(threading.BrokenBarrierError):
+                barrier.wait()
+            return found
+
+        monkeypatch.setattr(co.runtable, "job_by_idempotency_key", lookup)
+        ids = []
+
+        def submit():
+            job = new_job("keyed", _trials(2))
+            job.idempotency_key = "one-key"
+            ids.append(co.submit(job))
+
+        threads = [threading.Thread(target=submit) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10.0)
+        assert len(ids) == 2 and ids[0] == ids[1]
+        assert co.queue.queued_count() == 1
 
 
 class TestAgainstRealTrials:

@@ -173,7 +173,7 @@ class TestSubmitAndTail:
         assert reply["name"] == "wiresweep" and reply["trials"] == 4
         final = _tail_to_terminal(client, reply["job_id"])
         assert final["state"] == "done"
-        assert final["completed"] == 4 and final["failed"] == 0
+        assert final["completed"] == 4 and final["quarantined"] == 0
 
         runs = client.runs(experiment="wiresweep", with_payload=True)
         assert runs["counts"]["wiresweep"] == 4
@@ -339,7 +339,7 @@ class TestLongPoll:
         t0 = time.monotonic()
         progress = client.job(reply["job_id"], wait=30.0, cursor=0)
         elapsed = time.monotonic() - t0
-        assert progress["completed"] + progress["failed"] > 0 \
+        assert progress["completed"] + progress["quarantined"] > 0 \
             or progress["state"] in ("done", "failed", "cancelled")
         assert elapsed < 10.0  # long-poll released early, not at the cap
         _tail_to_terminal(client, reply["job_id"])

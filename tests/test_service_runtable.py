@@ -71,11 +71,12 @@ class TestTrialRows:
 
     def test_failed_rows_recorded_but_excluded_from_results(self, table):
         table.record_trial("e", _result(0))
-        table.record_failure("e", "t/1", "fp1", "KeyError: 'nope'")
+        table.record_quarantine("e", "t/1", "fp1", "KeyError: 'nope'",
+                                "KeyError")
         assert table.trial_count(experiment="e") == 2
-        assert table.trial_count(experiment="e", status="failed") == 1
+        assert table.trial_count(experiment="e", status="quarantined") == 1
         assert [r.trial_id for r in table.results("e")] == ["t/0"]
-        (row,) = table.recent_runs(experiment="e", status="failed",
+        (row,) = table.recent_runs(experiment="e", status="quarantined",
                                    with_payload=True)
         assert row["payload"]["error"] == "KeyError: 'nope'"
 
@@ -84,17 +85,17 @@ class TestTrialRows:
         in the rerun must not erase the recorded TrialResult."""
         ok = _result(0)
         table.record_trial("e", ok, job_id="job-1")
-        table.record_failure("e", ok.trial_id, ok.fingerprint, "flake",
-                             job_id="job-2")
+        table.record_quarantine("e", ok.trial_id, ok.fingerprint, "flake",
+                                "OSError", job_id="job-2")
         (row,) = table.recent_runs(experiment="e")
         assert row["status"] == "ok"
         assert table.results("e") == [ok]
-        # with no ok row the failure lands, and a later failure replaces it
-        table.record_failure("e", "t/9", "fp9", "first")
-        table.record_failure("e", "t/9", "fp9", "second")
-        (frow,) = table.recent_runs(experiment="e", status="failed",
+        # with no ok row the quarantine lands, and a later one replaces it
+        table.record_quarantine("e", "t/9", "fp9", "first", "OSError")
+        table.record_quarantine("e", "t/9", "fp9", "second", "ValueError")
+        (qrow,) = table.recent_runs(experiment="e", status="quarantined",
                                     with_payload=True)
-        assert frow["payload"]["error"] == "second"
+        assert qrow["payload"]["error"] == "second"
 
     def test_results_round_trip(self, table):
         original = _result(0, metrics={"concurrency": 0.8})
@@ -182,7 +183,7 @@ class TestJobs:
             dict(state=RUNNING, started_at=12.0, attempt=2, completed=0,
                  quarantined=0),
             dict(completed=5, quarantined=1),
-            dict(state=DONE, finished_at=13.0, failed=0),
+            dict(state=DONE, finished_at=13.0),
         ]
         for step in steps:
             for name, value in step.items():
@@ -249,7 +250,8 @@ class TestQuarantineRows:
         assert table.trial_status("e", "t/0", "fp0") == "quarantined"
         (row,) = table.recent_runs(experiment="e", status="quarantined",
                                    with_payload=True)
-        assert row["payload"]["error_class"] == "TrialHungError"
+        assert row["payload"] == {"error": "TrialHungError: wedged",
+                                  "error_class": "TrialHungError"}
         # quarantined rows are error records, not results
         assert table.results("e") == []
 
@@ -334,8 +336,9 @@ class TestIdempotencyKeys:
             "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (old.job_id, old.name, old.priority, old.state, old.testbed_seed,
              old.submitted_at, old.started_at, old.finished_at, old.completed,
-             old.failed, old.total, old.error, json.dumps(old.to_wire()),
-             None),
+             0, old.total, old.error,
+             # the blob of that era carries the since-dropped ``failed``
+             json.dumps({**old.to_wire(), "failed": 0}), None),
         )
         conn.commit()
         conn.close()
@@ -548,7 +551,8 @@ class TestFencedWrites:
     def test_stale_quarantine_is_fenced_too(self, table):
         from repro.errors import StaleTokenError
 
-        table.record_failure("fig12", "t/0", "fp0", "boom", token=9)
+        table.record_quarantine("fig12", "t/0", "fp0", "boom", "OSError",
+                                token=9)
         with pytest.raises(StaleTokenError):
             table.record_quarantine("fig12", "t/0", "fp0", "late", "OSError",
                                     token=2)

@@ -279,7 +279,7 @@ class TestTransportFaults:
             job = _submit(service, n=1)
             leased = service.client.lease_job("wA")
             token = leased["token"]
-            store = service.co._leases[job.job_id]["store"]
+            store = service.co.queue.verify(job.job_id, "wA", token)["store"]
             real_put = store.put
             store.put = lambda res: (time.sleep(0.3), real_put(res))[1]
             spec = _trials(1, "sweep")[0]
@@ -987,7 +987,7 @@ class TestFencing:
             )
             # A future grant already recorded this row...
             service.co.runtable.record_trial(
-                "sweep", result, status="failed", replace=True,
+                "sweep", result, replace=True,
                 token=token + 10,
             )
             with pytest.raises(ApiError) as err:
