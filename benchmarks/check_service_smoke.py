@@ -11,7 +11,12 @@ job to completion, and then checks the whole pipeline end to end:
 * every flow throughput served back over HTTP is **bit-identical** to
   running the same spec in-process through ``SerialBackend``;
 * the run-table's percentile summary equals
-  ``repro.analysis.stats.percentile`` over the same totals.
+  ``repro.analysis.stats.percentile`` over the same totals;
+* the ``calibration`` smoke spec, built on testbed 1 at config seed 1 and
+  submitted once with ``testbed_seed`` 1 and once with 2, lands one row
+  per trial and world: each job's rows sit under their world's key
+  (``runtable.row_fingerprint``) and equal ``SerialBackend`` on that
+  testbed. Rows of two testbeds must never collide.
 
 With ``--chaos`` the same sweep runs under the canned ``smoke-chaos``
 fault plan (see :func:`repro.service.faults.canned_plan`) and the gate
@@ -58,9 +63,12 @@ from repro.experiments.executor import SerialBackend  # noqa: E402
 from repro.experiments.runners import (  # noqa: E402
     ExperimentScale,
     build_exposed_terminals,
+    build_single_link_calibration,
 )
+from repro.experiments.spec import experiment_to_wire  # noqa: E402
 from repro.net.testbed import Testbed  # noqa: E402
 from repro.service.http_api import ServiceClient  # noqa: E402
+from repro.service.runtable import row_fingerprint  # noqa: E402
 
 
 def free_port() -> int:
@@ -172,6 +180,51 @@ def check_results(client, spec, reference, final, failures) -> None:
             f"summary count {summary['count']} != {len(spec.trials)}")
 
 
+def check_two_worlds(client, timeout_s, failures) -> None:
+    """One spec on testbeds 1 and 2 through the same server: each job's
+    rows sit under its own world's key and equal its world's serial run."""
+    testbeds = {seed: Testbed(seed=seed) for seed in (1, 2)}
+    spec = build_single_link_calibration(
+        testbeds[1], scale=ExperimentScale.smoke(), seed=1)
+    jobs = {}
+    for seed in testbeds:
+        reply = client.submit_experiment(experiment_to_wire(spec),
+                                         testbed_seed=seed)
+        jobs[seed] = reply["job_id"]
+        print(f"[submitted {spec.name} on testbed {seed} as "
+              f"{reply['job_id']}]")
+    deadline = time.monotonic() + timeout_s
+    for seed, job_id in jobs.items():
+        final = None
+        for final in client.tail(job_id, wait=10.0):
+            if time.monotonic() > deadline:
+                failures.append(f"testbed {seed}: tail timed out")
+                break
+        if final is None or final["state"] != "done":
+            failures.append(f"testbed {seed}: job did not finish done: {final}")
+
+    rows = client.runs(experiment=spec.name, limit=4 * len(spec.trials),
+                       with_payload=True)["runs"]
+    if len(rows) != 2 * len(spec.trials):
+        failures.append(f"{spec.name}: {len(rows)} rows for "
+                        f"{len(spec.trials)} trials on 2 testbeds")
+    by_key = {(r["trial_id"], r["fingerprint"]): r for r in rows}
+    for seed, job_id in jobs.items():
+        for ref in SerialBackend().run(testbeds[seed], list(spec.trials)):
+            row = by_key.get(
+                (ref.trial_id, row_fingerprint(ref.fingerprint, seed)))
+            where = f"testbed {seed} {ref.trial_id}"
+            if row is None:
+                failures.append(f"{where}: no row under its world's key")
+                continue
+            got = {(s, d): v for s, d, v in row["payload"]["flow_mbps"]}
+            if (row["seed"], row["job_id"]) != (seed, job_id):
+                failures.append(f"{where}: row of seed {row['seed']}, "
+                                f"job {row['job_id']}")
+            elif got != ref.flow_mbps:
+                failures.append(f"{where}: HTTP {got} != serial {ref.flow_mbps}")
+
+
 def run_smoke(args, env) -> int:
     port = free_port()
     failures = []
@@ -197,6 +250,7 @@ def run_smoke(args, env) -> int:
 
             spec, reference = serial_reference(args.seed)
             check_results(client, spec, reference, final, failures)
+            check_two_worlds(client, args.timeout, failures)
         finally:
             stop_serve(proc)
 
@@ -206,7 +260,8 @@ def run_smoke(args, env) -> int:
             print(f"  - {f}")
         return 1
     print("\nservice smoke OK: HTTP sweep bit-identical to the serial path, "
-          "run-table percentiles match analysis.stats")
+          "run-table percentiles match analysis.stats, rows of testbeds "
+          "1 and 2 kept apart")
     return 0
 
 

@@ -39,7 +39,6 @@ from repro.mac.cs_tuning import CsTuningMac, cs_tuning_factory
 from repro.mac.iamac import IaMac, iamac_factory
 from repro.mac.base import Packet
 from repro.net.testbed import Testbed, TestbedConfig
-from repro.net import presets
 from repro.net.mobility import (
     MobilityController,
     RandomWaypoint,
@@ -79,7 +78,6 @@ __all__ = [
     "Packet",
     "Testbed",
     "TestbedConfig",
-    "presets",
     "MobilityController",
     "RandomWaypoint",
     "RegionHop",

@@ -7,11 +7,10 @@ the dense and mobile ruler workloads (``benchmarks/audit_hot_caches.py``) —
 is *saturated*: the SINR sits either far above the PER waterfall (success
 is exactly 1.0) or far below it (exactly 0.0). This module precomputes, per
 (error model, rate), the exact extent of those regions — in the **linear
-power-ratio domain**, so the hot path can skip the dB conversion too — plus
-a success table over the waterfall for grid consumers and tests. Off-region
-queries fall back to the rate-specialised fused closure
+power-ratio domain**, so the hot path can skip the dB conversion too.
+Off-region queries fall back to the rate-specialised fused closure
 (``NistErrorModel.chunk_fn``), so every returned probability is
-bit-identical to the non-grid evaluation (the *grid exactness rule*,
+bit-identical to the region-free evaluation (the *grid exactness rule*,
 DESIGN.md "Kernels").
 
 Why the regions are exact (NIST model, ``x = steepness * (sinr - sinr50) +
@@ -37,7 +36,7 @@ kernel build rather than silently mis-scoring.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 #: Waterfall-argument bound below which chunk success is exactly 0.0.
 X_ZERO = -0.5
@@ -48,9 +47,7 @@ X_ONE = 8.5
 BITS_SAFE = 1.0e7
 #: dB guard margin absorbing libm log10 rounding at the region boundaries.
 _GUARD_DB = 1e-6
-#: Grid resolution across the waterfall (inclusive endpoints).
-GRID_POINTS = 257
-#: Reference chunk size for the precomputed success table (1400 B frame).
+#: A 1400 B frame's bits: one of ``_verify``'s boundary probes.
 REF_BITS = 1400 * 8.0
 
 
@@ -65,6 +62,9 @@ class ChunkKernel:
     * ``ratio >= ratio_one`` and ``0 <= bits <= bits_safe``  -> 1.0
     * ``ratio <= ratio_zero`` and ``bits > 0``               -> 0.0
 
+    ``sinr_zero_db`` / ``sinr_one_db`` are the same regions in dB, without
+    the guard margin (``FadeQuadrature`` bisects on them).
+
     Kernels built without grid support (non-NIST models, or inside
     ``reference_kernels()``) disable both regions by value (``-inf`` /
     ``+inf`` / 0.0), so the caller's comparisons simply never fire — no
@@ -78,9 +78,6 @@ class ChunkKernel:
         "bits_safe",
         "sinr_zero_db",
         "sinr_one_db",
-        "grid_sinr_db",
-        "grid_success",
-        "_grid_index",
     )
 
     def __init__(
@@ -91,8 +88,6 @@ class ChunkKernel:
         bits_safe: float = 0.0,
         sinr_zero_db: float = -math.inf,
         sinr_one_db: float = math.inf,
-        grid_sinr_db: Tuple[float, ...] = (),
-        grid_success: Tuple[float, ...] = (),
     ):
         self.chunk = chunk
         self.ratio_zero = ratio_zero
@@ -100,27 +95,6 @@ class ChunkKernel:
         self.bits_safe = bits_safe
         self.sinr_zero_db = sinr_zero_db
         self.sinr_one_db = sinr_one_db
-        self.grid_sinr_db = grid_sinr_db
-        self.grid_success = grid_success
-        self._grid_index = {s: i for i, s in enumerate(grid_sinr_db)}
-
-    def lookup(self, sinr_db: float, bits: float) -> float:
-        """Grid-first scoring for dB-domain queries (analysis/tests).
-
-        Saturated regions short-circuit; an exact grid hit at the
-        reference bit count is served from the precomputed table; anything
-        else evaluates the exact closure. Always bit-identical to
-        ``chunk(sinr_db, bits)``.
-        """
-        if sinr_db >= self.sinr_one_db and 0.0 <= bits <= self.bits_safe:
-            return 1.0
-        if sinr_db <= self.sinr_zero_db and bits > 0.0:
-            return 0.0
-        if bits == REF_BITS:
-            idx = self._grid_index.get(sinr_db)
-            if idx is not None:
-                return self.grid_success[idx]
-        return self.chunk(sinr_db, bits)
 
 
 def null_chunk_kernel(chunk: Callable[[float, float], float]) -> ChunkKernel:
@@ -163,13 +137,12 @@ def nist_chunk_kernel(
     sinr50_db: float,
     x50: float,
     chunk: Callable[[float, float], float],
-    grid_points: Optional[int] = None,
 ) -> ChunkKernel:
     """Build the saturated-region kernel for one (NIST model, rate) pair.
 
     ``chunk`` must be the rate's exact fused closure
     (``NistErrorModel.chunk_fn(rate)``); it remains the off-region scorer,
-    so grid-enabled and grid-disabled evaluation are bit-identical.
+    so region-enabled and region-free evaluation are bit-identical.
     """
     if steepness_per_db <= 0.0:
         raise ValueError("steepness must be positive")
@@ -178,12 +151,6 @@ def nist_chunk_kernel(
     ratio_zero = 10.0 ** ((sinr_zero_db - _GUARD_DB) / 10.0)
     ratio_one = 10.0 ** ((sinr_one_db + _GUARD_DB) / 10.0)
     _verify(chunk, sinr_zero_db, sinr_one_db, ratio_zero, ratio_one)
-    n = GRID_POINTS if grid_points is None else grid_points
-    if n < 2:
-        raise ValueError("grid needs at least 2 points")
-    span = sinr_one_db - sinr_zero_db
-    grid = tuple(sinr_zero_db + span * (i / (n - 1)) for i in range(n))
-    table = tuple(chunk(s, REF_BITS) for s in grid)
     return ChunkKernel(
         chunk,
         ratio_zero=ratio_zero,
@@ -191,6 +158,4 @@ def nist_chunk_kernel(
         bits_safe=BITS_SAFE,
         sinr_zero_db=sinr_zero_db,
         sinr_one_db=sinr_one_db,
-        grid_sinr_db=grid,
-        grid_success=table,
     )

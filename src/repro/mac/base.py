@@ -240,11 +240,6 @@ class MacBase:
         if self._started:
             self.on_queue_refill()
 
-    def has_pending(self) -> bool:
-        return bool(self._queue) or (
-            self._source is not None and self._source.has_packet()
-        )
-
     def next_packet(self) -> Optional[Packet]:
         """Pop the next packet to send (queue first, then the pull source)."""
         if self._queue:

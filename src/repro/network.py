@@ -36,7 +36,7 @@ from repro.phy.modulation import RATES
 from repro.phy.propagation import DynamicRssMatrix, Position
 from repro.phy.radio import Radio, RadioConfig
 from repro.sim.engine import Simulator
-from repro.traffic.generators import BatchSource, SaturatedSource, SinkRegistry
+from repro.traffic.generators import SaturatedSource, SinkRegistry
 
 MacFactory = Callable[[Simulator, int, Radio, np.random.Generator], MacBase]
 
@@ -360,18 +360,6 @@ class Network:
         self.nodes[src].source = source
         if self._running:
             mac.on_queue_refill()  # a churn-joined sender must wake itself
-
-    def add_batch_flow(
-        self, src: int, dst: int, count: int, payload_bytes: int = 1400
-    ) -> BatchSource:
-        """Give ``src`` a finite batch of packets for ``dst`` (mesh, §5.7)."""
-        source = BatchSource(dst, count, payload_bytes)
-        mac = self.nodes[src].mac
-        mac.attach_source(source)
-        self.nodes[src].source = source
-        if self._running:
-            mac.on_queue_refill()
-        return source
 
     # ------------------------------------------------------------------
     # Execution

@@ -185,9 +185,3 @@ class DcfAckFrame(Frame):
     def __post_init__(self) -> None:
         self.kind = FrameKind.DCF_ACK
         self.size_bytes = DCF_ACK_BYTES
-
-
-def reset_uid_counter() -> None:
-    """Reset frame uids (test isolation only)."""
-    global _uid_counter
-    _uid_counter = itertools.count(1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 #: erfc^-1(2 * ber50) for a 1400-byte (11200-bit) frame at 50 % success:
 #: ber50 = 1 - 0.5**(1/11200) = 6.188e-5; erfcinv(1.2376e-4) = 2.7140.
@@ -341,13 +341,3 @@ def isolated_prr(
     if fading_sigma_db <= 0.0:
         return STATIC_QUADRATURE.total(s, rate, size_bytes, error_model)
     return _gauss_hermite(fading_sigma_db).total(s, rate, size_bytes, error_model)
-
-
-def expected_links_classification(prr: float) -> Tuple[bool, bool]:
-    """(in_range, potential_tx) flags from a PRR per the paper's thresholds.
-
-    Note the full definition also involves a signal-strength percentile
-    filter, applied in :mod:`repro.net.links` where network-wide statistics
-    are available.
-    """
-    return prr > 0.2, prr > 0.9

@@ -191,6 +191,7 @@ def cmd_chaos(args) -> int:
     from repro.net.testbed import Testbed
     from repro.service.coordinator import Coordinator
     from repro.service.faults import build_soak_plan, describe
+    from repro.service.runtable import row_fingerprint
 
     builder = SWEEP_BUILDERS.get(args.builder)
     if builder is None:
@@ -271,10 +272,9 @@ def cmd_chaos(args) -> int:
     check(len(ids) == len(set(ids)) == total,
           f"exactly one row per trial ({len(ids)} rows, "
           f"{len(set(ids))} distinct, want {total})")
+    victim_fp = next(t for t in spec.trials if t.trial_id == victim).fingerprint()
     check(co.runtable.trial_status(
-              spec.name, victim,
-              next(t for t in spec.trials
-                   if t.trial_id == victim).fingerprint(),
+              spec.name, victim, row_fingerprint(victim_fp, args.seed),
           ) == "quarantined",
           "hung trial quarantined")
 

@@ -60,22 +60,28 @@ from repro.service.jobs import (
     job_from_experiment,
 )
 from repro.service.queue import InMemoryJobQueue, LeaseLost
-from repro.service.runtable import RunTable
+from repro.service.runtable import RunTable, row_fingerprint
+
+#: The transient-retry policy every worker runs trials under: retries per
+#: trial, retries per lease (shared by its trials), and the backoff cap.
+#: The coordinator's store saves back off under the same cap.
+MAX_RETRIES = 2
+RETRY_BUDGET = 16
+BACKOFF_CAP_S = 5.0
 
 #: The register handshake: the settings every worker adopts — lease length
 #: and worker ttl (its heartbeat cadence), the trial watchdog, and the
-#: transient-retry policy.
-HANDSHAKE = ("lease_s", "worker_ttl_s", "trial_timeout_s", "max_retries",
-             "retry_budget", "backoff_base_s", "backoff_cap_s")
+#: retry backoff's base.
+HANDSHAKE = ("lease_s", "worker_ttl_s", "trial_timeout_s", "backoff_base_s")
 
 
 class Coordinator:
     """Owns the queue, the run-table, and the worker threads.
 
-    ``max_retries`` caps *transient* retries per trial and
-    ``retry_budget`` per job; they, the backoff bounds and
+    ``backoff_base_s`` (the first transient retry's backoff) and
     ``trial_timeout_s`` (the per-trial watchdog) are the policy every
-    worker adopts (:data:`HANDSHAKE`). ``fault_plan`` threads a
+    worker adopts (:data:`HANDSHAKE`), beside the module's retry caps.
+    ``fault_plan`` threads a
     :class:`~repro.service.faults.FaultPlan` through every layer — None
     costs nothing. ``sleep`` is injectable so retry-backoff tests need no
     real waiting.
@@ -86,10 +92,7 @@ class Coordinator:
         data_dir: str,
         queue: Optional[InMemoryJobQueue] = None,
         runtable: Optional[RunTable] = None,
-        max_retries: int = 2,
-        retry_budget: int = 16,
         backoff_base_s: float = 0.1,
-        backoff_cap_s: float = 5.0,
         lease_s: float = 300.0,
         trial_timeout_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -117,10 +120,7 @@ class Coordinator:
         # in-memory counter past the largest token the run-table persisted,
         # or a resumed job's fresh leases would be stale against its rows.
         self.queue.advance_tokens(self.runtable.max_token())
-        self.max_retries = max_retries
-        self.retry_budget = retry_budget
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.lease_s = lease_s
         self.trial_timeout_s = trial_timeout_s
         self._sleep = sleep
@@ -464,8 +464,7 @@ class Coordinator:
             # Replay dedup, as store.has on the result path: the run-table
             # row witnesses that this (trial, fingerprint) was counted, and
             # grant keeps quarantined trials out of ``pending``.
-            if self.runtable.trial_status(
-                    job.name, trial_id, fingerprint) == "quarantined":
+            if self._quarantined(job, trial_id, fingerprint):
                 return
             job.quarantined += 1
             job.error = f"{error_class_name}: {error}"
@@ -545,9 +544,7 @@ class Coordinator:
                     if cached is not None:
                         self._record_ok(job, cached, worker_id, token,
                                         replace=False)
-                    elif self.runtable.trial_status(
-                        job.name, trial.trial_id, trial.fingerprint()
-                    ) == "quarantined":
+                    elif self._quarantined(job, trial.trial_id, trial.fingerprint()):
                         job.quarantined += 1
                     else:
                         pending.append(trial)
@@ -595,6 +592,12 @@ class Coordinator:
             raise LeaseLost(f"job {job_id} has no granted lease for token {token}")
         return lease
 
+    def _quarantined(self, job: SweepJob, trial_id: str, fingerprint: str) -> bool:
+        """Whether the run-table holds a quarantined row for this trial on
+        the job's world."""
+        key = row_fingerprint(fingerprint, job.testbed_seed)
+        return self.runtable.trial_status(job.name, trial_id, key) == "quarantined"
+
     def _record_ok(
         self,
         job: SweepJob,
@@ -630,8 +633,7 @@ class Coordinator:
                 if attempt == 2:
                     raise
                 self._sleep(
-                    min(self.backoff_cap_s,
-                        self.backoff_base_s * (2 ** attempt))
+                    min(BACKOFF_CAP_S, self.backoff_base_s * (2 ** attempt))
                 )
 
     def _finalize(self, job: SweepJob, state: str) -> None:

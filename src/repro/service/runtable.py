@@ -4,9 +4,10 @@ The flat-JSON :class:`~repro.experiments.executor.ResultStore` stays the
 executor's *resume* source of truth (it is what fingerprint-keyed caching
 reads), but it answers "what ran last week" only by re-parsing whole files.
 The run-table is the query side: every completed (or quarantined) trial
-lands here as one row — indexed by experiment, trial id, fingerprint,
-seed, wall time, and status, with the full TrialResult as a JSON payload
-column — and summary questions (percentiles over any metric,
+lands here as one row — keyed by experiment, trial id and
+:func:`row_fingerprint` (the spec's fingerprint with the testbed folded
+in), indexed by seed, wall time, and status too, with the full TrialResult
+as a JSON payload column — and summary questions (percentiles over any metric,
 per-experiment counts, recent runs) become indexed SQL plus a small amount
 of Python instead of directory scans.
 
@@ -49,6 +50,7 @@ from repro.analysis import stats
 from repro.errors import StaleTokenError
 from repro.experiments.spec import TrialResult
 from repro.service.jobs import QUEUED, RUNNING, SweepJob
+from repro.util.rng import stable_hash
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS trials (
@@ -117,6 +119,21 @@ _JOB_UPDATE = "UPDATE jobs SET %s WHERE job_id = ?" % ", ".join(
 _JOB_INSERT = "INSERT INTO jobs (%s, wire, idem_key) VALUES (%s)" % (
     ", ".join(_JOB_COLUMNS), ", ".join("?" * (len(_JOB_COLUMNS) + 2))
 )
+
+
+def row_fingerprint(fingerprint: str, testbed_seed: Optional[int]) -> str:
+    """The key fingerprint of a trial's row: the trial ran on
+    ``Testbed(testbed_seed)`` and its spec has ``fingerprint``.
+
+    A spec fingerprint does not name the world the trial ran in, so two
+    testbeds that draw the same spec would share one row and the second's
+    result would be dropped as a duplicate. The seed is folded in, except
+    for testbed 1 and rows recorded without a seed, whose key is the spec
+    fingerprint itself: their keys are those of every older row. This is
+    the one place the key format lives."""
+    if testbed_seed is None or testbed_seed == 1:
+        return fingerprint
+    return format(stable_hash(fingerprint, "testbed", testbed_seed), "016x")
 
 
 class RunTable:
@@ -291,8 +308,9 @@ class RunTable:
         attempt: Optional[int] = None,
         token: Optional[int] = None,
     ) -> bool:
-        """Insert one ``ok`` trial row. With ``replace=False`` an existing
-        (experiment, trial_id, fingerprint) row is left untouched — that is
+        """Insert one ``ok`` trial row, keyed by (experiment, trial_id,
+        :func:`row_fingerprint` of the result on testbed ``seed``). With
+        ``replace=False`` an existing row of that key is left untouched — that is
         what keeps a crash-resumed job from overwriting the original rows'
         wall times with cache-hit nulls.
 
@@ -305,10 +323,11 @@ class RunTable:
         existing ``ok`` row returns False (idempotent duplicate) instead of
         overwriting it. Returns True when a row was written."""
         verb = "INSERT OR REPLACE" if replace else "INSERT OR IGNORE"
+        key = row_fingerprint(result.fingerprint, seed)
         row = (
             experiment,
             result.trial_id,
-            result.fingerprint,
+            key,
             seed,
             wall_time,
             "ok",
@@ -326,7 +345,7 @@ class RunTable:
                     existing = conn.execute(
                         "SELECT status, token FROM trials WHERE "
                         "experiment = ? AND trial_id = ? AND fingerprint = ?",
-                        (experiment, result.trial_id, result.fingerprint),
+                        (experiment, result.trial_id, key),
                     ).fetchone()
                     if existing is not None:
                         held = existing["token"]
@@ -368,19 +387,21 @@ class RunTable:
         *class* is recorded alongside the message so "what kinds of trials
         get quarantined" is one GROUP BY away.
 
-        A quarantine never replaces an existing ``ok`` row for the same
-        (experiment, trial_id, fingerprint): resubmitting a sweep as a new
+        The row's key is derived from ``fingerprint`` and ``seed`` as
+        :meth:`record_trial` derives it. A quarantine never replaces an
+        existing ``ok`` row of the same key: resubmitting a sweep as a new
         job re-executes its trials, and a flake must not erase a recorded
         TrialResult from the query side. A later quarantine replaces an
         earlier one, unless the earlier row's token is larger
         (:class:`~repro.errors.StaleTokenError`)."""
+        key = row_fingerprint(fingerprint, seed)
 
         def _do(conn: sqlite3.Connection) -> None:
             with conn:
                 row = conn.execute(
                     "SELECT status, token FROM trials WHERE experiment = ? "
                     "AND trial_id = ? AND fingerprint = ?",
-                    (experiment, trial_id, fingerprint),
+                    (experiment, trial_id, key),
                 ).fetchone()
                 if row is not None:
                     if row["status"] == "ok":
@@ -402,7 +423,7 @@ class RunTable:
                     "worker_id, attempt, token, recorded_at, payload) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                     (
-                        experiment, trial_id, fingerprint, seed, None,
+                        experiment, trial_id, key, seed, None,
                         "quarantined", job_id, worker_id, attempt, token,
                         time.time(),
                         json.dumps({"error": error, "error_class": error_class}),
@@ -474,7 +495,8 @@ class RunTable:
     ) -> Optional[str]:
         """The recorded status of one trial (None if never recorded) —
         what lets a resumed job skip a trial already quarantined by a
-        previous incarnation instead of hanging on it again."""
+        previous incarnation instead of hanging on it again.
+        ``fingerprint`` is the row's key, :func:`row_fingerprint`."""
         row = self._exec(
             lambda conn: conn.execute(
                 "SELECT status FROM trials WHERE experiment = ? AND "

@@ -45,7 +45,8 @@ dumb and stateless:
   ``ack`` — a worker cannot claim progress it did not upload, and
   because ``ack`` follows the last reply, never progress still in flight.
 
-Trials retry under the server's policy (the register handshake). The fault
+Trials retry under the policy of :mod:`repro.service.coordinator`: its
+module caps, and the backoff base the register handshake carries. The fault
 wrapper :meth:`Worker._send` fires the fault sites ``worker.request`` /
 ``worker.upload`` / ``worker.heartbeat`` (actions ``drop``, ``delay``,
 ``truncate``, ``duplicate`` — see ``repro.service.faults``), which is how
@@ -70,7 +71,7 @@ from repro.errors import error_class
 from repro.experiments.executor import run_trial, run_with_retries
 from repro.experiments.spec import TrialSpec
 from repro.net.testbed import Testbed
-from repro.service.coordinator import HANDSHAKE
+from repro.service import coordinator
 from repro.service.faults import FaultPlan
 from repro.service.http_api import ApiError, ServiceClient
 from repro.service.jobs import CANCEL, CONTINUE, YIELD
@@ -87,6 +88,10 @@ IDLE = None            # nothing leased
 ACKED = "acked"        # walked every trial, server finalized the job
 ABANDONED = "abandoned"  # lease lost (or server unreachable): backed away
 REQUEUED = "requeued"  # gave the job back: a yield verdict, or draining
+
+#: Resends of one per-trial verb on transport failures before the worker
+#: backs away from the lease.
+UPLOAD_RETRIES = 2
 
 
 def _answered(out: Any) -> _Reader:
@@ -113,7 +118,6 @@ class Worker:
         client: ServiceClient,
         worker_id: Optional[str] = None,
         poll_s: float = 1.0,
-        upload_retries: int = 2,
         fault_plan: Optional[FaultPlan] = None,
         sleep: Callable[[float], None] = time.sleep,
         testbed_factory: Callable[[int], Testbed] = None,
@@ -121,7 +125,6 @@ class Worker:
         self.client = client
         self.worker_id = worker_id or default_worker_id()
         self.poll_s = poll_s
-        self.upload_retries = upload_retries
         self._fault_hook = None if fault_plan is None else fault_plan.fire
         self._sleep = sleep
         self._testbed_factory = testbed_factory or (
@@ -133,10 +136,7 @@ class Worker:
         self.lease_s: float = 60.0
         self.worker_ttl_s: float = 60.0
         self.trial_timeout_s: Optional[float] = None
-        self.max_retries = 2
-        self.retry_budget = 16
         self.backoff_base_s = 0.1
-        self.backoff_cap_s = 5.0
         self.stop_event = threading.Event()
         #: Counters for the daemon's exit report (and tests).
         self.stats = {"jobs": 0, "acked": 0, "abandoned": 0,
@@ -182,7 +182,7 @@ class Worker:
     def register(self, retries: int = 5) -> dict:
         """Handshake: announce this worker, adopt the server's lease
         length and worker ttl (together they drive the heartbeat cadence),
-        its trial watchdog budget and its retry policy."""
+        its trial watchdog budget and its retry backoff base."""
         last: Optional[Exception] = None
         for attempt in range(retries):
             try:
@@ -190,7 +190,7 @@ class Worker:
                     "worker.request", "register",
                     lambda: self.client.register_worker(self.worker_id),
                 )
-                for key in HANDSHAKE:
+                for key in coordinator.HANDSHAKE:
                     setattr(self, key, cfg.get(key, getattr(self, key)))
                 return cfg
             except OSError as exc:
@@ -276,7 +276,7 @@ class Worker:
         )
         hb.start()
         #: Transient-retry budget every trial of this lease draws from.
-        budget = {"left": self.retry_budget}
+        budget = {"left": coordinator.RETRY_BUDGET}
         verdict = CONTINUE
         give_back = False
         # The previous trial's verb and what reads its reply: unanswered.
@@ -291,9 +291,9 @@ class Worker:
                     break
                 result, wall, exc = run_with_retries(
                     run_trial, testbed, trial,
-                    max_retries=self.max_retries,
+                    max_retries=coordinator.MAX_RETRIES,
                     backoff_base_s=self.backoff_base_s,
-                    backoff_cap_s=self.backoff_cap_s,
+                    backoff_cap_s=coordinator.BACKOFF_CAP_S,
                     sleep=self._sleep, budget=budget,
                     timeout_s=self.trial_timeout_s,
                     fault_hook=self._fault_hook,
@@ -377,7 +377,7 @@ class Worker:
         lease will be reaped, and re-sending later would be fenced. A
         non-409 :class:`ApiError` is raised."""
         trial_id, stat, send = verb
-        for attempt in range(self.upload_retries + 1):
+        for attempt in range(UPLOAD_RETRIES + 1):
             try:
                 reply = receive()
                 self.stats[stat] += 1
@@ -388,7 +388,7 @@ class Worker:
                 lost.set()
                 return CONTINUE
             except OSError:
-                if attempt == self.upload_retries or lost.is_set():
+                if attempt == UPLOAD_RETRIES or lost.is_set():
                     lost.set()
                     return CONTINUE
                 self._sleep(min(2.0, 0.2 * (2 ** attempt)))

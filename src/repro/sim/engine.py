@@ -380,17 +380,6 @@ class Simulator:
         self._events_processed += len(start_fns)
         return True
 
-    def pending_at_now(self) -> bool:
-        """True when any queued entry could still run at the current instant.
-
-        Conservative: stale entries count (they only make the caller fall
-        back to the scheduled path). This is the same test
-        :meth:`deliver_fanout_inline` applies before delivering a
-        same-instant fan-out batch inline.
-        """
-        heap = self._heap
-        return bool(heap) and heap[0][0] <= self.now
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap

@@ -3,7 +3,6 @@
 from repro.traffic.generators import (
     SaturatedSource,
     CbrSource,
-    BatchSource,
     SinkRegistry,
     FlowRecord,
 )
@@ -11,7 +10,6 @@ from repro.traffic.generators import (
 __all__ = [
     "SaturatedSource",
     "CbrSource",
-    "BatchSource",
     "SinkRegistry",
     "FlowRecord",
 ]

@@ -8,7 +8,6 @@ convergence transients).
 
 * :class:`SaturatedSource` — pull source that always has another packet;
 * :class:`CbrSource` — pushes packets at a fixed rate (for latency tests);
-* :class:`BatchSource` — a finite batch (content-dissemination mesh, §5.7);
 * :class:`SinkRegistry` — network-wide duplicate-suppressing delivery log.
 """
 
@@ -34,26 +33,6 @@ class SaturatedSource:
     def next_packet(self) -> Packet:
         self.generated += 1
         return Packet(self.dst, self.payload_bytes)
-
-
-class BatchSource:
-    """A finite batch of packets (e.g. one dissemination batch, §5.7)."""
-
-    def __init__(self, dst: int, count: int, payload_bytes: int = 1400):
-        self.dst = dst
-        self.payload_bytes = payload_bytes
-        self.remaining = count
-        self.generated = 0
-
-    def has_packet(self) -> bool:
-        return self.remaining > 0
-
-    def next_packet(self) -> Optional[Packet]:
-        if self.remaining <= 0:
-            return None
-        self.remaining -= 1
-        self.generated += 1
-        return Packet(dst=self.dst, size_bytes=self.payload_bytes)
 
 
 class CbrSource:

@@ -241,23 +241,6 @@ class TestFastPaths:
         sim.run()
         assert out == ["end"]
 
-    def test_pending_at_now(self):
-        sim = Simulator()
-        assert sim.pending_at_now() is False
-        sim.call_later(1.0, lambda: None)
-        assert sim.pending_at_now() is False  # strictly later
-        seen = []
-
-        def probe():
-            # Inside the event: it has been popped, nothing else queued now.
-            seen.append(sim.pending_at_now())
-            sim.call_later(0.0, lambda: None)
-            seen.append(sim.pending_at_now())
-
-        sim.call_later(2.0, probe)
-        sim.run()
-        assert seen == [False, True]
-
     def test_credit_events_augments_logical_count(self):
         sim = Simulator()
         sim.call_later(1.0, lambda: sim.credit_events(4))

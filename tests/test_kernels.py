@@ -10,9 +10,9 @@ The load-bearing guarantees:
   the Generator methods over interleaved normal / exponential / uniform
   draws, across radio config swaps and after the caller drops the
   Generator;
-* the chunk grids are exact — saturated-region shortcuts and grid-point
-  table hits return the very float the fused closure computes (the grid
-  exactness rule);
+* the chunk grids are exact — the saturated-region shortcuts, taken from
+  the dB or the ratio bounds, return the very float the fused closure
+  computes (the grid exactness rule);
 * the kernels move no bit: a trial built inside ``reference_kernels()``
   (per-draw RNG, region-free chunk kernels) equals the default build, and
   process-pool workers agree with serial.
@@ -35,7 +35,6 @@ from repro.kernels.backend import (
 from repro.kernels.cdraws import BitGen
 from repro.kernels.chunkgrid import (
     BITS_SAFE,
-    GRID_POINTS,
     REF_BITS,
     nist_chunk_kernel,
     null_chunk_kernel,
@@ -186,6 +185,26 @@ class TestCDrawLockstep:
 # ----------------------------------------------------------------------
 # Chunk grids
 # ----------------------------------------------------------------------
+def _db_score(kernel, sinr_db, bits):
+    """Score a chunk the way ``FadeQuadrature`` does: the dB bounds decide
+    the saturated regions, the fused closure everything else."""
+    if sinr_db >= kernel.sinr_one_db and 0.0 <= bits <= kernel.bits_safe:
+        return 1.0
+    if sinr_db <= kernel.sinr_zero_db and bits > 0.0:
+        return 0.0
+    return kernel.chunk(sinr_db, bits)
+
+
+def _ratio_score(kernel, ratio, bits):
+    """Score a chunk the way ``Reception.success_probability`` does: the
+    ratio bounds decide the saturated regions without a ``log10``."""
+    if ratio >= kernel.ratio_one and 0.0 <= bits <= kernel.bits_safe:
+        return 1.0
+    if ratio <= kernel.ratio_zero and bits > 0.0:
+        return 0.0
+    return kernel.chunk(10.0 * math.log10(ratio), bits)
+
+
 class TestChunkGrids:
     @pytest.fixture(scope="class")
     def model(self):
@@ -193,17 +212,23 @@ class TestChunkGrids:
 
     @pytest.mark.parametrize("mbps", sorted(RATES))
     def test_grid_points_match_exact_closure(self, model, mbps):
-        """Every registered rate: table == exact erfc at all grid points."""
+        """Every registered rate: 257 points spanning the waterfall and a
+        margin past both bounds, scored through either domain's regions,
+        equal the exact erfc closure."""
         rate = RATES[mbps]
         kernel = nist_chunk_kernel(
             model.steepness_per_db, rate.sinr50_1400_db, 2.7140,
             model.chunk_fn(rate),
         )
         exact = model.chunk_fn(rate)
-        assert len(kernel.grid_sinr_db) == GRID_POINTS
-        for s, tabulated in zip(kernel.grid_sinr_db, kernel.grid_success):
-            assert tabulated == exact(s, REF_BITS)
-            assert kernel.lookup(s, REF_BITS) == exact(s, REF_BITS)
+        lo, hi = kernel.sinr_zero_db - 2.0, kernel.sinr_one_db + 2.0
+        for i in range(257):
+            s = lo + (hi - lo) * (i / 256)
+            assert _db_score(kernel, s, REF_BITS) == exact(s, REF_BITS)
+            ratio = 10.0 ** (s / 10.0)
+            assert _ratio_score(kernel, ratio, REF_BITS) == exact(
+                10.0 * math.log10(ratio), REF_BITS
+            )
 
     @pytest.mark.parametrize("mbps", sorted(RATES))
     def test_region_boundaries_exact(self, model, mbps):
@@ -216,20 +241,24 @@ class TestChunkGrids:
             math.nextafter(kernel.sinr_one_db, math.inf),
             kernel.sinr_one_db + 5.0,
         ):
-            assert kernel.lookup(s, REF_BITS) == 1.0 == exact(s, REF_BITS)
+            assert _db_score(kernel, s, REF_BITS) == 1.0 == exact(s, REF_BITS)
         for s in (
             kernel.sinr_zero_db,
             math.nextafter(kernel.sinr_zero_db, -math.inf),
             kernel.sinr_zero_db - 5.0,
         ):
-            assert kernel.lookup(s, REF_BITS) == 0.0 == exact(s, REF_BITS)
+            assert _db_score(kernel, s, REF_BITS) == 0.0 == exact(s, REF_BITS)
         # Ratio-domain thresholds land strictly inside their regions.
         assert exact(10.0 * math.log10(kernel.ratio_one), 1.0) == 1.0
         assert exact(10.0 * math.log10(kernel.ratio_zero), 1.0) == 0.0
+        for ratio in (kernel.ratio_one, math.nextafter(kernel.ratio_one, math.inf)):
+            assert _ratio_score(kernel, ratio, REF_BITS) == 1.0
+        for ratio in (kernel.ratio_zero, math.nextafter(kernel.ratio_zero, 0.0)):
+            assert _ratio_score(kernel, ratio, REF_BITS) == 0.0
 
     @pytest.mark.parametrize("mbps", sorted(RATES))
     def test_off_grid_matches_fused_closure(self, model, mbps):
-        """Off-grid / off-reference-bits queries: exact closure, bit-for-bit."""
+        """Random SINRs and bit counts: region-scored == exact, bit-for-bit."""
         rate = RATES[mbps]
         kernel = model.chunk_kernel(rate)
         exact = model.chunk_fn(rate)
@@ -238,25 +267,31 @@ class TestChunkGrids:
         for _ in range(200):
             s = kernel.sinr_zero_db + span * float(rng.random()) * 1.2 - 0.1 * span
             bits = float(rng.uniform(1.0, 12000.0))
-            assert kernel.lookup(s, bits) == exact(s, bits)
+            assert _db_score(kernel, s, bits) == exact(s, bits)
 
     def test_bits_above_safe_falls_back_to_exact(self, model):
         rate = RATES[6]
         kernel = model.chunk_kernel(rate)
         s = kernel.sinr_one_db + 10.0
         big = BITS_SAFE * 10.0
-        assert kernel.lookup(s, big) == model.chunk_fn(rate)(s, big)
+        assert _db_score(kernel, s, big) == model.chunk_fn(rate)(s, big)
+        ratio = 10.0 ** (s / 10.0)
+        assert _ratio_score(kernel, ratio, big) == kernel.chunk(
+            10.0 * math.log10(ratio), big
+        )
 
     def test_zero_bits_chunk_is_certain(self, model):
         kernel = model.chunk_kernel(RATES[6])
-        assert kernel.lookup(kernel.sinr_zero_db - 1.0, 0.0) == 1.0
+        assert _db_score(kernel, kernel.sinr_zero_db - 1.0, 0.0) == 1.0
+        assert _ratio_score(kernel, kernel.ratio_zero / 2.0, 0.0) == 1.0
 
     def test_null_kernel_regions_never_fire(self):
         kernel = null_chunk_kernel(lambda s, b: 0.25)
         assert kernel.ratio_zero == -math.inf
         assert kernel.ratio_one == math.inf
         assert kernel.bits_safe == 0.0
-        assert kernel.lookup(1e9, 1.0) == 0.25
+        assert _db_score(kernel, 1e9, 1.0) == 0.25
+        assert _ratio_score(kernel, 1e9, 1.0) == 0.25
 
     def test_scalar_backend_builds_null_kernel(self, model):
         with reference_kernels():

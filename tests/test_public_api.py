@@ -42,7 +42,6 @@ class TestSubmoduleImports:
             "repro.phy.medium",
             "repro.phy.radio",
             "repro.phy.reception",
-            "repro.phy.validation",
             "repro.mac.base",
             "repro.mac.dcf",
             "repro.mac.rtscts",
@@ -58,7 +57,6 @@ class TestSubmoduleImports:
             "repro.net.topology",
             "repro.net.links",
             "repro.net.testbed",
-            "repro.net.presets",
             "repro.net.visualize",
             "repro.traffic.generators",
             "repro.network",
@@ -66,7 +64,6 @@ class TestSubmoduleImports:
             "repro.tracing",
             "repro.cli",
             "repro.analysis.stats",
-            "repro.analysis.timeline",
             "repro.experiments.scenarios",
             "repro.experiments.runners",
             "repro.experiments.report",

@@ -22,6 +22,7 @@ from repro.experiments.executor import ResultStore, SerialBackend
 from repro.experiments.runners import ExperimentScale, build_single_link_calibration
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
 from repro.net.testbed import Testbed
+from repro.service import coordinator as coordinator_module
 from repro.service.coordinator import Coordinator
 from repro.service.jobs import (
     CANCELLED,
@@ -34,7 +35,7 @@ from repro.service.jobs import (
     new_job,
 )
 from repro.service.queue import InMemoryJobQueue
-from repro.service.runtable import RunTable
+from repro.service.runtable import RunTable, row_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +97,13 @@ def fake(monkeypatch):
 
 
 @pytest.fixture
-def co(tmp_path):
+def co(tmp_path, monkeypatch):
+    monkeypatch.setattr(coordinator_module, "MAX_RETRIES", 2)
+    monkeypatch.setattr(coordinator_module, "BACKOFF_CAP_S", 0.25)
     sleeps = []
     coordinator = Coordinator(
         str(tmp_path / "svc"),
-        max_retries=2,
         backoff_base_s=0.1,
-        backoff_cap_s=0.25,
         sleep=sleeps.append,
         testbed_factory=lambda seed: types.SimpleNamespace(seed=seed),
     )
@@ -132,9 +133,9 @@ class TestSchedulingLogic:
         assert fake.calls.count("t/1") == 3
         assert co.sleeps == [0.1, 0.2]
 
-    def test_backoff_is_capped(self, co, fake):
+    def test_backoff_is_capped(self, co, fake, monkeypatch):
         fake.fail = {"t/0": 99}
-        co.max_retries = 4
+        monkeypatch.setattr(coordinator_module, "MAX_RETRIES", 4)
         co.submit(new_job("cap", _trials(1)))
         done = co.run_once()
         assert done.state == DONE_PARTIAL and done.quarantined == 1
@@ -147,7 +148,7 @@ class TestSchedulingLogic:
         assert done.state == DONE_PARTIAL
         assert (done.completed, done.quarantined) == (2, 1)
         assert "scripted failure" in done.error
-        # the failing trial got 1 + max_retries attempts, the rest ran once
+        # the failing trial got 1 + MAX_RETRIES attempts, the rest ran once
         assert fake.calls.count("t/1") == 3
         rows = co.runtable.recent_runs(experiment="partial",
                                        status="quarantined",
@@ -174,10 +175,10 @@ class TestSchedulingLogic:
         assert rows[0]["payload"]["error_class"] == "ValueError"
         assert co.runtable.get_job(job_id).state == DONE_PARTIAL
 
-    def test_retry_budget_is_shared_across_the_job(self, co, fake):
+    def test_retry_budget_is_shared_across_the_job(self, co, fake, monkeypatch):
         """Per-job transient budget: once it's spent, later transient
         failures quarantine immediately instead of retrying."""
-        co.retry_budget = 2
+        monkeypatch.setattr(coordinator_module, "RETRY_BUDGET", 2)
         fake.fail = {"t/0": 99, "t/1": 99}
         co.submit(new_job("budget", _trials(3)))
         done = co.run_once()
@@ -553,6 +554,21 @@ class TestIdempotentSubmit:
         assert co.queue.queued_count() == 1
 
 
+def assert_done_jobs_own_their_rows(runtable):
+    """Every ``done`` job has one ``ok`` row per completed trial, under the
+    key of its own world and stamped with its testbed seed."""
+    for job in runtable.list_jobs(limit=1000, states=(DONE,)):
+        rows = runtable.recent_runs(limit=100_000, experiment=job.name,
+                                    status="ok")
+        seeds = {(r["trial_id"], r["fingerprint"]): r["seed"] for r in rows}
+        keys = [
+            (t.trial_id, row_fingerprint(t.fingerprint(), job.testbed_seed))
+            for t in job.trials
+        ]
+        assert [seeds.get(k) for k in keys] == [job.testbed_seed] * len(keys)
+        assert job.completed == len(keys)
+
+
 class TestAgainstRealTrials:
     def test_bit_identical_to_serial_backend(self, tmp_path, testbed,
                                              calibration, serial_reference):
@@ -567,6 +583,35 @@ class TestAgainstRealTrials:
         totals = [sum(r.flow_mbps.values()) for r in serial_reference.values()]
         p50 = co.runtable.percentiles(calibration.name, "total_mbps", [50])[50]
         assert p50 == stats.percentile(totals, 50)
+        assert_done_jobs_own_their_rows(co.runtable)
+        co.runtable.close()
+
+    def test_two_testbeds_keep_their_own_rows(self, tmp_path):
+        """One spec submitted on testbeds 1 and 2: each job lands its own
+        rows, equal to its own world's serial run, and testbed 1's rows
+        keep the spec fingerprint as their key."""
+        testbeds = {seed: Testbed(seed=seed) for seed in (1, 2)}
+        spec = build_single_link_calibration(
+            testbeds[1], scale=ExperimentScale.smoke(), seed=1
+        )
+        co = Coordinator(str(tmp_path / "svc"),
+                         testbed_factory=testbeds.__getitem__)
+        jobs = {seed: co.submit_experiment(spec, testbed_seed=seed)
+                for seed in testbeds}
+        while co.run_once() is not None:
+            pass
+        assert co.runtable.trial_count(experiment=spec.name) == 4
+        rows = co.runtable.recent_runs(experiment=spec.name, with_payload=True)
+        for seed, job_id in jobs.items():
+            assert co.runtable.get_job(job_id).state == DONE
+            serial = SerialBackend().run(testbeds[seed], list(spec.trials))
+            assert {
+                r["trial_id"]: r["payload"] for r in rows if r["job_id"] == job_id
+            } == {r.trial_id: r.to_json() for r in serial}
+        assert {r["fingerprint"] for r in rows if r["seed"] == 1} == {
+            t.fingerprint() for t in spec.trials
+        }
+        assert_done_jobs_own_their_rows(co.runtable)
         co.runtable.close()
 
     def test_crash_mid_job_then_restart_resumes_bit_identical(
@@ -619,6 +664,7 @@ class TestAgainstRealTrials:
 
         got = {r.trial_id: r for r in co2.runtable.results(calibration.name)}
         assert got == serial_reference
+        assert_done_jobs_own_their_rows(co2.runtable)
         co2.runtable.close()
 
     def test_resumes_from_a_pr10_format_store(

@@ -12,7 +12,7 @@ from repro.analysis import stats
 from repro.experiments.executor import ResultStore
 from repro.experiments.spec import MacSpec, TrialResult, TrialSpec
 from repro.service.jobs import DONE, QUEUED, RUNNING, SweepJob, new_job
-from repro.service.runtable import RunTable
+from repro.service.runtable import RunTable, row_fingerprint
 
 
 def _result(i, mbps=None, metrics=None, fingerprint=None):
@@ -52,6 +52,24 @@ class TestTrialRows:
             for i in range(3):
                 table.record_trial(exp, _result(i))
         assert table.counts_by_experiment() == {"a": 3, "b": 3}
+
+    def test_rows_of_two_testbeds_do_not_collide(self, table):
+        """The testbed seed is part of a row's key: one spec recorded on
+        two worlds keeps two rows. Testbed 1 and seedless rows keep the
+        spec fingerprint as their key, as every older row does."""
+        assert row_fingerprint("fp0", 1) == row_fingerprint("fp0", None) == "fp0"
+        assert row_fingerprint("fp0", 2) not in ("fp0", row_fingerprint("fp0", 3))
+        for seed in (1, 2):
+            assert table.record_trial("e", _result(0), seed=seed, token=seed)
+        assert table.trial_count(experiment="e") == 2
+        for seed in (1, 2):
+            key = row_fingerprint("fp0", seed)
+            assert table.trial_status("e", "t/0", key) == "ok"
+        table.record_quarantine("e", "t/0", "fp0", "flake", "OSError", seed=3)
+        assert table.trial_status("e", "t/0", row_fingerprint("fp0", 3)) == (
+            "quarantined"
+        )
+        assert table.trial_status("e", "t/0", "fp0") == "ok"
 
     def test_replace_false_keeps_the_original_row(self, table):
         table.record_trial("e", _result(0), wall_time=2.5)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.traffic.generators import (
-    BatchSource,
     CbrSource,
     SaturatedSource,
     SinkRegistry,
@@ -28,16 +27,6 @@ class TestSaturatedSource:
         s = SaturatedSource(dst=3)
         ids = {s.next_packet().packet_id for _ in range(50)}
         assert len(ids) == 50
-
-
-class TestBatchSource:
-    def test_exhausts_after_count(self):
-        s = BatchSource(dst=1, count=3)
-        out = []
-        while s.has_packet():
-            out.append(s.next_packet())
-        assert len(out) == 3
-        assert s.next_packet() is None
 
 
 class TestCbrSource:
